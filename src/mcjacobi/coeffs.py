@@ -17,10 +17,10 @@ from typing import Optional, Sequence, Union
 
 from scipy.special import loggamma
 
-from .errors import GammaPoleError, ParameterError
+from .errors import GammaPoleError, InvariantError, ParameterError
 from .params import ParamSet
 from .partitions import contains, enumerate_partitions, pad, weight
-from .sympoly import affine_substitute, jack_at_ones_exact, spherical_poly
+from .sympoly import SymPoly, affine_substitute, jack_at_ones_exact, spherical_poly
 
 TWO_PI = 2.0 * math.pi
 
@@ -154,11 +154,29 @@ def c0_tilde(params: ParamSet) -> C0Tilde:
 
 
 @lru_cache(maxsize=None)
+def _phi_one_plus(m: tuple, d: Fraction, r: int) -> SymPoly:
+    """Phi_m(1 + x), exact; the one substitution per (m, d, r) shared by the
+    binomial rows and the circular-Jacobi family."""
+    return affine_substitute(spherical_poly(m, d, r), 1, 1)
+
+
+def _phi_one_minus(m: tuple, d: Fraction, r: int) -> dict:
+    """Monomial terms of Phi_m(1 - x).
+
+    Homogeneity: m_lambda(-x) = (-1)^{|lambda|} m_lambda(x), so only the
+    odd-weight terms of Phi_m(1 + x) change sign.
+    """
+    return {
+        lam: -c if weight(lam) % 2 else c
+        for lam, c in _phi_one_plus(m, d, r).terms.items()
+    }
+
+
+@lru_cache(maxsize=None)
 def _binom_row(m: tuple, d: Fraction, r: int) -> dict:
     """Coefficients of Phi_k in the expansion of Phi_m(1 + x), all k."""
-    shifted = affine_substitute(spherical_poly(m, d, r), 1, 1)
     row: dict = {}
-    remaining = dict(shifted.terms)
+    remaining = dict(_phi_one_plus(m, d, r).terms)
     w_top = weight(m)
     for w in range(w_top, -1, -1):
         for kappa in enumerate_partitions(w, r):
@@ -176,7 +194,8 @@ def _binom_row(m: tuple, d: Fraction, r: int) -> dict:
                     remaining.pop(lam, None)
                 else:
                     remaining[lam] = nv
-    assert not remaining, "spherical basis change left residual terms"
+    if remaining:
+        raise InvariantError("spherical basis change left residual terms")
     return row
 
 

@@ -27,3 +27,7 @@ class VandermondeZeroError(McjError):
 
 class SingularPointError(McjError):
     """Evaluation requested exactly at a singular point of the weight function."""
+
+
+class InvariantError(McjError):
+    """An exact computation left a nonzero remainder where its algebra guarantees none."""

@@ -10,6 +10,10 @@ Families:
 * ``psi_eval``       -- the modified Fourier transform side, a finite span of
   powers (1 - i t)^{-gamma}.
 
+All three are one finite sum over k contained in m, written once in
+``_family_body``; they differ only in the Pochhammer numerator and in the
+argument of Phi_k (1 - sigma, or the variable itself).
+
 Identities implemented for verification: degree-one determinant formulas at
 d = 2, generating functions, the one-variable hypergeometric ODE, rank-1
 (pseudo-)differential eigenrelations, and the Meixner-Pollaczek bridge.
@@ -32,14 +36,19 @@ from .errors import ParameterError, VandermondeZeroError
 from .exact import QC_I, QC_ONE, QC_ZERO, QComplex
 from .params import ParamSet
 from .partitions import Partition, contains, enumerate_partitions, pad, weight
-from .sympoly import CSymPoly, SymPoly, affine_substitute, spherical_poly
+from .sympoly import CSymPoly, SymPoly, spherical_poly
 
 
-def _check_poch_nonzero(alpha: float, m: Sequence[int], params: ParamSet) -> None:
-    """(alpha)_k must be nonzero for every k contained in m."""
+def _check_poch_nonzero(m: Sequence[int], params: ParamSet) -> None:
+    """(alpha)_k must be nonzero for every k contained in m; tested exactly
+    when alpha is exact, since a float test misses zeros such as 4/3 - 7/3 + 1."""
     mm = pad(m, params.r)
+    if params.alpha_is_exact:
+        alpha, d2 = Fraction(params.alpha), params.d / 2
+    else:
+        alpha, d2 = float(params.alpha), float(params.d) / 2
     for j in range(params.r):
-        base = alpha - float(params.d) / 2 * j
+        base = alpha - d2 * j
         for t in range(mm[j]):
             if base + t == 0:
                 raise ParameterError(
@@ -47,8 +56,59 @@ def _check_poch_nonzero(alpha: float, m: Sequence[int], params: ParamSet) -> Non
                 )
 
 
-def _poch_c(s: complex, m: Sequence[int], params: ParamSet) -> complex:
-    return coeffs._poch_complex(s, m, params)
+def _family_body(
+    m: Sequence[int], params: ParamSet, *, beta: bool, shifted: bool, exact: bool
+):
+    """The finite sum behind all three families, as a monomial-basis body:
+
+        d_m (alpha)_m / (n/r)_m
+            sum_{k subset m} (-1)^{|k|} binom(m,k) (beta)_k / (alpha)_k  Phi_k(X)
+
+    with beta = (alpha + n/r)/2 + i nu, or no numerator at all when ``beta``
+    is false (Laguerre), and X = 1 - sigma when ``shifted``, the variable
+    itself otherwise.  Exact rationals (``SymPoly``) when ``exact``, complex
+    doubles (``CSymPoly``) otherwise.
+    """
+    r = params.r
+    mm = pad(m, r)
+    _check_poch_nonzero(mm, params)
+    if exact:
+        scalar, poch = Fraction, gen_pochhammer
+        alpha = Fraction(params.alpha)
+        beta_arg = (alpha + params.n_over_r) / 2
+    else:
+        scalar, poch = complex, coeffs._poch_complex
+        alpha = complex(float(params.alpha))
+        beta_arg = 0.5 * (alpha + float(params.n_over_r)) + 1j * float(params.nu)
+    pref = (
+        scalar(dim_dm(mm, params))
+        * poch(alpha, mm, params)
+        / scalar(gen_pochhammer(params.n_over_r, mm, params))
+    )
+    terms: dict = {}
+    for k in enumerate_partitions(weight(mm), r):
+        if not contains(mm, k):
+            continue
+        b = gen_binom(mm, k, params)
+        if b == 0:
+            continue
+        coef = pref * (-1) ** weight(k) * scalar(b)
+        if beta:
+            coef = coef * poch(beta_arg, k, params)
+        coef = coef / poch(alpha, k, params)
+        if shifted:
+            phi = coeffs._phi_one_minus(k, params.d, r)
+        else:
+            phi = spherical_poly(k, params.d, r).terms
+        # complex terms accumulate k by k in enumeration order: the rounding of
+        # the body feeds the byte-identical orthogonality reports
+        for lam, c in phi.items():
+            v = terms.get(lam, 0) + scalar(c) * coef
+            if v == 0:
+                terms.pop(lam, None)
+            else:
+                terms[lam] = v
+    return (SymPoly if exact else CSymPoly)(r, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -86,60 +146,10 @@ def mcj_build(m: tuple, params: ParamSet) -> MCJPolynomial:
     otherwise.
     """
     mm = pad(m, params.r)
-    r = params.r
-    alpha = params.alpha
-    _check_poch_nonzero(float(alpha), mm, params)
-
     exact = params.nu_is_zero and params.alpha_is_exact
+    body = _family_body(mm, params, beta=True, shifted=True, exact=exact)
     if exact:
-        a = Fraction(alpha)
-        beta = (a + params.n_over_r) / 2
-        pref = (
-            dim_dm(mm, params)
-            * gen_pochhammer(a, mm, params)
-            / gen_pochhammer(params.n_over_r, mm, params)
-        )
-        body = SymPoly.zero(r)
-        for k in enumerate_partitions(weight(mm), r):
-            if not contains(mm, k):
-                continue
-            b = gen_binom(mm, k, params)
-            if b == 0:
-                continue
-            coef = (
-                pref
-                * (-1) ** weight(k)
-                * b
-                * gen_pochhammer(beta, k, params)
-                / gen_pochhammer(a, k, params)
-            )
-            phi_shift = affine_substitute(spherical_poly(k, params.d, r), 1, -1)
-            body = body + phi_shift.scale(coef)
         return MCJPolynomial(mm, params, body.to_complex(), body)
-
-    alpha_c = complex(float(alpha))
-    beta = 0.5 * (alpha_c + float(params.n_over_r)) + 1j * float(params.nu)
-    pref = (
-        complex(dim_dm(mm, params))
-        * _poch_c(alpha_c, mm, params)
-        / complex(gen_pochhammer(params.n_over_r, mm, params))
-    )
-    body = CSymPoly.zero(r)
-    for k in enumerate_partitions(weight(mm), r):
-        if not contains(mm, k):
-            continue
-        b = gen_binom(mm, k, params)
-        if b == 0:
-            continue
-        coef = (
-            pref
-            * (-1) ** weight(k)
-            * complex(b)
-            * _poch_c(beta, k, params)
-            / _poch_c(alpha_c, k, params)
-        )
-        phi_shift = affine_substitute(spherical_poly(k, params.d, r), 1, -1)
-        body = body + phi_shift.to_complex().scale(coef)
     return MCJPolynomial(mm, params, body, None)
 
 
@@ -195,23 +205,7 @@ def laguerre_build(m: tuple, params: ParamSet) -> LaguerrePolynomial:
             sum_{k subset m} (-1)^{|k|} binom(m,k) / (alpha)_k  Phi_k(u).
     """
     mm = pad(m, params.r)
-    r = params.r
-    alpha_c = complex(float(params.alpha))
-    _check_poch_nonzero(float(params.alpha), mm, params)
-    pref = (
-        complex(dim_dm(mm, params))
-        * _poch_c(alpha_c, mm, params)
-        / complex(gen_pochhammer(params.n_over_r, mm, params))
-    )
-    body = CSymPoly.zero(r)
-    for k in enumerate_partitions(weight(mm), r):
-        if not contains(mm, k):
-            continue
-        b = gen_binom(mm, k, params)
-        if b == 0:
-            continue
-        coef = pref * (-1) ** weight(k) * complex(b) / _poch_c(alpha_c, k, params)
-        body = body + spherical_poly(k, params.d, r).to_complex().scale(coef)
+    body = _family_body(mm, params, beta=False, shifted=False, exact=False)
     return LaguerrePolynomial(mm, params, body)
 
 
@@ -222,29 +216,8 @@ def laguerre_build(m: tuple, params: ParamSet) -> LaguerrePolynomial:
 
 def psi_tilde_eval(m: Sequence[int], params: ParamSet, w: Sequence[complex]) -> complex:
     """The finite sum part of Psi, as a function of w = 2 (e - i t)^{-1}."""
-    mm = pad(m, params.r)
-    alpha_c = complex(float(params.alpha))
-    beta = 0.5 * (alpha_c + float(params.n_over_r)) + 1j * float(params.nu)
-    pref = (
-        complex(dim_dm(mm, params))
-        * _poch_c(alpha_c, mm, params)
-        / complex(gen_pochhammer(params.n_over_r, mm, params))
-    )
-    total = 0j
-    for k in enumerate_partitions(weight(mm), params.r):
-        if not contains(mm, k):
-            continue
-        b = gen_binom(mm, k, params)
-        if b == 0:
-            continue
-        total += (
-            (-1) ** weight(k)
-            * complex(b)
-            * _poch_c(beta, k, params)
-            / _poch_c(alpha_c, k, params)
-            * spherical_poly(k, params.d, params.r).evaluate(w)
-        )
-    return pref * total
+    body = _family_body(m, params, beta=True, shifted=False, exact=False)
+    return body.evaluate(w)
 
 
 def psi_eval(m: Sequence[int], params: ParamSet, t: Sequence[float]) -> complex:
@@ -555,7 +528,7 @@ def cauchy_kernel_series(
     p = ParamSet(r=r, d=d)
     total = 0j
     for m in enumerate_partitions(N, r):
-        coef = complex(dim_dm(m, p)) * _poch_c(complex(beta), m, p) / complex(
+        coef = complex(dim_dm(m, p)) * coeffs._poch_complex(complex(beta), m, p) / complex(
             gen_pochhammer(p.n_over_r, m, p)
         )
         total += (

@@ -13,7 +13,7 @@ built from:
   constructed as the dominance-triangular eigenvector of the alpha-deformed
   Laplace-Beltrami operator, all in exact rational arithmetic;
 * ``schur``       -- Schur polynomial via the Jacobi-Trudi determinant;
-* ``spherical``   -- Jack normalized to take the value 1 at (1,...,1).
+* ``spherical_poly`` -- Jack normalized to take the value 1 at (1,...,1).
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .errors import ArityMismatchError
+from .errors import ArityMismatchError, InvariantError
 from .partitions import _parts_desc, pad, trim, weight
 
 AnyCoef = Union[int, Fraction, float, complex]
@@ -213,9 +213,6 @@ class CSymPoly(_BasePoly):
     def _fmt_coef(c) -> str:
         return f"({c.real:.12g}{c.imag:+.12g}j)"
 
-    def conjugate_coeffs(self) -> "CSymPoly":
-        return CSymPoly(self.arity, {k: v.conjugate() for k, v in self.terms.items()})
-
 
 AnyPoly = Union[SymPoly, CSymPoly]
 
@@ -358,7 +355,8 @@ def _divide_diff(g: dict, i: int, j: int) -> dict:
             rem.pop(e, None)
         else:
             rem[e] = v
-    assert not rem, "division by (x_i - x_j) left a remainder"
+    if rem:
+        raise InvariantError("division by (x_i - x_j) left a remainder")
     out: dict = {}
     for p, row in q_rows.items():
         for e, c in row.items():
@@ -526,11 +524,6 @@ def jack_at_ones_exact(m: Sequence[int], d, r: int) -> Fraction:
     return jack_mono(m, d, r).eval_at_ones()
 
 
-def spherical(m: Sequence[int], params) -> SymPoly:
-    """Spherical polynomial: Jack rescaled so the value at (1,...,1) is 1."""
-    return spherical_poly(m, params.d, params.r)
-
-
 @lru_cache(maxsize=None)
 def _spherical_cached(m: tuple, d: Fraction, r: int) -> SymPoly:
     p = jack_mono(m, d, r)
@@ -538,4 +531,5 @@ def _spherical_cached(m: tuple, d: Fraction, r: int) -> SymPoly:
 
 
 def spherical_poly(m: Sequence[int], d, r: int) -> SymPoly:
+    """Spherical polynomial: Jack rescaled so the value at (1,...,1) is 1."""
     return _spherical_cached(pad(m, r), Fraction(d), r)

@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -123,6 +125,17 @@ def test_unknown_flag_exits_2():
     with pytest.raises(SystemExit) as exc:
         run(["verify-orth", "--no-such-flag"])
     assert exc.value.code == 2
+
+
+def test_eval_psi_vanishing_pochhammer_exits_2(child_env):
+    proc = subprocess.run(
+        [sys.executable, "-m", "mcjacobi.cli", "eval", "--family", "psi", "--r", "1",
+         "--d", "2", "--alpha", "-1", "--nu", "0.2", "--m", "2", "--t", "0.3"],
+        capture_output=True, text=True, env=child_env, timeout=120,
+    )
+    assert proc.returncode == 2
+    assert "(alpha)_k vanishes" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_selftest_quick(capsys):

@@ -8,6 +8,7 @@ from scipy.special import gamma as scipy_gamma
 
 from mcjacobi.coeffs import (
     _dim_dm_gamma,
+    _phi_one_minus,
     c0_tilde,
     dim_dm,
     expected_norm,
@@ -22,7 +23,7 @@ from mcjacobi.coeffs import (
 from mcjacobi.errors import GammaPoleError, ParameterError
 from mcjacobi.params import ParamSet
 from mcjacobi.partitions import contains, enumerate_partitions, weight
-from mcjacobi.sympoly import jack_mono, schur
+from mcjacobi.sympoly import affine_substitute, jack_mono, schur, spherical_poly
 
 P22 = ParamSet(r=2, d=2, alpha=3, nu=0.5)
 PR1 = ParamSet(r=1, d=2)
@@ -116,6 +117,15 @@ def test_binom_row_sums_and_vanishing(r, d):
                 assert b == 0
             total += b
         assert total == 2 ** weight(m)
+
+
+@pytest.mark.parametrize("r", [2, 3])
+@pytest.mark.parametrize("d", [Fraction(1, 3), Fraction(2), Fraction(5, 2)])
+def test_phi_one_minus_matches_affine_substitute(r, d):
+    # the sign-flipped cached Phi_k(1 + x) against the direct substitution x -> 1 - x
+    for k in enumerate_partitions(6, r):
+        oracle = affine_substitute(spherical_poly(k, d, r), 1, -1)
+        assert _phi_one_minus(k, d, r) == oracle.terms
 
 
 def test_gamma_k_partition():

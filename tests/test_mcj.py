@@ -80,8 +80,16 @@ def test_mcj_conjugation_symmetry():
 
 
 def test_mcj_zero_divisor_guard():
+    p = ParamSet(r=1, d=2, alpha=-1, nu=0.2)
     with pytest.raises(ParameterError):
-        mcj_build((2,), ParamSet(r=1, d=2, alpha=-1, nu=0.2))
+        mcj_build((2,), p)
+    with pytest.raises(ParameterError):
+        laguerre_build((2,), p)
+    with pytest.raises(ParameterError):
+        psi_eval((2,), p, [0.3])
+    # alpha - (d/2)(2) + 1 is exactly 0 here but not in floating point
+    with pytest.raises(ParameterError):
+        mcj_build((2, 2, 2), ParamSet(r=3, d=Fraction(7, 3), alpha=Fraction(4, 3), nu=0))
 
 
 def test_mcj_equals_cj1_at_rank_one():

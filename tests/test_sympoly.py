@@ -1,13 +1,16 @@
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from mcjacobi.errors import ArityMismatchError
+from mcjacobi.errors import ArityMismatchError, InvariantError
 from mcjacobi.partitions import dominance_leq, enumerate_partitions, weight
 from mcjacobi.sympoly import (
     CSymPoly,
     SymPoly,
+    _divide_diff,
     affine_substitute,
     jack_mono,
     msym_mul,
@@ -166,3 +169,28 @@ def test_complex_promotion():
     c = p.to_complex()
     assert isinstance(c, CSymPoly)
     assert c.evaluate([1.0, 1.0]) == pytest.approx(float(p.eval_at_ones()))
+
+
+def test_divide_diff_remainder_raises():
+    # x_0 is not divisible by (x_0 - x_1)
+    with pytest.raises(InvariantError):
+        _divide_diff({(1, 0): Fraction(1)}, 0, 1)
+
+
+def test_divide_diff_remainder_raises_under_optimize(child_env):
+    # python -O strips assert statements; the check must survive it
+    code = (
+        "from fractions import Fraction\n"
+        "from mcjacobi.errors import InvariantError\n"
+        "from mcjacobi.sympoly import _divide_diff\n"
+        "try:\n"
+        "    _divide_diff({(1, 0): Fraction(1)}, 0, 1)\n"
+        "except InvariantError:\n"
+        "    print('raised')\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=child_env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "raised"
