@@ -466,18 +466,22 @@ def _schur_at_ones(m: Sequence[int], r: int) -> int:
     return int(val)
 
 
+def _div_poch_product(pref: complex, x: complex, r: int) -> complex:
+    """pref * prod_{j=1..r} (x)_{j-1}^{-1}, one division per j."""
+    for j in range(1, r + 1):
+        acc = 1.0 + 0j
+        for t in range(j - 1):
+            acc *= x + t
+        pref /= acc
+    return pref
+
+
 def _det_prefactor(m, params: ParamSet) -> complex:
     r = params.r
     alpha = float(params.alpha)
     nu = float(params.nu)
     base = 0.5 * (alpha - r) + 1j * nu + 1
-    pref = complex(_schur_at_ones(m, r) * delta_factorial(r))
-    for j in range(1, r + 1):
-        acc = 1.0 + 0j
-        for t in range(j - 1):
-            acc *= base + t
-        pref /= acc
-    return pref
+    return _div_poch_product(complex(_schur_at_ones(m, r) * delta_factorial(r)), base, r)
 
 
 def det_eval_phi(m: Sequence[int], params: ParamSet, sigma: Sequence[complex]) -> complex:
@@ -575,12 +579,7 @@ def cauchy_kernel_det(
             if base == 0:
                 raise ParameterError("branch pole: 1 - w_p z_q = 0")
             mat[p, q] = base ** (-expo)
-    pref = complex(delta_factorial(r))
-    for j in range(1, r + 1):
-        acc = 1.0 + 0j
-        for t in range(j - 1):
-            acc *= expo + t
-        pref /= acc
+    pref = _div_poch_product(complex(delta_factorial(r)), expo, r)
     return pref * complex(np.linalg.det(mat)) / (_vandermonde(w) * _vandermonde(z))
 
 
@@ -684,12 +683,9 @@ def genfun_residual_psi(
                 mat[p, q] = (1 - z[p]) ** (-(alpha - r + 1)) * (
                     (1 + z[p]) / (1 - z[p]) - 1j * t[q]
                 ) ** (-expo)
-        pref = complex(delta_factorial(r)) / (-2j) ** (r * (r - 1) // 2)
-        for j in range(1, r + 1):
-            acc = 1.0 + 0j
-            for s in range(j - 1):
-                acc *= expo + s
-            pref /= acc
+        pref = _div_poch_product(
+            complex(delta_factorial(r)) / (-2j) ** (r * (r - 1) // 2), expo, r
+        )
         rhs = (
             pref
             * complex(np.linalg.det(mat))

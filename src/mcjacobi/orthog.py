@@ -13,9 +13,13 @@ weights:
   which makes it the sharp choice for nu = 0.
 
 For even integer d the pair coupling is a trigonometric polynomial and a
-tensor rule applies.  For non-even d the inner axes are subdivided at the
-current outer angles and each segment gets a Gauss-Jacobi rule whose
-exponents match the algebraic factors at the segment ends exactly.
+tensor rule applies.  For non-even d one nested construction serves every rank:
+axis by axis, each new axis is cut at 0, 2 pi and the angles already chosen,
+and each segment gets a Gauss-Jacobi rule whose exponents match the
+algebraic factors at the segment ends exactly.
+
+Gram entries are reduced with numpy's pairwise summation, which calls no
+BLAS, so reports are byte-identical whatever the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -178,16 +182,56 @@ def _is_even_d(d: Fraction) -> bool:
     return d.denominator == 1 and d.numerator % 2 == 0
 
 
-def _segment(n, a_exp, b_exp, lo, hi):
-    """Gauss-Jacobi points on (lo, hi) for weight (hi-t)^{a_exp} (t-lo)^{b_exp}.
+def _segment(n, e_hi, e_lo, lo, hi):
+    """Gauss-Jacobi points on (lo, hi) for weight (hi-t)^{e_hi} (t-lo)^{e_lo}.
 
     Returns (t, w) with the pure power factors folded into w.
     """
-    x, w = _jacobi_base(n, float(a_exp), float(b_exp))
+    x, w = _jacobi_base(n, float(e_hi), float(e_lo))
     half = 0.5 * (hi - lo)
     t = lo + half * (1.0 + x)
-    scale = half ** (a_exp + b_exp + 1.0)
+    scale = half ** (e_hi + e_lo + 1.0)
     return t, scale * w
+
+
+def _axis_segments(outer, n, two_s, d, nu_fac):
+    """Segments of the next axis, given the angles already chosen on outer axes.
+
+    The axis is cut at the sorted outer angles and at 0, 2 pi; outer angles
+    closer than 1e-12 are merged at their midpoint with the summed exponent.
+    Each segment gets a Gauss-Jacobi rule whose end exponents are 2s at 0 or
+    2 pi and d per outer angle at a cut; the remaining smooth factors of the
+    weight are multiplied into the segment weights.  Yields (t, w) per segment.
+    """
+    cuts = []  # (angle, exponent)
+    for a in sorted(outer):
+        if cuts and a - cuts[-1][0] < 1e-12:
+            cuts[-1] = (0.5 * (cuts[-1][0] + a), cuts[-1][1] + d)
+        else:
+            cuts.append((a, d))
+    ends = [(0.0, two_s)] + cuts + [(TWO_PI, two_s)]
+    last = len(cuts)
+    for i in range(last + 1):
+        (lo, e_lo), (hi, e_hi) = ends[i], ends[i + 1]
+        t, w = _segment(n, e_hi, e_lo, lo, hi)
+        # the 0 / 2 pi factor, then the adjacent cuts: _sc keeps the smooth
+        # part of the power already folded into the segment rule
+        if i == 0:
+            w = w * _sc(t) ** two_s * _sc(hi - t) ** e_hi
+        elif i == last:
+            w = w * _sc(TWO_PI - t) ** two_s * _sc(t - lo) ** e_lo
+        else:
+            w = (
+                w * (2.0 * np.sin(t / 2.0)) ** two_s
+                * _sc(t - lo) ** e_lo
+                * _sc(hi - t) ** e_hi
+            )
+        for j, (a, e) in enumerate(cuts):
+            if j < i - 1:
+                w = w * (2.0 * np.sin((t - a) / 2.0)) ** e
+            elif j > i:
+                w = w * (2.0 * np.sin((a - t) / 2.0)) ** e
+        yield t, w * nu_fac(t)
 
 
 def _points_weights(params: ParamSet, rule: QuadratureRule) -> tuple:
@@ -212,18 +256,17 @@ def _points_weights(params: ParamSet, rule: QuadratureRule) -> tuple:
     def nu_fac(th):
         return np.exp(-nu * (th - math.pi))
 
+    outer_w = rule.weights * nu_fac(rule.nodes)
     if r == 1:
         pts = rule.nodes[:, None]
-        w = rule.weights * nu_fac(rule.nodes)
+        w = outer_w
     elif _is_even_d(params.d):
-        axes_t = [rule.nodes] * r
-        axes_w = [rule.weights * nu_fac(rule.nodes)] * r
-        grids = np.meshgrid(*axes_t, indexing="ij")
+        grids = np.meshgrid(*[rule.nodes] * r, indexing="ij")
         wgrid = np.ones_like(grids[0])
-        for j, aw in enumerate(axes_w):
+        for j in range(r):
             shape = [1] * r
             shape[j] = -1
-            wgrid = wgrid * aw.reshape(shape)
+            wgrid = wgrid * outer_w.reshape(shape)
         for p in range(r):
             for q in range(p + 1, r):
                 wgrid = wgrid * (
@@ -231,82 +274,24 @@ def _points_weights(params: ParamSet, rule: QuadratureRule) -> tuple:
                 ) ** d
         pts = np.stack([g.ravel() for g in grids], axis=1)
         w = wgrid.ravel()
-    elif r == 2:
+    else:
+        # nested segments, axis by axis; the last axis is emitted as whole
+        # segment blocks so no Python object is made per node
         n = rule.points_per_axis
         two_s = 2.0 * s
+        prefix = [((t,), wt) for t, wt in zip(rule.nodes.tolist(), outer_w.tolist())]
+        for _ in range(r - 2):
+            prefix = [
+                (angles + (t,), w0 * wt)
+                for angles, w0 in prefix
+                for ts, ws in _axis_segments(angles, n, two_s, d, nu_fac)
+                for t, wt in zip(ts.tolist(), ws.tolist())
+            ]
         pts_list, w_list = [], []
-        outer_w = rule.weights * nu_fac(rule.nodes)
-        for t1, w1 in zip(rule.nodes, outer_w):
-            # (0, t1): endpoint exponents 2s at 0, d at t1
-            t2, wseg = _segment(n, d, two_s, 0.0, t1)
-            extra = _sc(t2) ** two_s * _sc(t1 - t2) ** d * nu_fac(t2)
-            pts_list.append(np.column_stack([np.full_like(t2, t1), t2]))
-            w_list.append(w1 * wseg * extra)
-            # (t1, 2 pi): d at t1, 2s at 2 pi
-            t2, wseg = _segment(n, two_s, d, t1, TWO_PI)
-            extra = _sc(TWO_PI - t2) ** two_s * _sc(t2 - t1) ** d * nu_fac(t2)
-            pts_list.append(np.column_stack([np.full_like(t2, t1), t2]))
-            w_list.append(w1 * wseg * extra)
-        pts = np.vstack(pts_list)
-        w = np.concatenate(w_list)
-    else:  # r == 3, non-even d
-        n = rule.points_per_axis
-        two_s = 2.0 * s
-        pts_list, w_list = [], []
-        outer_w = rule.weights * nu_fac(rule.nodes)
-        for t1, w1 in zip(rule.nodes, outer_w):
-            middle = []
-            t2, wseg = _segment(n, d, two_s, 0.0, t1)
-            middle.append((t2, wseg * _sc(t2) ** two_s * _sc(t1 - t2) ** d))
-            t2, wseg = _segment(n, two_s, d, t1, TWO_PI)
-            middle.append((t2, wseg * _sc(TWO_PI - t2) ** two_s * _sc(t2 - t1) ** d))
-            for t2_arr, w2_arr in middle:
-                for t2, w2 in zip(t2_arr, w2_arr * nu_fac(t2_arr)):
-                    lo, hi = min(t1, t2), max(t1, t2)
-                    segs = []
-                    if hi - lo < 1e-12:
-                        # outer angles effectively coincide: treat them as
-                        # equal at the midpoint and fold the doubled exponent
-                        mid = 0.5 * (lo + hi)
-                        t3, ws = _segment(n, 2 * d, two_s, 0.0, mid)
-                        ex = _sc(t3) ** two_s * _sc(mid - t3) ** (2 * d)
-                        segs.append((t3, ws * ex))
-                        t3, ws = _segment(n, two_s, 2 * d, mid, TWO_PI)
-                        ex = _sc(TWO_PI - t3) ** two_s * _sc(t3 - mid) ** (2 * d)
-                        segs.append((t3, ws * ex))
-                    else:
-                        t3, ws = _segment(n, d, two_s, 0.0, lo)
-                        ex = (
-                            _sc(t3) ** two_s
-                            * _sc(lo - t3) ** d
-                            * (2.0 * np.sin((hi - t3) / 2.0)) ** d
-                        )
-                        segs.append((t3, ws * ex))
-                        t3, ws = _segment(n, d, d, lo, hi)
-                        ex = (
-                            (2.0 * np.sin(t3 / 2.0)) ** two_s
-                            * _sc(t3 - lo) ** d
-                            * _sc(hi - t3) ** d
-                        )
-                        segs.append((t3, ws * ex))
-                        t3, ws = _segment(n, two_s, d, hi, TWO_PI)
-                        ex = (
-                            _sc(TWO_PI - t3) ** two_s
-                            * _sc(t3 - hi) ** d
-                            * (2.0 * np.sin((t3 - lo) / 2.0)) ** d
-                        )
-                        segs.append((t3, ws * ex))
-                    for t3_arr, w3_arr in segs:
-                        w3_arr = w3_arr * nu_fac(t3_arr)
-                        block = np.column_stack(
-                            [
-                                np.full_like(t3_arr, t1),
-                                np.full_like(t3_arr, t2),
-                                t3_arr,
-                            ]
-                        )
-                        pts_list.append(block)
-                        w_list.append(w1 * w2 * w3_arr)
+        for angles, w0 in prefix:
+            for t, ws in _axis_segments(angles, n, two_s, d, nu_fac):
+                pts_list.append(np.column_stack([np.full_like(t, a) for a in angles] + [t]))
+                w_list.append(w0 * ws)
         pts = np.vstack(pts_list)
         w = np.concatenate(w_list)
 
@@ -314,11 +299,6 @@ def _points_weights(params: ParamSet, rule: QuadratureRule) -> tuple:
         raise ParameterError("quadrature weight assembly produced non-finite values")
     rule._cache[key] = (pts, w)
     return pts, w
-
-
-def _compensated_csum(arr: np.ndarray) -> complex:
-    """Deterministic compensated sum of a complex array."""
-    return complex(math.fsum(arr.real.tolist()), math.fsum(arr.imag.tolist()))
 
 
 def _prefactor(params: ParamSet) -> float:
@@ -329,11 +309,7 @@ def inner_product(
     m: Sequence[int], n: Sequence[int], params: ParamSet, rule: QuadratureRule
 ) -> complex:
     """Quadrature value of (c0~/(2 pi)^n) int phi_m conj(phi_n) d(weight)."""
-    pts, w = _points_weights(params, rule)
-    z = np.exp(1j * pts)
-    vm = mcj_build(tuple(m), params).evaluate_points(z)
-    vn = mcj_build(tuple(n), params).evaluate_points(z)
-    return _prefactor(params) * _compensated_csum(w * vm * np.conj(vn))
+    return complex(_gram(params, [m, n], rule)[0, 1])
 
 
 # ---------------------------------------------------------------------------
@@ -410,15 +386,21 @@ class OrthReport:
 
 
 def _gram(params: ParamSet, parts: list, rule: QuadratureRule) -> np.ndarray:
+    """All P^2 entries pref * sum_k w_k phi_i(z_k) conj(phi_j(z_k)).
+
+    numpy's pairwise summation, with no BLAS call, so the result does not
+    depend on the thread count; hermiticity stays a measured diagnostic.
+    """
     pts, w = _points_weights(params, rule)
     z = np.exp(1j * pts)
-    vals = [mcj_build(m, params).evaluate_points(z) for m in parts]
+    vals = [mcj_build(tuple(m), params).evaluate_points(z) for m in parts]
     pref = _prefactor(params)
     P = len(parts)
     G = np.empty((P, P), dtype=complex)
     for i in range(P):
+        wv = w * vals[i]
         for j in range(P):
-            G[i, j] = pref * _compensated_csum(w * vals[i] * np.conj(vals[j]))
+            G[i, j] = pref * np.sum(wv * np.conj(vals[j]))
     return G
 
 
@@ -431,6 +413,8 @@ def verify_orthogonality(
 ) -> OrthReport:
     """Assemble the Gram matrix over all partitions of weight <= max_weight
     and compare with the predicted diagonal norms."""
+    if not (tol_off >= 0 and tol_diag >= 0):
+        raise ParameterError("tolerances must be non-negative numbers")
     t0 = time.perf_counter()
     parts = enumerate_partitions(max_weight, params.r)
     G = _gram(params, parts, rule)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -43,6 +44,10 @@ class ParamSet:
         object.__setattr__(self, "d", as_fraction(self.d))
         if self.d <= 0:
             raise ValueError("multiplicity d must be > 0")
+        for name in ("alpha", "nu"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, Fraction)) and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if isinstance(self.alpha, Fraction) and self.alpha.denominator == 1:
             object.__setattr__(self, "alpha", int(self.alpha))
 

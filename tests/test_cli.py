@@ -138,6 +138,48 @@ def test_eval_psi_vanishing_pochhammer_exits_2(child_env):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["eval", "--r", "1", "--d", "2", "--alpha", "3", "--nu", "inf", "--m", "1",
+          "--theta", "1.0"], "nu must be finite"),
+        (["eval", "--r", "1", "--d", "2", "--alpha", "3", "--nu", "nan", "--m", "1",
+          "--theta", "1.0"], "nu must be finite"),
+        (["eval", "--r", "1", "--d", "2", "--alpha", "inf", "--nu", "0", "--m", "1",
+          "--theta", "1.0"], "alpha must be finite"),
+        (["print-poly", "--r", "1", "--d", "2", "--alpha", "3", "--nu", "nan", "--m", "1"],
+         "nu must be finite"),
+        (["verify-orth", "--r", "1", "--d", "2", "--alpha", "2", "--nu", "0",
+          "--max-weight", "1", "--points", "16", "--tol", "nan"], "tolerances"),
+        (["verify-orth", "--r", "1", "--d", "2", "--alpha", "2", "--nu", "0",
+          "--max-weight", "1", "--points", "16", "--tol", "-0.5"], "tolerances"),
+    ],
+)
+def test_non_finite_input_exits_2(child_env, argv, message):
+    proc = subprocess.run(
+        [sys.executable, "-m", "mcjacobi.cli"] + argv,
+        capture_output=True, text=True, env=child_env, timeout=120,
+    )
+    assert proc.returncode == 2
+    assert message in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "nan" not in proc.stdout
+
+
+def test_verify_orth_json_independent_of_blas_threads(child_env):
+    argv = [sys.executable, "-m", "mcjacobi.cli", "verify-orth", "--r", "3", "--d", "1",
+            "--alpha", "3", "--nu", "0.3", "--max-weight", "2", "--points", "16",
+            "--tol", "1", "--format", "json"]
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(child_env, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        proc = subprocess.run(argv, capture_output=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout.split(b"\n", 1)[1])  # drop the timed summary line
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0])["schema"] == "mcjacobi-orth-report-v1"
+
+
 def test_selftest_quick(capsys):
     assert run(["selftest", "--quick"]) == 0
     out = capsys.readouterr().out

@@ -42,6 +42,14 @@ def test_paramset_derived():
         ParamSet(r=1, d=0)
 
 
+@pytest.mark.parametrize(
+    "alpha,nu", [(3, math.inf), (3, math.nan), (math.inf, 0.0), (-math.inf, 0.5), (math.nan, 0)]
+)
+def test_paramset_rejects_non_finite(alpha, nu):
+    with pytest.raises(ValueError, match="must be finite"):
+        ParamSet(r=1, d=2, alpha=alpha, nu=nu)
+
+
 def test_gen_pochhammer_examples():
     assert gen_pochhammer(3, (2,), ParamSet(r=1, d=1)) == 12
     assert gen_pochhammer(3, (1, 1), P22) == 6

@@ -14,8 +14,10 @@ from mcjacobi.coeffs import (
     jack_norm_torus,
 )
 from mcjacobi.errors import ParameterError, SingularPointError
+from mcjacobi.mcj import mcj_build
 from mcjacobi.orthog import (
     _gram,
+    _points_weights,
     build_rule,
     conjecture_sweep,
     inner_product,
@@ -107,6 +109,20 @@ def test_quadrature_rank_cap():
         inner_product((0,) * 4, (0,) * 4, p, rule)
 
 
+@pytest.mark.parametrize("r", [2, 3])
+@pytest.mark.parametrize("d", [Fraction(1), Fraction(5, 2)])
+def test_nested_weights_match_dyson_constant_term(r, d):
+    # alpha = n/r, nu = 0 leaves prod_{p<q} |e^{i theta_p} - e^{i theta_q}|^d,
+    # whose torus integral is (2 pi)^r Gamma(1 + r d/2) / Gamma(1 + d/2)^r
+    base = ParamSet(r=r, d=d)
+    p = base.with_(alpha=base.n_over_r, nu=0)
+    rule = build_rule(32, "tanh_sinh", p)
+    _, w = _points_weights(p, rule)
+    half = float(d) / 2
+    dyson = TWO_PI ** r * math.gamma(1 + r * half) / math.gamma(1 + half) ** r
+    assert math.fsum(w.tolist()) == pytest.approx(dyson, rel=1e-10)
+
+
 # ---------------------------------------------------------------- inner products
 
 
@@ -194,6 +210,37 @@ def test_jack_norm_route_consistency():
             assert route == pytest.approx(target, rel=1e-8)
 
 
+def _fsum_gram(params, parts, rule):
+    """Reference Gram matrix: every entry reduced by the correctly rounded math.fsum."""
+    pts, w = _points_weights(params, rule)
+    z = np.exp(1j * pts)
+    vals = [mcj_build(m, params).evaluate_points(z) for m in parts]
+    pref = c0_tilde(params).value() / TWO_PI ** float(params.n)
+    G = np.empty((len(parts), len(parts)), dtype=complex)
+    for i, vi in enumerate(vals):
+        for j, vj in enumerate(vals):
+            arr = w * vi * np.conj(vj)
+            G[i, j] = pref * complex(math.fsum(arr.real.tolist()), math.fsum(arr.imag.tolist()))
+    return G
+
+
+@pytest.mark.parametrize(
+    "p,points",
+    [
+        (ParamSet(r=2, d=Fraction(5, 2), alpha=3, nu=0.3), 32),
+        (ParamSet(r=3, d=1, alpha=3, nu=-0.25), 16),
+    ],
+)
+def test_gram_matches_fsum_reference(p, points):
+    rule = build_rule(points, "auto", p)
+    parts = enumerate_partitions(2, p.r)
+    G = _gram(p, parts, rule)
+    ref = _fsum_gram(p, parts, rule)
+    E = np.array([expected_norm(m, p) for m in parts])
+    assert np.all(np.abs(G - ref) <= 1e-14 * np.sqrt(np.outer(E, E)))
+    assert inner_product(parts[1], parts[2], p, rule) == G[1, 2]
+
+
 # ---------------------------------------------------------------- reports
 
 
@@ -210,6 +257,14 @@ def test_verify_orthogonality_rank1():
     assert "wall_clock" not in str(doc)
     csv_text = rep.gram_modulus_csv()
     assert csv_text.count("\n") == 8
+
+
+@pytest.mark.parametrize("tol_off,tol_diag", [(math.nan, 1e-6), (1e-6, math.nan), (-1e-6, 1e-6)])
+def test_verify_orthogonality_rejects_bad_tolerance(tol_off, tol_diag):
+    p = ParamSet(r=1, d=2, alpha=2, nu=0)
+    rule = build_rule(16, "auto", p)
+    with pytest.raises(ParameterError, match="tolerances"):
+        verify_orthogonality(p, 1, rule, tol_off, tol_diag)
 
 
 def test_verify_orthogonality_rank2_theorem():
