@@ -82,12 +82,22 @@ def _params(args) -> ParamSet:
     return ParamSet(r=args.r, d=args.d, alpha=alpha, nu=args.nu)
 
 
-def _angles(text: str) -> list:
-    return [float(tok) for tok in text.split(",") if tok.strip()]
-
-
 def _floats(text: str) -> list:
-    return _angles(text)
+    """Comma-separated finite floats: angles, coordinates and parameter grids."""
+    out = [float(tok) for tok in text.split(",") if tok.strip()]
+    if not all(math.isfinite(x) for x in out):
+        raise ValueError(f"values must be finite, got {text!r}")
+    return out
+
+
+def _tolerance(text: str) -> float:
+    """Argument type of every tolerance flag: a non-negative number, not NaN."""
+    tol = float(text)
+    if not tol >= 0:
+        raise argparse.ArgumentTypeError(
+            f"tolerances must be non-negative numbers, got {text!r}"
+        )
+    return tol
 
 
 def _fractions(text: str) -> list:
@@ -137,7 +147,7 @@ def _cmd_eval(args) -> int:
         t = _floats(args.t)
         value = mcj.psi_eval(m, params, t)
     else:
-        theta = _angles(args.theta)
+        theta = _floats(args.theta)
         sigma = [cmath.exp(1j * th) for th in theta]
         value = mcj.mcj_build(m, params).evaluate(sigma)
     print(format_complex(value))
@@ -188,7 +198,7 @@ def _cmd_verify_det(args) -> int:
 def _cmd_verify_genfun(args) -> int:
     params = _params(args)
     z = [complex(x) for x in _floats(args.z)]
-    theta = _angles(args.theta)
+    theta = _floats(args.theta)
     sigma = [cmath.exp(1j * th) for th in theta]
     t = _floats(args.t)
     res_phi = mcj.genfun_residual_phi(params, z, sigma, args.N)
@@ -287,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", type=int, default=64)
     p.add_argument("--rule", default="auto",
                    choices=["auto", "tanh_sinh", "gauss_gegenbauer"])
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--tol", type=_tolerance, default=1e-6)
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=["json", "csv", "text"], default="text")
     p.set_defaults(fn=_cmd_verify_orth)
@@ -297,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-weight", type=int, default=3)
     p.add_argument("--trials", type=int, default=10)
     p.add_argument("--seed", type=int, default=acceptance.SEED)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=_tolerance, default=1e-9)
     p.set_defaults(fn=_cmd_verify_det)
 
     p = sub.add_parser("verify-genfun", help="generating-function truncation residuals")
@@ -306,15 +316,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--z", default="0.2")
     p.add_argument("--theta", default="0.9")
     p.add_argument("--t", default="0.8")
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=_tolerance, default=1e-8)
     p.set_defaults(fn=_cmd_verify_genfun)
 
     p = sub.add_parser("verify-ode", help="one-variable ODE and rank-1 operator residuals")
     p.add_argument("--m-max", type=int, default=10)
     p.add_argument("--alpha-grid", default="1.3,2,3.5")
     p.add_argument("--nu-grid", default="0,0.7,-0.7")
-    p.add_argument("--tol", type=float, default=1e-12)
-    p.add_argument("--tol-rank1", type=float, default=1e-11)
+    p.add_argument("--tol", type=_tolerance, default=1e-12)
+    p.add_argument("--tol-rank1", type=_tolerance, default=1e-11)
     p.set_defaults(fn=_cmd_verify_ode)
 
     p = sub.add_parser("conjecture-sweep", help="orthogonality evidence over a d grid")
@@ -326,8 +336,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", type=int, default=48)
     p.add_argument("--rule", default="auto",
                    choices=["auto", "tanh_sinh", "gauss_gegenbauer"])
-    p.add_argument("--tol", type=float, default=1e-4)
-    p.add_argument("--oracle-tol", type=float, default=1e-6)
+    p.add_argument("--tol", type=_tolerance, default=1e-4)
+    p.add_argument("--oracle-tol", type=_tolerance, default=1e-6)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=_cmd_conjecture_sweep)
 

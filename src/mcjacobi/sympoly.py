@@ -11,7 +11,9 @@ built from:
 
 * ``jack_mono``   -- Jack polynomial P_m^(alpha), alpha = 2/d, monic in m_m,
   constructed as the dominance-triangular eigenvector of the alpha-deformed
-  Laplace-Beltrami operator, all in exact rational arithmetic;
+  Laplace-Beltrami operator, all in exact rational arithmetic: the operator's
+  closed-form action on the monomial basis turns the eigen-equation into a
+  recurrence that fills in one coefficient at a time, from m downwards;
 * ``schur``       -- Schur polynomial via the Jacobi-Trudi determinant;
 * ``spherical_poly`` -- Jack normalized to take the value 1 at (1,...,1).
 """
@@ -26,7 +28,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .errors import ArityMismatchError, InvariantError
+from .errors import ArityMismatchError
 from .partitions import _parts_desc, pad, trim, weight
 
 AnyCoef = Union[int, Fraction, float, complex]
@@ -218,8 +220,8 @@ AnyPoly = Union[SymPoly, CSymPoly]
 
 
 # ---------------------------------------------------------------------------
-# plain (non-symmetric) exponent-dict helpers, used by multiplication,
-# substitution and the Jack construction
+# plain (non-symmetric) exponent-dict helpers, used by multiplication and
+# substitution
 # ---------------------------------------------------------------------------
 
 
@@ -314,92 +316,6 @@ def affine_substitute(p: AnyPoly, a: AnyCoef, b: AnyCoef) -> AnyPoly:
 # ---------------------------------------------------------------------------
 
 
-def _shift(d: dict, j: int) -> dict:
-    """Multiply a plain dict by x_j."""
-    out = {}
-    for e, c in d.items():
-        ee = list(e)
-        ee[j] += 1
-        out[tuple(ee)] = c
-    return out
-
-
-def _divide_diff(g: dict, i: int, j: int) -> dict:
-    """Exact synthetic division of a plain dict by (x_i - x_j)."""
-    if not g:
-        return {}
-    by_p: dict = {}
-    for e, c in g.items():
-        p = e[i]
-        ee = list(e)
-        ee[i] = 0
-        by_p.setdefault(p, {})[tuple(ee)] = c
-    pmax = max(by_p)
-    q_rows: dict = {}
-    carry: dict = {}  # q_p for the current p
-    for p in range(pmax, 0, -1):
-        row = dict(_shift(carry, j)) if carry else {}
-        for e, c in by_p.get(p, {}).items():
-            v = row.get(e, 0) + c
-            if v == 0:
-                row.pop(e, None)
-            else:
-                row[e] = v
-        q_rows[p - 1] = row
-        carry = row
-    # remainder must vanish: g_0 + x_j * q_0 == 0
-    rem = dict(by_p.get(0, {}))
-    for e, c in _shift(q_rows.get(0, {}), j).items():
-        v = rem.get(e, 0) + c
-        if v == 0:
-            rem.pop(e, None)
-        else:
-            rem[e] = v
-    if rem:
-        raise InvariantError("division by (x_i - x_j) left a remainder")
-    out: dict = {}
-    for p, row in q_rows.items():
-        for e, c in row.items():
-            ee = list(e)
-            ee[i] = p
-            out[tuple(ee)] = out.get(tuple(ee), 0) + c
-    return {e: c for e, c in out.items() if c != 0}
-
-
-def _lb_apply(plain: dict, alpha: Fraction, r: int) -> dict:
-    """alpha-deformed Laplace-Beltrami operator on a symmetric plain dict.
-
-    D = (alpha/2) sum_i x_i^2 d_i^2 + sum_{i<j} (x_i^2 d_i - x_j^2 d_j)/(x_i - x_j)
-    """
-    out: dict = {}
-    half = alpha / 2
-    for e, c in plain.items():
-        v = c * half * sum(ei * (ei - 1) for ei in e)
-        if v:
-            out[e] = out.get(e, 0) + v
-    for i in range(r):
-        for j in range(i + 1, r):
-            g: dict = {}
-            for e, c in plain.items():
-                if e[i]:
-                    ee = list(e)
-                    ee[i] += 1
-                    key = tuple(ee)
-                    g[key] = g.get(key, 0) + c * e[i]
-                if e[j]:
-                    ee = list(e)
-                    ee[j] += 1
-                    key = tuple(ee)
-                    g[key] = g.get(key, 0) - c * e[j]
-            for e, c in _divide_diff(g, i, j).items():
-                v = out.get(e, 0) + c
-                if v == 0:
-                    out.pop(e, None)
-                else:
-                    out[e] = v
-    return {e: c for e, c in out.items() if c != 0}
-
-
 def _lb_eigenvalue(lam: tuple, alpha: Fraction, r: int) -> Fraction:
     return sum(
         (Fraction(li) * (alpha * (li - 1) / 2 + (r - 1 - idx)) for idx, li in enumerate(lam)),
@@ -408,42 +324,41 @@ def _lb_eigenvalue(lam: tuple, alpha: Fraction, r: int) -> Fraction:
 
 
 @lru_cache(maxsize=None)
-def _lb_table(w: int, alpha: Fraction, r: int) -> tuple:
-    """Action of the deformed Laplace-Beltrami operator on the weight-w
-    monomial basis; returns (class order, {nu: {mu: coef}})."""
-    klass = [pad(p, r) for p in _parts_desc(w, w, r)]
-    table = {}
-    for nu in klass:
-        plain = {perm: Fraction(1) for perm in _orbit_cached(nu)}
-        applied = _lb_apply(plain, alpha, r)
-        row = {}
-        for mu in klass:
-            c = applied.get(mu, 0)
-            if c:
-                row[mu] = c
-        table[nu] = row
-    return tuple(klass), table
-
-
-@lru_cache(maxsize=None)
 def _jack_terms(m: tuple, alpha: Fraction, r: int) -> tuple:
-    """Monomial expansion of P_m^(alpha) as ((lambda, coef), ...)."""
+    """Monomial expansion of P_m^(alpha) as ((lambda, coef), ...).
+
+    The alpha-deformed Laplace-Beltrami operator
+        D = (alpha/2) sum_i x_i^2 d_i^2 + sum_{i<j} (x_i^2 d_i - x_j^2 d_j)/(x_i - x_j)
+    acts on the monomial basis as D m_nu = e_nu m_nu + sum_mu c_{nu mu} m_mu,
+    where c_{nu mu} sums (mu_i - mu_j + 2t) over position pairs i < j of mu
+    and t = 1..mu_j with sort(mu + t e_i - t e_j) = nu (Stanley 1989).  So
+    D P_m = e_m P_m gives, for every mu after m in the reverse-lex class
+    order,
+        c_mu (e_m - e_mu) = sum_{i<j} sum_{t=1}^{mu_j} (mu_i - mu_j + 2t) c_nu,
+        nu = sort(mu + t e_i - t e_j),
+    where every nu dominates mu, so it comes earlier in the order and its
+    coefficient (0 if unset) is already known.
+    """
     w = weight(m)
-    klass, table = _lb_table(w, alpha, r)
     e_m = _lb_eigenvalue(m, alpha, r)
     coefs = {m: Fraction(1)}
-    started = False
-    for lam in klass:
-        if lam == m:
-            started = True
-            continue
-        if not started:
-            continue
+    order = (pad(p, r) for p in _parts_desc(w, w, r))
+    for mu in order:  # skip to m: the coefficients above it vanish
+        if mu == m:
+            break
+    for mu in order:
         num = Fraction(0)
-        for mu, c_mu in coefs.items():
-            num += table[mu].get(lam, 0) * c_mu
+        for i in range(r):
+            for j in range(i + 1, r):
+                for t in range(1, mu[j] + 1):
+                    nu = list(mu)
+                    nu[i] += t
+                    nu[j] -= t
+                    c_nu = coefs.get(tuple(sorted(nu, reverse=True)))
+                    if c_nu:
+                        num += (mu[i] - mu[j] + 2 * t) * c_nu
         if num:
-            coefs[lam] = num / (e_m - _lb_eigenvalue(lam, alpha, r))
+            coefs[mu] = num / (e_m - _lb_eigenvalue(mu, alpha, r))
     return tuple(sorted(coefs.items(), key=lambda kv: _sort_key(kv[0])))
 
 

@@ -153,6 +153,19 @@ def test_eval_psi_vanishing_pochhammer_exits_2(child_env):
           "--max-weight", "1", "--points", "16", "--tol", "nan"], "tolerances"),
         (["verify-orth", "--r", "1", "--d", "2", "--alpha", "2", "--nu", "0",
           "--max-weight", "1", "--points", "16", "--tol", "-0.5"], "tolerances"),
+        (["verify-det", "--r", "2", "--d", "2", "--alpha", "3.5", "--nu", "0.4",
+          "--max-weight", "1", "--trials", "2", "--tol", "nan"], "tolerances"),
+        (["verify-genfun", "--r", "1", "--d", "2", "--alpha", "2", "--nu", "0.5",
+          "--tol", "nan"], "tolerances"),
+        (["verify-ode", "--m-max", "2", "--tol", "nan"], "tolerances"),
+        (["verify-ode", "--m-max", "2", "--tol-rank1", "-1"], "tolerances"),
+        (["conjecture-sweep", "--max-weight", "1", "--oracle-tol", "nan"], "tolerances"),
+        (["eval", "--r", "1", "--d", "2", "--alpha", "3", "--nu", "0", "--m", "1",
+          "--theta", "nan"], "must be finite"),
+        (["eval", "--family", "psi", "--r", "1", "--d", "2", "--alpha", "3", "--nu", "0.2",
+          "--m", "1", "--t", "inf"], "must be finite"),
+        (["verify-genfun", "--r", "1", "--d", "2", "--alpha", "2", "--nu", "0.5",
+          "--z", "nan"], "must be finite"),
     ],
 )
 def test_non_finite_input_exits_2(child_env, argv, message):

@@ -1,11 +1,14 @@
 import cmath
 import math
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from scipy.special import gamma as scipy_gamma
 
+import mcjacobi.coeffs as coeffs
 from mcjacobi.coeffs import (
     _dim_dm_gamma,
     _phi_one_minus,
@@ -20,7 +23,7 @@ from mcjacobi.coeffs import (
     jack_norm_torus,
     spherical_taylor_residual,
 )
-from mcjacobi.errors import GammaPoleError, ParameterError
+from mcjacobi.errors import GammaPoleError, InvariantError, ParameterError
 from mcjacobi.params import ParamSet
 from mcjacobi.partitions import contains, enumerate_partitions, weight
 from mcjacobi.sympoly import affine_substitute, jack_mono, schur, spherical_poly
@@ -134,6 +137,35 @@ def test_phi_one_minus_matches_affine_substitute(r, d):
     for k in enumerate_partitions(6, r):
         oracle = affine_substitute(spherical_poly(k, d, r), 1, -1)
         assert _phi_one_minus(k, d, r) == oracle.terms
+
+
+def test_binom_row_residual_raises(monkeypatch):
+    # a wrong Jack value at ones leaves residual terms in the spherical basis change
+    real = coeffs.jack_at_ones_exact
+    monkeypatch.setattr(coeffs, "jack_at_ones_exact", lambda k, d, r: 2 * real(k, d, r))
+    with pytest.raises(InvariantError):
+        coeffs._binom_row.__wrapped__((2, 1, 0), Fraction(5, 2), 3)
+
+
+def test_binom_row_residual_raises_under_optimize(child_env):
+    # python -O strips assert statements; the invariant check must survive it
+    code = (
+        "from fractions import Fraction\n"
+        "import mcjacobi.coeffs as coeffs\n"
+        "from mcjacobi.errors import InvariantError\n"
+        "real = coeffs.jack_at_ones_exact\n"
+        "coeffs.jack_at_ones_exact = lambda k, d, r: 2 * real(k, d, r)\n"
+        "try:\n"
+        "    coeffs._binom_row.__wrapped__((2, 1, 0), Fraction(5, 2), 3)\n"
+        "except InvariantError:\n"
+        "    print('raised')\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=child_env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "raised"
 
 
 def test_gamma_k_partition():
