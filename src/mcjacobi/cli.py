@@ -134,9 +134,10 @@ def _cmd_print_poly(args) -> int:
     m = parse_partition(args.m)
     if args.family == "mcj":
         poly = mcj.mcj_build(m, params)
+        body = poly.body if poly.body_exact is None else poly.body_exact
     else:
-        poly = mcj.laguerre_build(m, params)
-    print(poly.body.render())
+        body = mcj.laguerre_build(m, params).body
+    print(body.render())
     return 0
 
 

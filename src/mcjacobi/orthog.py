@@ -16,7 +16,13 @@ For even integer d the pair coupling is a trigonometric polynomial and a
 tensor rule applies.  For non-even d one nested construction serves every rank:
 axis by axis, each new axis is cut at 0, 2 pi and the angles already chosen,
 and each segment gets a Gauss-Jacobi rule whose exponents match the
-algebraic factors at the segment ends exactly.
+algebraic factors at the segment ends exactly.  Each axis is built for every
+prefix of outer angles at once, in groups of prefixes that share a merged-cut
+pattern; the steps are elementwise, so the nodes and weights do not depend on
+how the prefixes are batched.
+
+The polynomials of a Gram matrix are evaluated at the nodes in one shared
+pass over their monomials (``sympoly.evaluate_points_many``).
 
 Gram entries are reduced with numpy's pairwise summation, which calls no
 BLAS, so reports are byte-identical whatever the BLAS thread count.
@@ -25,6 +31,7 @@ BLAS, so reports are byte-identical whatever the BLAS thread count.
 from __future__ import annotations
 
 import math
+import sys
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -39,6 +46,7 @@ from .errors import ParameterError, SingularPointError
 from .mcj import mcj_build
 from .params import ParamSet
 from .partitions import enumerate_partitions, format_partition
+from .sympoly import evaluate_points_many
 
 TWO_PI = 2.0 * math.pi
 
@@ -185,53 +193,80 @@ def _is_even_d(d: Fraction) -> bool:
 def _segment(n, e_hi, e_lo, lo, hi):
     """Gauss-Jacobi points on (lo, hi) for weight (hi-t)^{e_hi} (t-lo)^{e_lo}.
 
-    Returns (t, w) with the pure power factors folded into w.
+    lo and hi are (rows,) arrays of interval ends.  Returns (t, w) of shape
+    (rows, n) with the pure power factors folded into w.
     """
     x, w = _jacobi_base(n, float(e_hi), float(e_lo))
     half = 0.5 * (hi - lo)
-    t = lo + half * (1.0 + x)
-    scale = half ** (e_hi + e_lo + 1.0)
-    return t, scale * w
+    t = lo[:, None] + half[:, None] * (1.0 + x)
+    # libm pow row by row: numpy's array power rounds differently on a few
+    # inputs, and the nodes and weights must not depend on how rows batch
+    power = e_hi + e_lo + 1.0
+    scale = np.array([h ** power for h in half.tolist()])
+    return t, scale[:, None] * w
 
 
 def _axis_segments(outer, n, two_s, d, nu_fac):
-    """Segments of the next axis, given the angles already chosen on outer axes.
+    """Segments of the next axis for every row of outer angles at once.
 
-    The axis is cut at the sorted outer angles and at 0, 2 pi; outer angles
-    closer than 1e-12 are merged at their midpoint with the summed exponent.
-    Each segment gets a Gauss-Jacobi rule whose end exponents are 2s at 0 or
-    2 pi and d per outer angle at a cut; the remaining smooth factors of the
-    weight are multiplied into the segment weights.  Yields (t, w) per segment.
+    outer is a (rows, k) array of the angles already chosen.  Each row's axis
+    is cut at its sorted outer angles and at 0, 2 pi; outer angles closer
+    than 1e-12 are merged at their midpoint with the summed exponent.  Rows
+    are grouped by that merge pattern, so within a group every row has the
+    same segments and end exponents.  Each segment gets a Gauss-Jacobi rule
+    whose end exponents are 2s at 0 or 2 pi and d per outer angle at a cut;
+    the remaining smooth factors of the weight are multiplied into the
+    segment weights.  Yields (rows, t, w) per group, t and w of shape
+    (len(rows), nseg, n).
     """
-    cuts = []  # (angle, exponent)
-    for a in sorted(outer):
-        if cuts and a - cuts[-1][0] < 1e-12:
-            cuts[-1] = (0.5 * (cuts[-1][0] + a), cuts[-1][1] + d)
-        else:
-            cuts.append((a, d))
-    ends = [(0.0, two_s)] + cuts + [(TWO_PI, two_s)]
-    last = len(cuts)
-    for i in range(last + 1):
-        (lo, e_lo), (hi, e_hi) = ends[i], ends[i + 1]
-        t, w = _segment(n, e_hi, e_lo, lo, hi)
-        # the 0 / 2 pi factor, then the adjacent cuts: _sc keeps the smooth
-        # part of the power already folded into the segment rule
-        if i == 0:
-            w = w * _sc(t) ** two_s * _sc(hi - t) ** e_hi
-        elif i == last:
-            w = w * _sc(TWO_PI - t) ** two_s * _sc(t - lo) ** e_lo
-        else:
-            w = (
-                w * (2.0 * np.sin(t / 2.0)) ** two_s
-                * _sc(t - lo) ** e_lo
-                * _sc(hi - t) ** e_hi
-            )
-        for j, (a, e) in enumerate(cuts):
-            if j < i - 1:
-                w = w * (2.0 * np.sin((t - a) / 2.0)) ** e
-            elif j > i:
-                w = w * (2.0 * np.sin((a - t) / 2.0)) ** e
-        yield t, w * nu_fac(t)
+    srt = np.sort(outer, axis=1)
+    k = srt.shape[1]
+    # merged[:, j]: angle j joins the cut before it, compared with that
+    # cut's (possibly already merged) angle
+    merged = np.zeros(srt.shape, dtype=bool)
+    cut = srt[:, 0]
+    for j in range(1, k):
+        merged[:, j] = srt[:, j] - cut < 1e-12
+        cut = np.where(merged[:, j], 0.5 * (cut + srt[:, j]), srt[:, j])
+    patterns, group = np.unique(merged, axis=0, return_inverse=True)
+    group = group.ravel()
+    for g, pattern in enumerate(patterns):
+        rows = np.flatnonzero(group == g)
+        a = srt[rows]
+        cuts = []  # (angles, exponent)
+        for j in range(k):
+            if pattern[j]:
+                prev, e = cuts[-1]
+                cuts[-1] = (0.5 * (prev + a[:, j]), e + d)
+            else:
+                cuts.append((a[:, j], d))
+        ends = [(np.zeros(len(rows)), two_s)] + cuts + [(np.full(len(rows), TWO_PI), two_s)]
+        last = len(cuts)
+        ts, ws = [], []
+        for i in range(last + 1):
+            (lo, e_lo), (hi, e_hi) = ends[i], ends[i + 1]
+            t, w = _segment(n, e_hi, e_lo, lo, hi)
+            lo, hi = lo[:, None], hi[:, None]
+            # the 0 / 2 pi factor, then the adjacent cuts: _sc keeps the
+            # smooth part of the power already folded into the segment rule
+            if i == 0:
+                w = w * _sc(t) ** two_s * _sc(hi - t) ** e_hi
+            elif i == last:
+                w = w * _sc(TWO_PI - t) ** two_s * _sc(t - lo) ** e_lo
+            else:
+                w = (
+                    w * (2.0 * np.sin(t / 2.0)) ** two_s
+                    * _sc(t - lo) ** e_lo
+                    * _sc(hi - t) ** e_hi
+                )
+            for j, (aj, e) in enumerate(cuts):
+                if j < i - 1:
+                    w = w * (2.0 * np.sin((t - aj[:, None]) / 2.0)) ** e
+                elif j > i:
+                    w = w * (2.0 * np.sin((aj[:, None] - t) / 2.0)) ** e
+            ts.append(t)
+            ws.append(w * nu_fac(t))
+        yield rows, np.stack(ts, axis=1), np.stack(ws, axis=1)
 
 
 def _points_weights(params: ParamSet, rule: QuadratureRule) -> tuple:
@@ -275,25 +310,24 @@ def _points_weights(params: ParamSet, rule: QuadratureRule) -> tuple:
         pts = np.stack([g.ravel() for g in grids], axis=1)
         w = wgrid.ravel()
     else:
-        # nested segments, axis by axis; the last axis is emitted as whole
-        # segment blocks so no Python object is made per node
-        n = rule.points_per_axis
-        two_s = 2.0 * s
-        prefix = [((t,), wt) for t, wt in zip(rule.nodes.tolist(), outer_w.tolist())]
-        for _ in range(r - 2):
-            prefix = [
-                (angles + (t,), w0 * wt)
-                for angles, w0 in prefix
-                for ts, ws in _axis_segments(angles, n, two_s, d, nu_fac)
-                for t, wt in zip(ts.tolist(), ws.tolist())
-            ]
-        pts_list, w_list = [], []
-        for angles, w0 in prefix:
-            for t, ws in _axis_segments(angles, n, two_s, d, nu_fac):
-                pts_list.append(np.column_stack([np.full_like(t, a) for a in angles] + [t]))
-                w_list.append(w0 * ws)
-        pts = np.vstack(pts_list)
-        w = np.concatenate(w_list)
+        # nested segments, one axis at a time for every prefix of outer
+        # angles at once; a prefix's new nodes stay together, in segment
+        # then node order, so merge groups are scattered back into place
+        pts, w = rule.nodes[:, None], outer_w
+        for _ in range(r - 1):
+            blocks = list(_axis_segments(pts, rule.points_per_axis, 2.0 * s, d, nu_fac))
+            size = np.empty(len(pts), dtype=np.intp)  # new nodes per prefix
+            for rows, t, _ in blocks:
+                size[rows] = t[0].size
+            start = np.cumsum(size) - size
+            new_pts = np.empty((size.sum(), pts.shape[1] + 1))
+            new_w = np.empty(size.sum())
+            for rows, t, wt in blocks:
+                at = (start[rows, None] + np.arange(t[0].size)).ravel()
+                new_pts[at, :-1] = np.repeat(pts[rows], t[0].size, axis=0)
+                new_pts[at, -1] = t.ravel()
+                new_w[at] = (w[rows, None, None] * wt).ravel()
+            pts, w = new_pts, new_w
 
     if not np.all(np.isfinite(w)):
         raise ParameterError("quadrature weight assembly produced non-finite values")
@@ -393,7 +427,7 @@ def _gram(params: ParamSet, parts: list, rule: QuadratureRule) -> np.ndarray:
     """
     pts, w = _points_weights(params, rule)
     z = np.exp(1j * pts)
-    vals = [mcj_build(tuple(m), params).evaluate_points(z) for m in parts]
+    vals = evaluate_points_many([mcj_build(tuple(m), params).body for m in parts], z)
     pref = _prefactor(params)
     P = len(parts)
     G = np.empty((P, P), dtype=complex)
@@ -495,7 +529,8 @@ def conjecture_sweep(
                 if not params.orthogonality_ok():
                     print(
                         f"notice: skipping d={d} alpha={alpha} nu={nu}: "
-                        f"requires alpha > (d/2)(r-1)"
+                        f"requires alpha > (d/2)(r-1)",
+                        file=sys.stderr,
                     )
                     continue
                 t0 = time.perf_counter()

@@ -67,6 +67,19 @@ class ParamSet:
     def delta(self) -> tuple:
         return tuple(range(self.r - 1, -1, -1))
 
+    def _key(self) -> tuple:
+        # an exact alpha builds an exact body where an equal float alpha does
+        # not, so the two must not share an mcj_build cache entry
+        return (self.r, self.d, self.alpha, self.alpha_is_exact, self.nu)
+
+    def __eq__(self, other):
+        if not isinstance(other, ParamSet):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
     @property
     def alpha_is_exact(self) -> bool:
         return isinstance(self.alpha, (int, Fraction))

@@ -4,7 +4,9 @@
 ``CSymPoly`` carries complex doubles.  Promotion is one-way, exact -> complex.
 A polynomial is a finite sum  sum_lambda c_lambda m_lambda  where m_lambda is
 the monomial symmetric polynomial over the orbit of the exponent vector
-lambda (zero-padded to the arity).
+lambda (zero-padded to the arity).  ``evaluate_points_many`` evaluates a
+list of polynomials at a node set with one pass over the union of their
+monomials, computing each m_lambda once.
 
 The module also provides the three polynomial families everything else is
 built from:
@@ -123,24 +125,7 @@ class _BasePoly:
 
     def evaluate_points(self, pts: np.ndarray) -> np.ndarray:
         """Vectorized evaluation at an (N, arity) array of complex points."""
-        pts = np.asarray(pts, dtype=complex)
-        if pts.ndim == 1:
-            pts = pts[None, :]
-        if pts.shape[1] != self.arity:
-            raise ArityMismatchError(
-                f"points have {pts.shape[1]} coordinates, arity is {self.arity}"
-            )
-        total = np.zeros(pts.shape[0], dtype=complex)
-        for lam, c in self.sorted_terms():
-            s = np.zeros(pts.shape[0], dtype=complex)
-            for perm in _orbit_cached(lam):
-                prod = np.ones(pts.shape[0], dtype=complex)
-                for j, e in enumerate(perm):
-                    if e:
-                        prod = prod * pts[:, j] ** e
-                s += prod
-            total += complex(c) * s
-        return total
+        return evaluate_points_many([self], pts)[0]
 
     # -- rendering ----------------------------------------------------------
 
@@ -217,6 +202,38 @@ class CSymPoly(_BasePoly):
 
 
 AnyPoly = Union[SymPoly, CSymPoly]
+
+
+def evaluate_points_many(polys: Sequence[_BasePoly], pts: np.ndarray) -> list:
+    """Values of every polynomial at an (N, arity) array of complex points.
+
+    The union of the monomials is walked in the fixed term order and each
+    m_lambda is evaluated once, then added, times its coefficient, into every
+    polynomial that has it.  Each polynomial still sums its own terms in its
+    own order, so its values do not depend on which others share the pass.
+    """
+    pts = np.asarray(pts, dtype=complex)
+    if pts.ndim == 1:
+        pts = pts[None, :]
+    for poly in polys:
+        if pts.shape[1] != poly.arity:
+            raise ArityMismatchError(
+                f"points have {pts.shape[1]} coordinates, arity is {poly.arity}"
+            )
+    totals = [np.zeros(pts.shape[0], dtype=complex) for _ in polys]
+    for lam in sorted(set().union(*(poly.terms for poly in polys)), key=_sort_key):
+        s = np.zeros(pts.shape[0], dtype=complex)
+        for perm in _orbit_cached(lam):
+            prod = np.ones(pts.shape[0], dtype=complex)
+            for j, e in enumerate(perm):
+                if e:
+                    prod = prod * pts[:, j] ** e
+            s += prod
+        for total, poly in zip(totals, polys):
+            c = poly.terms.get(lam)
+            if c is not None:
+                total += complex(c) * s
+    return totals
 
 
 # ---------------------------------------------------------------------------

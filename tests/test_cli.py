@@ -12,7 +12,11 @@ def test_print_poly(capsys):
     assert run(["print-poly", "--r", "1", "--d", "2", "--alpha", "1", "--nu", "0",
                 "--m", "3"]) == 0
     out = capsys.readouterr().out.strip()
-    assert out == "(1+0j) * m[3]"
+    assert out == "1 * m[3]"
+    # nu = 0 with an integer alpha prints the exact rational body
+    assert run(["print-poly", "--r", "1", "--d", "2", "--alpha", "3", "--nu", "0",
+                "--m", "2"]) == 0
+    assert capsys.readouterr().out.strip() == "1 + 2 * m[1] + 3 * m[2]"
 
 
 def _parse_complex(text: str) -> complex:

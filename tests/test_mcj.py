@@ -51,6 +51,18 @@ def test_mcj_rank1_flat_case():
         assert poly.body == CSymPoly(1, {(m,): 1})  # sigma^m
 
 
+def test_mcj_build_cache_keeps_exact_and_float_alpha_apart():
+    # 4.0 == 4, but only the exact alpha gives an exact body, so a float
+    # build cached first must not be handed out for the exact one
+    exact = ParamSet(r=2, d=Fraction(7, 3), alpha=4, nu=0)
+    floated = exact.with_(alpha=4.0)
+    assert floated != exact
+    assert mcj_build((2, 1), floated).body_exact is None
+    poly = mcj_build((2, 1), exact)
+    assert poly.body_exact is not None
+    assert poly.params.alpha_is_exact
+
+
 def test_mcj_degree():
     p = ParamSet(r=2, d=1, alpha=2.2, nu=0.3)
     for m in enumerate_partitions(4, 2):

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.special import roots_jacobi
 
 import mcjacobi.coeffs as coeffs_mod
 from mcjacobi.coeffs import (
@@ -121,6 +122,84 @@ def test_nested_weights_match_dyson_constant_term(r, d):
     half = float(d) / 2
     dyson = TWO_PI ** r * math.gamma(1 + r * half) / math.gamma(1 + half) ** r
     assert math.fsum(w.tolist()) == pytest.approx(dyson, rel=1e-10)
+
+
+def _nested_reference(params, rule):
+    """Per-prefix nested construction, one outer prefix at a time in Python floats.
+
+    Returns (pts, w, merged), merged counting the prefixes in which two outer
+    angles closer than 1e-12 became one cut with exponent 2d.
+    """
+    two_s, d, nu = 2.0 * rule.s, float(params.d), float(params.nu)
+    n = rule.points_per_axis
+
+    def nu_fac(t):
+        return np.exp(-nu * (t - math.pi))
+
+    def sc(y):
+        return np.sinc(np.asarray(y) / TWO_PI)
+
+    def segments(outer):
+        cuts = []
+        for a in sorted(outer):
+            if cuts and a - cuts[-1][0] < 1e-12:
+                cuts[-1] = (0.5 * (cuts[-1][0] + a), cuts[-1][1] + d)
+            else:
+                cuts.append((a, d))
+        ends = [(0.0, two_s)] + cuts + [(TWO_PI, two_s)]
+        last = len(cuts)
+        for i in range(last + 1):
+            (lo, e_lo), (hi, e_hi) = ends[i], ends[i + 1]
+            x, wj = roots_jacobi(n, float(e_hi), float(e_lo))
+            half = 0.5 * (hi - lo)
+            t = lo + half * (1.0 + x)
+            w = half ** (e_hi + e_lo + 1.0) * wj
+            if i == 0:
+                w = w * sc(t) ** two_s * sc(hi - t) ** e_hi
+            elif i == last:
+                w = w * sc(TWO_PI - t) ** two_s * sc(t - lo) ** e_lo
+            else:
+                w = w * (2.0 * np.sin(t / 2.0)) ** two_s * sc(t - lo) ** e_lo * sc(hi - t) ** e_hi
+            for j, (a, e) in enumerate(cuts):
+                if j < i - 1:
+                    w = w * (2.0 * np.sin((t - a) / 2.0)) ** e
+                elif j > i:
+                    w = w * (2.0 * np.sin((a - t) / 2.0)) ** e
+            yield t, w * nu_fac(t), len(cuts) < len(outer)
+
+    prefix = [((t,), wt) for t, wt in zip(rule.nodes.tolist(), (rule.weights * nu_fac(rule.nodes)).tolist())]
+    for _ in range(params.r - 2):
+        prefix = [
+            (angles + (t,), w0 * wt)
+            for angles, w0 in prefix
+            for ts, ws, _ in segments(angles)
+            for t, wt in zip(ts.tolist(), ws.tolist())
+        ]
+    pts, w, merged = [], [], set()
+    for k, (angles, w0) in enumerate(prefix):
+        for t, ws, was_merged in segments(angles):
+            pts.append(np.column_stack([np.full_like(t, a) for a in angles] + [t]))
+            w.append(w0 * ws)
+            if was_merged:
+                merged.add(k)
+    return np.vstack(pts), np.concatenate(w), len(merged)
+
+
+@pytest.mark.parametrize("r,points", [(2, 24), (3, 16)])
+@pytest.mark.parametrize("d", [Fraction(1), Fraction(5, 2), Fraction(1, 3)])
+@pytest.mark.parametrize("kind,nu", [("tanh_sinh", -0.25), ("gauss_gegenbauer", 0.0)])
+def test_nested_nodes_match_per_prefix_reference(r, points, d, kind, nu):
+    base = ParamSet(r=r, d=d)
+    p = base.with_(alpha=float(base.n_over_r) + 0.7, nu=nu)
+    rule = build_rule(points, kind, p)
+    pts, w = _points_weights(p, rule)
+    ref_pts, ref_w, merged = _nested_reference(p, rule)
+    assert np.array_equal(pts, ref_pts)
+    assert np.array_equal(w, ref_w)
+    if r == 3 and kind == "tanh_sinh":
+        # the tanh-sinh first axis puts nodes within 1e-12 of 0, so some
+        # second-axis angles merge with their first-axis angle
+        assert merged > 0
 
 
 # ---------------------------------------------------------------- inner products
@@ -291,8 +370,9 @@ def test_conjecture_sweep_flags_and_skip(capsys):
         points_per_axis=24,
     )
     # alpha = 0.5 violates alpha > (d/2)(r-1) for d = 5/2 and is skipped
-    out = capsys.readouterr().out
-    assert "skipping" in out
+    captured = capsys.readouterr()
+    assert "skipping" in captured.err
+    assert "skipping" not in captured.out
     flags = {(str(rep.params.d), float(rep.params.alpha)): rep.flag for rep in reports}
     assert flags[("1", 3.0)] == "oracle"
     assert flags[("5/2", 3.0)] == "evidence"

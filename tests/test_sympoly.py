@@ -6,11 +6,14 @@ import numpy as np
 import pytest
 
 from mcjacobi.errors import ArityMismatchError
+from mcjacobi.mcj import mcj_build
+from mcjacobi.params import ParamSet
 from mcjacobi.partitions import dominance_leq, enumerate_partitions, weight
 from mcjacobi.sympoly import (
     CSymPoly,
     SymPoly,
     affine_substitute,
+    evaluate_points_many,
     jack_mono,
     msym_mul,
     schur,
@@ -72,6 +75,39 @@ def test_evaluate_points_matches_scalar():
     vals = p.evaluate_points(pts)
     for row, v in zip(pts, vals):
         assert abs(p.evaluate(list(row)) - v) < 1e-12
+
+
+def _evaluate_points_reference(poly, pts):
+    """One polynomial, term by term in the fixed order, each orbit summed in turn."""
+    total = np.zeros(pts.shape[0], dtype=complex)
+    for lam, c in poly.sorted_terms():
+        s = np.zeros(pts.shape[0], dtype=complex)
+        for perm in sorted(set(permutations(lam))):
+            term = np.ones(pts.shape[0], dtype=complex)
+            for j, e in enumerate(perm):
+                if e:
+                    term = term * pts[:, j] ** e
+            s += term
+        total += complex(c) * s
+    return total
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_evaluate_points_many_matches_one_at_a_time(exact):
+    # one shared monomial pass must leave every polynomial's values bitwise
+    # equal to evaluating it alone
+    params = ParamSet(r=3, d=Fraction(5, 2), alpha=6, nu=0 if exact else 0.3)
+    polys = []
+    for m in enumerate_partitions(4, 3):
+        poly = mcj_build(m, params)
+        polys.append(poly.body_exact.to_complex() if exact else poly.body)
+    rng = np.random.default_rng(7)
+    pts = np.exp(1j * rng.uniform(0, 2 * np.pi, (200, 3))) * rng.uniform(0.5, 1.5, (200, 3))
+    many = evaluate_points_many(polys, pts)
+    assert len(many) == len(polys)
+    for poly, vals in zip(polys, many):
+        assert np.array_equal(vals, poly.evaluate_points(pts))
+        assert np.array_equal(vals, _evaluate_points_reference(poly, pts))
 
 
 def test_jack_degree_one_and_weight_two():
