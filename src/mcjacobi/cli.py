@@ -71,8 +71,16 @@ def _write_out(text: str, out: str | None):
 def _add_params(p: argparse.ArgumentParser):
     p.add_argument("--r", type=int, default=1, help="rank (number of variables)")
     p.add_argument("--d", type=Fraction, default=Fraction(2), help="multiplicity d > 0 (exact, e.g. 5/2 or 2.5)")
-    p.add_argument("--alpha", type=float, default=2.0, help="deformation parameter alpha")
+    p.add_argument("--alpha", type=_alpha, default=2.0, help="deformation parameter alpha (p/q is exact)")
     p.add_argument("--nu", type=float, default=0.0, help="deformation parameter nu")
+
+
+def _alpha(text: str):
+    """Argument type of --alpha: p/q is an exact Fraction, anything else a float."""
+    try:
+        return Fraction(text) if "/" in text else float(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"alpha must be a number or p/q, got {text!r}")
 
 
 def _params(args) -> ParamSet:

@@ -20,7 +20,7 @@ from scipy.special import loggamma
 from .errors import GammaPoleError, InvariantError, ParameterError
 from .params import ParamSet
 from .partitions import contains, enumerate_partitions, pad, weight
-from .sympoly import SymPoly, affine_substitute, jack_at_ones_exact, spherical_poly
+from .sympoly import SymPoly, spherical_poly
 
 TWO_PI = 2.0 * math.pi
 
@@ -149,19 +149,73 @@ def c0_tilde(params: ParamSet) -> C0Tilde:
 
 
 # ---------------------------------------------------------------------------
-# generalized binomial coefficients and the spherical-basis change
+# generalized binomial coefficients
 # ---------------------------------------------------------------------------
+
+
+def _one_box(m: tuple, d: Fraction, r: int) -> list:
+    """The one-box binomials binom(m, m - e_i), as [(m - e_i, value), ...];
+    uncached, since its one caller ``_binom_row`` is cached per (m, d, r).
+
+    Differentiating Phi_m(x + t 1) = sum_k binom(m,k) t^{|m|-|k|} Phi_k(x)
+    once in t gives E Phi_m = sum_i binom(m, m - e_i) Phi_{m - e_i} with
+    E = sum_j d/dx_j.  The coefficient of m_mu in E Phi_m is
+    sum_j (mu_j + 1) c_{sort(mu + e_j)}; it is needed only at the candidates
+    m - e_i, which are peeled from the lex-largest down, since the support of
+    Phi_{m - e_i} is dominated by m - e_i.  At x = 1 the identity reads
+    sum_i binom(m, m - e_i) = |m|, which is checked.
+    """
+    phi = spherical_poly(m, d, r).terms
+    peeled: list = []
+    for i in range(r - 1, -1, -1):  # the partitions m - e_i, lex-largest first
+        if m[i] == (m[i + 1] if i + 1 < r else 0):
+            continue
+        kappa = m[:i] + (m[i] - 1,) + m[i + 1:]
+        c = Fraction(0)
+        for j in range(r):
+            up = list(kappa)
+            up[j] += 1
+            c += (kappa[j] + 1) * phi.get(tuple(sorted(up, reverse=True)), 0)
+        for prev, b in peeled:
+            c -= b * spherical_poly(prev, d, r).terms.get(kappa, 0)
+        peeled.append((kappa, c / spherical_poly(kappa, d, r).terms[kappa]))
+    if sum(b for _, b in peeled) != weight(m):
+        raise InvariantError("one-box binomials do not sum to |m|")
+    return peeled
+
+
+@lru_cache(maxsize=None)
+def _binom_row(m: tuple, d: Fraction, r: int) -> dict:
+    """Coefficients of Phi_k in the expansion of Phi_m(1 + x), all k.
+
+    One-box recursion (Lassalle 1990; Dumitriu, Edelman & Shuman 2007):
+        (|m| - |k|) binom(m,k) = sum_i binom(m, m - e_i) binom(m - e_i, k),
+    with binom(m, m) = 1.
+    """
+    acc: dict = {}
+    for kappa, b in _one_box(m, d, r):
+        for k, v in _binom_row(kappa, d, r).items():
+            acc[k] = acc.get(k, 0) + b * v
+    w = weight(m)
+    row = {m: Fraction(1)}
+    row.update((k, v / (w - weight(k))) for k, v in acc.items() if v)
+    return row
 
 
 @lru_cache(maxsize=None)
 def _phi_one_plus(m: tuple, d: Fraction, r: int) -> SymPoly:
-    """Phi_m(1 + x), exact; the one substitution per (m, d, r) shared by the
-    binomial rows and the circular-Jacobi family."""
-    return affine_substitute(spherical_poly(m, d, r), 1, 1)
+    """Phi_m(1 + x) = sum_k binom(m,k) Phi_k(x), exact; shared by the
+    circular-Jacobi family through ``_phi_one_minus``."""
+    terms: dict = {}
+    for k, b in _binom_row(m, d, r).items():
+        for lam, c in spherical_poly(k, d, r).terms.items():
+            terms[lam] = terms.get(lam, 0) + b * c
+    return SymPoly(r, terms)
 
 
+@lru_cache(maxsize=None)
 def _phi_one_minus(m: tuple, d: Fraction, r: int) -> dict:
-    """Monomial terms of Phi_m(1 - x).
+    """Monomial terms of Phi_m(1 - x); read only, since it is cached.
 
     Homogeneity: m_lambda(-x) = (-1)^{|lambda|} m_lambda(x), so only the
     odd-weight terms of Phi_m(1 + x) change sign.
@@ -170,33 +224,6 @@ def _phi_one_minus(m: tuple, d: Fraction, r: int) -> dict:
         lam: -c if weight(lam) % 2 else c
         for lam, c in _phi_one_plus(m, d, r).terms.items()
     }
-
-
-@lru_cache(maxsize=None)
-def _binom_row(m: tuple, d: Fraction, r: int) -> dict:
-    """Coefficients of Phi_k in the expansion of Phi_m(1 + x), all k."""
-    row: dict = {}
-    remaining = dict(_phi_one_plus(m, d, r).terms)
-    w_top = weight(m)
-    for w in range(w_top, -1, -1):
-        for kappa in enumerate_partitions(w, r):
-            if weight(kappa) != w:
-                continue
-            c = remaining.get(kappa)
-            if not c:
-                continue
-            b = c * jack_at_ones_exact(kappa, d, r)
-            row[kappa] = b
-            phi = spherical_poly(kappa, d, r)
-            for lam, v in phi.terms.items():
-                nv = remaining.get(lam, Fraction(0)) - b * v
-                if nv == 0:
-                    remaining.pop(lam, None)
-                else:
-                    remaining[lam] = nv
-    if remaining:
-        raise InvariantError("spherical basis change left residual terms")
-    return row
 
 
 def gen_binom(m: Sequence[int], k: Sequence[int], params: ParamSet) -> Fraction:

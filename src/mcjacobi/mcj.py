@@ -214,10 +214,15 @@ def laguerre_build(m: tuple, params: ParamSet) -> LaguerrePolynomial:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=256)
+def _psi_body(m: tuple, params: ParamSet) -> CSymPoly:
+    """The Psi finite sum as a polynomial in w, built once per (padded m, params)."""
+    return _family_body(m, params, beta=True, shifted=False, exact=False)
+
+
 def psi_tilde_eval(m: Sequence[int], params: ParamSet, w: Sequence[complex]) -> complex:
     """The finite sum part of Psi, as a function of w = 2 (e - i t)^{-1}."""
-    body = _family_body(m, params, beta=True, shifted=False, exact=False)
-    return body.evaluate(w)
+    return _psi_body(pad(m, params.r), params).evaluate(w)
 
 
 def psi_eval(m: Sequence[int], params: ParamSet, t: Sequence[float]) -> complex:

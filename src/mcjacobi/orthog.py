@@ -19,7 +19,7 @@ and each segment gets a Gauss-Jacobi rule whose exponents match the
 algebraic factors at the segment ends exactly.  Each axis is built for every
 prefix of outer angles at once, in groups of prefixes that share a merged-cut
 pattern; the steps are elementwise, so the nodes and weights do not depend on
-how the prefixes are batched.
+how the prefixes are batched.  At r = 1 either branch is the per-axis rule.
 
 The polynomials of a Gram matrix are evaluated at the nodes in one shared
 pass over their monomials (``sympoly.evaluate_points_many``).
@@ -292,10 +292,7 @@ def _points_weights(params: ParamSet, rule: QuadratureRule) -> tuple:
         return np.exp(-nu * (th - math.pi))
 
     outer_w = rule.weights * nu_fac(rule.nodes)
-    if r == 1:
-        pts = rule.nodes[:, None]
-        w = outer_w
-    elif _is_even_d(params.d):
+    if _is_even_d(params.d):
         grids = np.meshgrid(*[rule.nodes] * r, indexing="ij")
         wgrid = np.ones_like(grids[0])
         for j in range(r):

@@ -451,11 +451,6 @@ def schur(m: Sequence[int], r: int) -> SymPoly:
 # ---------------------------------------------------------------------------
 
 
-def jack_at_ones_exact(m: Sequence[int], d, r: int) -> Fraction:
-    """Exact P_m^(2/d)(1,...,1) obtained by summing the monomial expansion."""
-    return jack_mono(m, d, r).eval_at_ones()
-
-
 @lru_cache(maxsize=None)
 def _spherical_cached(m: tuple, d: Fraction, r: int) -> SymPoly:
     p = jack_mono(m, d, r)

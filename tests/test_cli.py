@@ -19,6 +19,28 @@ def test_print_poly(capsys):
     assert capsys.readouterr().out.strip() == "1 + 2 * m[1] + 3 * m[2]"
 
 
+def test_print_poly_rational_alpha(capsys):
+    # p/q is an exact alpha, so the exact body prints; a decimal stays a float
+    base = ["print-poly", "--r", "1", "--d", "2", "--nu", "0", "--m", "2"]
+    assert run(base + ["--alpha", "7/2"]) == 0
+    assert capsys.readouterr().out.strip() == "45/32 + 45/16 * m[1] + 117/32 * m[2]"
+    assert run(base + ["--alpha", "3.5"]) == 0
+    assert capsys.readouterr().out.strip() == (
+        "(1.40625+0j) + (2.8125+0j) * m[1] + (3.65625+0j) * m[2]"
+    )
+    assert run(base + ["--alpha", "6/2"]) == 0
+    assert capsys.readouterr().out.strip() == "1 + 2 * m[1] + 3 * m[2]"
+
+
+@pytest.mark.parametrize("alpha", ["7/x", "1/0", "abc", "inf/2", ""])
+def test_malformed_alpha_exits_2(capsys, alpha):
+    with pytest.raises(SystemExit) as exc:
+        run(["print-poly", "--r", "1", "--d", "2", "--alpha", alpha, "--nu", "0",
+             "--m", "2"])
+    assert exc.value.code == 2
+    assert "alpha must be a number or p/q" in capsys.readouterr().err
+
+
 def _parse_complex(text: str) -> complex:
     assert text.endswith("i")
     body = text[:-1]

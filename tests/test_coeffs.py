@@ -139,10 +139,47 @@ def test_phi_one_minus_matches_affine_substitute(r, d):
         assert _phi_one_minus(k, d, r) == oracle.terms
 
 
+def _row_from_substitution(m, d, r):
+    """Oracle: expand Phi_m(1 + x) by direct substitution, then peel the
+    spherical basis off weight by weight, largest partition first."""
+    remaining = dict(affine_substitute(spherical_poly(m, d, r), 1, 1).terms)
+    row = {}
+    for w in range(weight(m), -1, -1):
+        for k in enumerate_partitions(w, r):
+            c = remaining.get(k)
+            if weight(k) != w or not c:
+                continue
+            phi = spherical_poly(k, d, r).terms
+            row[k] = c / phi[k]
+            for lam, v in phi.items():
+                remaining[lam] = remaining.get(lam, 0) - row[k] * v
+                if remaining[lam] == 0:
+                    del remaining[lam]
+    assert not remaining
+    return row
+
+
+@pytest.mark.parametrize("r,max_w", [(2, 8), (3, 6), (4, 5)])
+@pytest.mark.parametrize(
+    "d", [Fraction(1, 3), Fraction(1, 2), Fraction(5, 2), Fraction(17, 3)]
+)
+def test_binom_row_and_phi_one_plus_match_substitution(r, max_w, d):
+    # the one-box recursion against the direct substitution x -> 1 + x, exactly
+    for m in enumerate_partitions(max_w, r):
+        assert coeffs._binom_row(m, d, r) == _row_from_substitution(m, d, r)
+        oracle = affine_substitute(spherical_poly(m, d, r), 1, 1)
+        assert coeffs._phi_one_plus(m, d, r) == oracle
+
+
+def _double_phi_of_weight(w):
+    # a spherical polynomial off by a factor 2 at one weight only
+    real = coeffs.spherical_poly
+    return lambda k, d, r: real(k, d, r).scale(2 if weight(k) == w else 1)
+
+
 def test_binom_row_residual_raises(monkeypatch):
-    # a wrong Jack value at ones leaves residual terms in the spherical basis change
-    real = coeffs.jack_at_ones_exact
-    monkeypatch.setattr(coeffs, "jack_at_ones_exact", lambda k, d, r: 2 * real(k, d, r))
+    # a wrong normalization of Phi_m breaks sum_i binom(m, m - e_i) = |m|
+    monkeypatch.setattr(coeffs, "spherical_poly", _double_phi_of_weight(3))
     with pytest.raises(InvariantError):
         coeffs._binom_row.__wrapped__((2, 1, 0), Fraction(5, 2), 3)
 
@@ -153,10 +190,10 @@ def test_binom_row_residual_raises_under_optimize(child_env):
         "from fractions import Fraction\n"
         "import mcjacobi.coeffs as coeffs\n"
         "from mcjacobi.errors import InvariantError\n"
-        "real = coeffs.jack_at_ones_exact\n"
-        "coeffs.jack_at_ones_exact = lambda k, d, r: 2 * real(k, d, r)\n"
+        "real = coeffs.spherical_poly\n"
+        "coeffs.spherical_poly = lambda k, d, r: real(k, d, r).scale(2 if sum(k) == 3 else 1)\n"
         "try:\n"
-        "    coeffs._binom_row.__wrapped__((2, 1, 0), Fraction(5, 2), 3)\n"
+        "    coeffs._binom_row((2, 1, 0), Fraction(5, 2), 3)\n"
         "except InvariantError:\n"
         "    print('raised')\n"
     )

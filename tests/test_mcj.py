@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import eval_genlaguerre, roots_genlaguerre
 
+import mcjacobi.mcj as mcj
 from mcjacobi.coeffs import dim_dm, gen_pochhammer
 from mcjacobi.errors import ParameterError, VandermondeZeroError
 from mcjacobi.mcj import (
@@ -211,6 +212,20 @@ def test_psi_cayley_consistency():
             # equivalently, the finite sum at w = 1 - sigma is the polynomial itself
             direct = psi_tilde_eval(m, p, [1 - s for s in sigma])
             assert abs(direct - rhs) <= 1e-12 * (1 + abs(rhs))
+
+
+def test_psi_body_memoized_and_bitwise_equal():
+    # one Psi body per (padded m, params), bounded, and the values of a fresh build
+    p = ParamSet(r=2, d=Fraction(5, 2), alpha=4.5, nu=0.3)
+    w = [0.4 - 0.2j, 1.1 + 0.3j]
+    assert mcj._psi_body.cache_info().maxsize is not None
+    fresh = mcj._family_body((2, 1), p, beta=True, shifted=False, exact=False)
+    before = mcj._psi_body.cache_info()
+    assert psi_tilde_eval((2, 1), p, w) == fresh.evaluate(w)
+    assert psi_tilde_eval([2, 1, 0], p, w) == fresh.evaluate(w)  # same padded key
+    after = mcj._psi_body.cache_info()
+    assert after.hits - before.hits >= 1
+    assert after.currsize <= after.maxsize
 
 
 def test_psi_function_span_matches_eval():
