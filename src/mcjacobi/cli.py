@@ -70,9 +70,17 @@ def _write_out(text: str, out: str | None):
 
 def _add_params(p: argparse.ArgumentParser):
     p.add_argument("--r", type=int, default=1, help="rank (number of variables)")
-    p.add_argument("--d", type=Fraction, default=Fraction(2), help="multiplicity d > 0 (exact, e.g. 5/2 or 2.5)")
+    p.add_argument("--d", type=_multiplicity, default=Fraction(2), help="multiplicity d > 0 (exact, e.g. 5/2 or 2.5)")
     p.add_argument("--alpha", type=_alpha, default=2.0, help="deformation parameter alpha (p/q is exact)")
     p.add_argument("--nu", type=float, default=0.0, help="deformation parameter nu")
+
+
+def _multiplicity(text: str) -> Fraction:
+    """Argument type of a multiplicity: an exact Fraction, e.g. 5/2 or 2.5."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"d must be a number or p/q, got {text!r}")
 
 
 def _alpha(text: str):
@@ -109,7 +117,8 @@ def _tolerance(text: str) -> float:
 
 
 def _fractions(text: str) -> list:
-    return [Fraction(tok) for tok in text.split(",") if tok.strip()]
+    """Argument type of a comma-separated list of multiplicities."""
+    return [_multiplicity(tok) for tok in text.split(",") if tok.strip()]
 
 
 def _load_config_defaults(argv: list) -> tuple:
@@ -239,7 +248,7 @@ def _cmd_verify_ode(args) -> int:
 
 def _cmd_conjecture_sweep(args) -> int:
     reports = orthog.conjecture_sweep(
-        _fractions(args.d),
+        args.d,
         _floats(args.alpha),
         _floats(args.nu),
         r=args.r,
@@ -338,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("conjecture-sweep", help="orthogonality evidence over a d grid")
     p.add_argument("--r", type=int, default=2)
-    p.add_argument("--d", default="5/2", help="comma list of multiplicities")
+    p.add_argument("--d", type=_fractions, default="5/2", help="comma list of multiplicities")
     p.add_argument("--alpha", default="3")
     p.add_argument("--nu", default="0,0.3")
     p.add_argument("--max-weight", type=int, default=2)

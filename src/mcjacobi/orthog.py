@@ -21,11 +21,23 @@ prefix of outer angles at once, in groups of prefixes that share a merged-cut
 pattern; the steps are elementwise, so the nodes and weights do not depend on
 how the prefixes are batched.  At r = 1 either branch is the per-axis rule.
 
-The polynomials of a Gram matrix are evaluated at the nodes in one shared
-pass over their monomials (``sympoly.evaluate_points_many``).
+The Gram matrix is one pass over the leaves of numpy's pairwise-summation
+tree on the nodes (``_pairwise``), which halves n complex values at
+(n - n % 8) // 2 as np.sum does, down to leaves of at most ``_LEAF`` = 32768
+nodes.  Each leaf computes z = e^{i theta} for its own nodes, evaluates the
+polynomials there in one shared pass over their monomials
+(``sympoly.evaluate_points_many``) and reduces its P^2 sums; adding the leaf
+matrices in the tree's order makes every entry np.sum over all nodes, bit for
+bit, with only a few leaf-sized arrays in memory.  No BLAS is called, so
+reports are byte-identical whatever the BLAS thread count.
 
-Gram entries are reduced with numpy's pairwise summation, which calls no
-BLAS, so reports are byte-identical whatever the BLAS thread count.
+The leaves never hold fewer than 16384 nodes (when there is more than one),
+and that floor is load-bearing.  numpy's complex multiply uses FMA in its
+SIMD kernel and is not bitwise commutative, and numpy evaluates ``a * temp``
+as ``temp *= a`` once the temporary reaches 256 KiB, i.e. 16384 complex
+values.  The elementwise bits therefore depend on the array length: leaves of
+16384 to 32768 nodes round like the whole array, while leaves of 8192 to
+16384 nodes move the r = 3, d = 1, 48-point Gram by up to 7e-17.
 """
 
 from __future__ import annotations
@@ -49,6 +61,8 @@ from .partitions import enumerate_partitions, format_partition
 from .sympoly import evaluate_points_many
 
 TWO_PI = 2.0 * math.pi
+# nodes per leaf of the Gram pass; see the module docstring for the floor
+_LEAF = 32768
 
 
 def _axis_exponent(params: ParamSet) -> float:
@@ -416,23 +430,42 @@ class OrthReport:
         return "\n".join(lines) + "\n"
 
 
+def _pairwise(lo: int, hi: int, leaf):
+    """Sum of leaf(lo', hi') over the leaves of numpy's pairwise-summation
+    tree on [lo, hi), in the tree's order; with leaf = np.sum over the slice
+    it is np.sum over [lo, hi), bit for bit.  For hi - lo > _LEAF every leaf
+    holds between _LEAF / 2 and _LEAF values.
+    """
+    n = hi - lo
+    if n <= _LEAF:
+        return leaf(lo, hi)
+    mid = lo + (n - n % 8) // 2
+    return _pairwise(lo, mid, leaf) + _pairwise(mid, hi, leaf)
+
+
 def _gram(params: ParamSet, parts: list, rule: QuadratureRule) -> np.ndarray:
     """All P^2 entries pref * sum_k w_k phi_i(z_k) conj(phi_j(z_k)).
 
-    numpy's pairwise summation, with no BLAS call, so the result does not
-    depend on the thread count; hermiticity stays a measured diagnostic.
+    One pass over the leaves of the pairwise-summation tree: each leaf
+    evaluates the polynomials at its own nodes and reduces its P^2 sums, so
+    no array spans all the nodes.  numpy's pairwise summation, with no BLAS
+    call, so the result does not depend on the thread count; hermiticity
+    stays a measured diagnostic.
     """
     pts, w = _points_weights(params, rule)
-    z = np.exp(1j * pts)
-    vals = evaluate_points_many([mcj_build(tuple(m), params).body for m in parts], z)
-    pref = _prefactor(params)
+    bodies = [mcj_build(tuple(m), params).body for m in parts]
     P = len(parts)
-    G = np.empty((P, P), dtype=complex)
-    for i in range(P):
-        wv = w * vals[i]
-        for j in range(P):
-            G[i, j] = pref * np.sum(wv * np.conj(vals[j]))
-    return G
+
+    def leaf(lo, hi):
+        vals = evaluate_points_many(bodies, np.exp(1j * pts[lo:hi]))
+        S = np.empty((P, P), dtype=complex)
+        for i in range(P):
+            wv = w[lo:hi] * vals[i]
+            for j in range(P):
+                S[i, j] = np.sum(wv * np.conj(vals[j]))
+        return S
+
+    return _prefactor(params) * _pairwise(0, len(w), leaf)
 
 
 def verify_orthogonality(

@@ -44,6 +44,10 @@ class ParamSet:
         object.__setattr__(self, "d", as_fraction(self.d))
         if self.d <= 0:
             raise ValueError("multiplicity d must be > 0")
+        try:
+            float(self.d)
+        except OverflowError:
+            raise ValueError("multiplicity d must be finite as a float") from None
         for name in ("alpha", "nu"):
             value = getattr(self, name)
             if not isinstance(value, (int, Fraction)) and not math.isfinite(value):

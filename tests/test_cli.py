@@ -192,6 +192,14 @@ def test_eval_psi_vanishing_pochhammer_exits_2(child_env):
           "--m", "1", "--t", "inf"], "must be finite"),
         (["verify-genfun", "--r", "1", "--d", "2", "--alpha", "2", "--nu", "0.5",
           "--z", "nan"], "must be finite"),
+        (["eval", "--r", "2", "--d", "1/0", "--alpha", "3", "--nu", "0", "--m", "1",
+          "--theta", "1.0,2.0"], "d must be a number or p/q"),
+        (["conjecture-sweep", "--d", "1/0,2", "--max-weight", "1"],
+         "d must be a number or p/q"),
+        (["eval", "--r", "2", "--d", "1e400", "--alpha", "3", "--nu", "0", "--m", "1",
+          "--theta", "1.0,2.0"], "d must be finite"),
+        (["conjecture-sweep", "--d", "1e400,2", "--max-weight", "1", "--points", "8"],
+         "d must be finite"),
     ],
 )
 def test_non_finite_input_exits_2(child_env, argv, message):

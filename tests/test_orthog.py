@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -18,6 +19,7 @@ from mcjacobi.errors import ParameterError, SingularPointError
 from mcjacobi.mcj import mcj_build
 from mcjacobi.orthog import (
     _gram,
+    _pairwise,
     _points_weights,
     build_rule,
     conjecture_sweep,
@@ -28,6 +30,7 @@ from mcjacobi.orthog import (
 )
 from mcjacobi.params import ParamSet
 from mcjacobi.partitions import enumerate_partitions
+from mcjacobi.sympoly import evaluate_points_many
 
 TWO_PI = 2 * math.pi
 
@@ -318,6 +321,79 @@ def test_gram_matches_fsum_reference(p, points):
     E = np.array([expected_norm(m, p) for m in parts])
     assert np.all(np.abs(G - ref) <= 1e-14 * np.sqrt(np.outer(E, E)))
     assert inner_product(parts[1], parts[2], p, rule) == G[1, 2]
+
+
+def _whole_array_gram(params, parts, rule):
+    """Reference Gram matrix: the same expressions as _gram, over all nodes at once."""
+    pts, w = _points_weights(params, rule)
+    z = np.exp(1j * pts)
+    vals = evaluate_points_many([mcj_build(tuple(m), params).body for m in parts], z)
+    pref = c0_tilde(params).value() / TWO_PI ** float(params.n)
+    G = np.empty((len(parts), len(parts)), dtype=complex)
+    for i, vi in enumerate(vals):
+        wv = w * vi
+        for j, vj in enumerate(vals):
+            G[i, j] = pref * np.sum(wv * np.conj(vj))
+    return G
+
+
+@pytest.mark.parametrize(
+    "p,points,nodes,leaves",
+    [
+        (ParamSet(r=2, d=2, alpha=3, nu=0.3), 120, 14_400, 1),
+        (ParamSet(r=3, d=8, alpha=13, nu=0), 32, 32_768, 1),
+        (ParamSet(r=3, d=2, alpha=5, nu=0), 40, 64_000, 2),
+        (ParamSet(r=3, d=Fraction(5, 2), alpha=6, nu=0.3), 24, 81_216, 4),
+    ],
+)
+def test_leaf_gram_bitwise_equals_whole_array(p, points, nodes, leaves):
+    rule = build_rule(points, "auto", p)
+    parts = enumerate_partitions(2, p.r)
+    _, w = _points_weights(p, rule)
+    assert len(w) == nodes
+    assert len(_pairwise(0, nodes, lambda lo, hi: [(lo, hi)])) == leaves
+    assert np.array_equal(_gram(p, parts, rule), _whole_array_gram(p, parts, rule))
+
+
+@pytest.mark.parametrize("n", [1, 5, 32_768, 32_769, 32_775, 65_536, 100_001, 651_456, 1_545_088])
+def test_pairwise_leaves_tile_and_stay_within_bounds(n):
+    leaves = _pairwise(0, n, lambda lo, hi: [(lo, hi)])
+    assert leaves[0][0] == 0 and leaves[-1][1] == n
+    assert all(a[1] == b[0] for a, b in zip(leaves, leaves[1:]))
+    sizes = [hi - lo for lo, hi in leaves]
+    assert sum(sizes) == n
+    if n <= 32_768:
+        assert sizes == [n]
+    else:
+        # below 16,384 nodes numpy's elementwise kernels round differently
+        assert all(16_384 <= s <= 32_768 for s in sizes)
+
+
+@pytest.mark.parametrize("n", [5, 32_769, 100_001, 651_456])
+def test_pairwise_leaf_sums_equal_np_sum_bitwise(n):
+    rng = np.random.default_rng(n)
+    a = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    tree = _pairwise(0, n, lambda lo, hi: np.sum(a[lo:hi]))
+    assert np.complex128(tree).tobytes() == np.sum(a).tobytes()
+
+
+def test_gram_memory_bounded_on_orth_r3_input():
+    # the benchmark's orth-r3 job: 651,456 nodes, 4 partitions; a whole-array
+    # pass peaks near 100 MB, the leaf pass at a few leaf-sized arrays
+    p = ParamSet(r=3, d=1, alpha=3, nu=0.2)
+    rule = build_rule(48, "auto", p)
+    parts = enumerate_partitions(2, 3)
+    # nodes, weights and bodies are cached before the traced call
+    _points_weights(p, rule)
+    for m in parts:
+        mcj_build(m, p)
+    tracemalloc.start()
+    try:
+        _gram(p, parts, rule)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2**20
 
 
 # ---------------------------------------------------------------- reports
