@@ -101,6 +101,8 @@ def _params(args) -> ParamSet:
 def _floats(text: str) -> list:
     """Comma-separated finite floats: angles, coordinates and parameter grids."""
     out = [float(tok) for tok in text.split(",") if tok.strip()]
+    if not out:
+        raise ValueError(f"need at least one value, got {text!r}")
     if not all(math.isfinite(x) for x in out):
         raise ValueError(f"values must be finite, got {text!r}")
     return out
@@ -118,7 +120,10 @@ def _tolerance(text: str) -> float:
 
 def _fractions(text: str) -> list:
     """Argument type of a comma-separated list of multiplicities."""
-    return [_multiplicity(tok) for tok in text.split(",") if tok.strip()]
+    out = [_multiplicity(tok) for tok in text.split(",") if tok.strip()]
+    if not out:
+        raise argparse.ArgumentTypeError(f"need at least one multiplicity, got {text!r}")
+    return out
 
 
 def _load_config_defaults(argv: list) -> tuple:

@@ -19,7 +19,7 @@ from scipy.special import loggamma
 
 from .errors import GammaPoleError, InvariantError, ParameterError
 from .params import ParamSet
-from .partitions import contains, enumerate_partitions, pad, weight
+from .partitions import enumerate_partitions, pad, weight
 from .sympoly import SymPoly, spherical_poly
 
 TWO_PI = 2.0 * math.pi
@@ -213,9 +213,9 @@ def _phi_one_plus(m: tuple, d: Fraction, r: int) -> SymPoly:
     return SymPoly(r, terms)
 
 
-@lru_cache(maxsize=None)
 def _phi_one_minus(m: tuple, d: Fraction, r: int) -> dict:
-    """Monomial terms of Phi_m(1 - x); read only, since it is cached.
+    """Monomial terms of Phi_m(1 - x); uncached, since its one caller
+    ``mcj._phi_table`` is cached.
 
     Homogeneity: m_lambda(-x) = (-1)^{|lambda|} m_lambda(x), so only the
     odd-weight terms of Phi_m(1 + x) change sign.
@@ -229,12 +229,11 @@ def _phi_one_minus(m: tuple, d: Fraction, r: int) -> dict:
 def gen_binom(m: Sequence[int], k: Sequence[int], params: ParamSet) -> Fraction:
     """Generalized binomial coefficient: coefficient of Phi_k in Phi_m(1+x).
 
-    Vanishes whenever k is not contained in m.
+    Vanishes whenever k is not contained in m: the row of m holds exactly
+    the k contained in m.
     """
-    mm, kk = pad(m, params.r), pad(k, params.r)
-    if not contains(mm, kk):
-        return Fraction(0)
-    return _binom_row(mm, params.d, params.r).get(kk, Fraction(0))
+    row = _binom_row(pad(m, params.r), params.d, params.r)
+    return row.get(pad(k, params.r), Fraction(0))
 
 
 def gamma_k_partition(k: Sequence[int], x: Sequence[int], params: ParamSet) -> Fraction:

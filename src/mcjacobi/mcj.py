@@ -31,12 +31,12 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import coeffs
-from .coeffs import delta_factorial, dim_dm, gen_binom, gen_pochhammer
+from .coeffs import delta_factorial, dim_dm, gen_pochhammer
 from .errors import ParameterError, VandermondeZeroError
 from .exact import QC_I, QC_ONE, QC_ZERO, QComplex
 from .params import ParamSet
-from .partitions import Partition, contains, enumerate_partitions, pad, weight
-from .sympoly import CSymPoly, SymPoly, spherical_poly
+from .partitions import Partition, enumerate_partitions, pad, weight
+from .sympoly import CSymPoly, SymPoly, _sort_key, spherical_poly
 
 
 def _check_poch_nonzero(m: Sequence[int], params: ParamSet) -> None:
@@ -56,6 +56,44 @@ def _check_poch_nonzero(m: Sequence[int], params: ParamSet) -> None:
                 )
 
 
+@lru_cache(maxsize=4096)
+def _m_table(m: tuple, d: Fraction, r: int, scalar: type) -> tuple:
+    """The factors of ``_family_body`` that depend only on m: d_m, (n/r)_m and
+    the pairs (k, binom(m,k)) over k contained in m, in the scalar type and
+    in ``enumerate_partitions`` order.  The row holds exactly the k contained
+    in m, since binom(m,k) > 0 there and 0 elsewhere."""
+    p = ParamSet(r=r, d=d)
+    row = sorted(coeffs._binom_row(m, d, r).items(), key=lambda kb: _sort_key(kb[0]))
+    return (
+        scalar(dim_dm(m, p)),
+        scalar(gen_pochhammer(p.n_over_r, m, p)),
+        tuple((k, scalar(b)) for k, b in row),
+    )
+
+
+@lru_cache(maxsize=4096)
+def _k_table(k: tuple, params: ParamSet, scalar: type) -> tuple:
+    """The factors of ``_family_body`` that depend only on k and the
+    parameters: ((-1)^{|k|}, (beta)_k, (alpha)_k) in the scalar type."""
+    if scalar is Fraction:
+        poch = gen_pochhammer
+        alpha = Fraction(params.alpha)
+        beta_arg = (alpha + params.n_over_r) / 2
+    else:
+        poch = coeffs._poch_complex
+        alpha = complex(float(params.alpha))
+        beta_arg = 0.5 * (alpha + float(params.n_over_r)) + 1j * float(params.nu)
+    return (-1) ** weight(k), poch(beta_arg, k, params), poch(alpha, k, params)
+
+
+@lru_cache(maxsize=4096)
+def _phi_table(k: tuple, d: Fraction, r: int, shifted: bool, scalar: type) -> tuple:
+    """The monomial terms of Phi_k(1 - sigma) when ``shifted``, of Phi_k
+    otherwise, as (lambda, coefficient) pairs in the scalar type."""
+    phi = coeffs._phi_one_minus(k, d, r) if shifted else spherical_poly(k, d, r).terms
+    return tuple((lam, scalar(c)) for lam, c in phi.items())
+
+
 def _family_body(
     m: Sequence[int], params: ParamSet, *, beta: bool, shifted: bool, exact: bool
 ):
@@ -67,43 +105,28 @@ def _family_body(
     with beta = (alpha + n/r)/2 + i nu, or no numerator at all when ``beta``
     is false (Laguerre), and X = 1 - sigma when ``shifted``, the variable
     itself otherwise.  Exact rationals (``SymPoly``) when ``exact``, complex
-    doubles (``CSymPoly``) otherwise.
+    doubles (``CSymPoly``) otherwise.  Every factor is read from the bounded
+    tables ``_m_table``, ``_k_table`` and ``_phi_table``; (alpha)_m is the
+    k = m entry of ``_k_table``.
     """
     r = params.r
     mm = pad(m, r)
     _check_poch_nonzero(mm, params)
-    if exact:
-        scalar, poch = Fraction, gen_pochhammer
-        alpha = Fraction(params.alpha)
-        beta_arg = (alpha + params.n_over_r) / 2
-    else:
-        scalar, poch = complex, coeffs._poch_complex
-        alpha = complex(float(params.alpha))
-        beta_arg = 0.5 * (alpha + float(params.n_over_r)) + 1j * float(params.nu)
-    pref = (
-        scalar(dim_dm(mm, params))
-        * poch(alpha, mm, params)
-        / scalar(gen_pochhammer(params.n_over_r, mm, params))
-    )
+    scalar = Fraction if exact else complex
+    dim, nr_poch, row = _m_table(mm, params.d, r, scalar)
+    pref = dim * _k_table(mm, params, scalar)[2] / nr_poch
     terms: dict = {}
-    for k in enumerate_partitions(weight(mm), r):
-        if not contains(mm, k):
-            continue
-        b = gen_binom(mm, k, params)
-        if b == 0:
-            continue
-        coef = pref * (-1) ** weight(k) * scalar(b)
+    for k, b in row:
+        sign, beta_k, alpha_k = _k_table(k, params, scalar)
+        # complex coefficients are ((pref * sign * b) * (beta)_k) / (alpha)_k
+        # in this order, and the terms accumulate k by k in enumeration order:
+        # the rounding of the body feeds the byte-identical orthogonality reports
+        coef = pref * sign * b
         if beta:
-            coef = coef * poch(beta_arg, k, params)
-        coef = coef / poch(alpha, k, params)
-        if shifted:
-            phi = coeffs._phi_one_minus(k, params.d, r)
-        else:
-            phi = spherical_poly(k, params.d, r).terms
-        # complex terms accumulate k by k in enumeration order: the rounding of
-        # the body feeds the byte-identical orthogonality reports
-        for lam, c in phi.items():
-            v = terms.get(lam, 0) + scalar(c) * coef
+            coef = coef * beta_k
+        coef = coef / alpha_k
+        for lam, c in _phi_table(k, params.d, r, shifted, scalar):
+            v = terms.get(lam, 0) + c * coef
             if v == 0:
                 terms.pop(lam, None)
             else:
@@ -134,7 +157,7 @@ class MCJPolynomial:
         return self.body.evaluate_points(pts)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def mcj_build(m: tuple, params: ParamSet) -> MCJPolynomial:
     """Construct the circular-Jacobi polynomial indexed by the partition m.
 
@@ -197,7 +220,7 @@ class LaguerrePolynomial:
         return cmath.exp(-sum(u)) * self.body.evaluate([2 * x for x in u])
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def laguerre_build(m: tuple, params: ParamSet) -> LaguerrePolynomial:
     """Multivariate Laguerre polynomial with parameter alpha - n/r:
 

@@ -200,6 +200,12 @@ def test_eval_psi_vanishing_pochhammer_exits_2(child_env):
           "--theta", "1.0,2.0"], "d must be finite"),
         (["conjecture-sweep", "--d", "1e400,2", "--max-weight", "1", "--points", "8"],
          "d must be finite"),
+        (["conjecture-sweep", "--d", ",", "--max-weight", "1"],
+         "need at least one multiplicity"),
+        (["conjecture-sweep", "--alpha", ",", "--max-weight", "1"], "need at least one value"),
+        (["conjecture-sweep", "--nu", ",", "--max-weight", "1"], "need at least one value"),
+        (["verify-ode", "--m-max", "2", "--alpha-grid", ","], "need at least one value"),
+        (["verify-ode", "--m-max", "2", "--nu-grid", ""], "need at least one value"),
     ],
 )
 def test_non_finite_input_exits_2(child_env, argv, message):

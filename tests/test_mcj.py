@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from scipy.special import eval_genlaguerre, roots_genlaguerre
 
+import mcjacobi.coeffs as coeffs
 import mcjacobi.mcj as mcj
-from mcjacobi.coeffs import dim_dm, gen_pochhammer
+from mcjacobi.coeffs import dim_dm, gen_binom, gen_pochhammer
 from mcjacobi.errors import ParameterError, VandermondeZeroError
 from mcjacobi.mcj import (
     PsiFunction,
@@ -29,8 +30,8 @@ from mcjacobi.mcj import (
     rank1_operator_residuals,
 )
 from mcjacobi.params import ParamSet
-from mcjacobi.partitions import enumerate_partitions, weight
-from mcjacobi.sympoly import CSymPoly, spherical_poly
+from mcjacobi.partitions import contains, enumerate_partitions, pad, weight
+from mcjacobi.sympoly import CSymPoly, SymPoly, spherical_poly
 
 RNG = np.random.Generator(np.random.Philox(key=20250810))
 
@@ -62,6 +63,29 @@ def test_mcj_build_cache_keeps_exact_and_float_alpha_apart():
     poly = mcj_build((2, 1), exact)
     assert poly.body_exact is not None
     assert poly.params.alpha_is_exact
+
+
+def test_family_caches_bounded_and_rebuild_bitwise():
+    # past the bound the first entry is evicted, rebuilds to the same bits,
+    # and an exact alpha still gets an entry apart from the equal float alpha
+    exact = ParamSet(r=2, d=Fraction(7, 3), alpha=5, nu=0)
+    floated = exact.with_(alpha=5.0)
+    for build in (mcj_build, laguerre_build):
+        bound = build.cache_info().maxsize
+        assert bound is not None
+        first = build((2, 1), exact)
+        reprs = repr(first.body.terms), repr(getattr(first, "body_exact", None))
+        for i in range(bound + 5):
+            build((1,), ParamSet(r=1, d=2, alpha=3 + Fraction(i, 7), nu=0.1))
+        assert build.cache_info().currsize <= bound
+        again = build((2, 1), exact)
+        assert again is not first
+        assert (repr(again.body.terms), repr(getattr(again, "body_exact", None))) == reprs
+        assert build((2, 1), floated) is not build((2, 1), exact)
+        assert build((2, 1), floated).params.alpha_is_exact is False
+        assert build.cache_info().currsize <= bound
+    assert mcj_build((2, 1), floated).body_exact is None
+    assert mcj_build((2, 1), exact).body_exact is not None
 
 
 def test_mcj_degree():
@@ -113,6 +137,92 @@ def test_mcj_equals_cj1_at_rank_one():
             v1 = mcj_build((m,), p).evaluate([sigma])
             v2 = cj1_eval(m, 2.3, 0.7, sigma)
             assert abs(v1 - v2) <= 1e-12 * (1 + abs(v2))
+
+
+# ---------------------------------------------------------------- family kernel
+
+
+def _family_body_loop(m, params, *, beta, shifted, exact):
+    """The family kernel before its factor tables, rebuilding every factor for
+    every (m, k): the oracle of ``mcj._family_body``."""
+    r = params.r
+    mm = pad(m, r)
+    mcj._check_poch_nonzero(mm, params)
+    if exact:
+        scalar, poch = Fraction, gen_pochhammer
+        alpha = Fraction(params.alpha)
+        beta_arg = (alpha + params.n_over_r) / 2
+    else:
+        scalar, poch = complex, coeffs._poch_complex
+        alpha = complex(float(params.alpha))
+        beta_arg = 0.5 * (alpha + float(params.n_over_r)) + 1j * float(params.nu)
+    pref = (
+        scalar(dim_dm(mm, params))
+        * poch(alpha, mm, params)
+        / scalar(gen_pochhammer(params.n_over_r, mm, params))
+    )
+    terms: dict = {}
+    for k in enumerate_partitions(weight(mm), r):
+        if not contains(mm, k):
+            continue
+        b = gen_binom(mm, k, params)
+        if b == 0:
+            continue
+        coef = pref * (-1) ** weight(k) * scalar(b)
+        if beta:
+            coef = coef * poch(beta_arg, k, params)
+        coef = coef / poch(alpha, k, params)
+        if shifted:
+            phi = coeffs._phi_one_minus(k, params.d, r)
+        else:
+            phi = spherical_poly(k, params.d, r).terms
+        for lam, c in phi.items():
+            v = terms.get(lam, 0) + scalar(c) * coef
+            if v == 0:
+                terms.pop(lam, None)
+            else:
+                terms[lam] = v
+    return (SymPoly if exact else CSymPoly)(r, terms)
+
+
+KERNEL_WEIGHT = {1: 8, 2: 5, 3: 4}
+KERNEL_D = [Fraction(1), Fraction(2), Fraction(5, 2), Fraction(1, 3), Fraction(17, 3)]
+KERNEL_ALPHA_NU = [(a, nu) for a in (3, Fraction(7, 2), 4.25) for nu in (0, 0.3, -0.2529)]
+
+
+def _kernel_bodies(kernel, params):
+    """Reprs of the complex MCJ, Laguerre and Psi bodies, and of the exact MCJ
+    body where alpha is exact and nu = 0, for every m up to KERNEL_WEIGHT."""
+    out = []
+    for m in enumerate_partitions(KERNEL_WEIGHT[params.r], params.r):
+        for beta, shifted in ((True, True), (False, False), (True, False)):
+            out.append(repr(kernel(m, params, beta=beta, shifted=shifted, exact=False).terms))
+        if params.nu == 0 and params.alpha_is_exact:
+            out.append(repr(kernel(m, params, beta=True, shifted=True, exact=True).terms))
+    return out
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+@pytest.mark.parametrize("d", KERNEL_D, ids=str)
+def test_family_kernel_bitwise_equals_loop(r, d):
+    for alpha, nu in KERNEL_ALPHA_NU:
+        p = ParamSet(r=r, d=d, alpha=alpha, nu=nu)
+        assert _kernel_bodies(mcj._family_body, p) == _kernel_bodies(_family_body_loop, p)
+
+
+def test_family_kernel_independent_of_build_order():
+    # the factor tables are shared across families and parameter sets: what
+    # one build leaves in them must not leak into another's body
+    a = ParamSet(r=3, d=Fraction(5, 2), alpha=Fraction(7, 2), nu=0.3)
+    b, c = a.with_(nu=-0.2529), a.with_(nu=0)
+    runs = []
+    for order in ((a, b, c), (c, b, a)):
+        for table in (mcj._m_table, mcj._k_table, mcj._phi_table):
+            table.cache_clear()
+        runs.append({p: _kernel_bodies(mcj._family_body, p) for p in order})
+    assert runs[0] == runs[1]
+    for table in (mcj._m_table, mcj._k_table, mcj._phi_table):
+        assert table.cache_info().maxsize is not None
 
 
 # ---------------------------------------------------------------- cj1_eval
