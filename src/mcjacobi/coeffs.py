@@ -184,7 +184,7 @@ def _one_box(m: tuple, d: Fraction, r: int) -> list:
     return peeled
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def _binom_row(m: tuple, d: Fraction, r: int) -> dict:
     """Coefficients of Phi_k in the expansion of Phi_m(1 + x), all k.
 
@@ -202,7 +202,7 @@ def _binom_row(m: tuple, d: Fraction, r: int) -> dict:
     return row
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def _phi_one_plus(m: tuple, d: Fraction, r: int) -> SymPoly:
     """Phi_m(1 + x) = sum_k binom(m,k) Phi_k(x), exact; shared by the
     circular-Jacobi family through ``_phi_one_minus``."""

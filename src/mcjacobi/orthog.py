@@ -21,6 +21,20 @@ prefix of outer angles at once, in groups of prefixes that share a merged-cut
 pattern; the steps are elementwise, so the nodes and weights do not depend on
 how the prefixes are batched.  At r = 1 either branch is the per-axis rule.
 
+Only the per-axis factors e^{-nu (theta - pi)} depend on nu, so a node set is
+split in two.  Its nu-free geometry (``_geometry``) is cached per (r, d, s,
+points per axis, first-axis nodes), two entries at most, enough for the
+coarse and fine rules of a sweep point across its nu values: the per-axis
+angles and, for non-even d, for each nested axis the new nodes per prefix,
+their angles and their weights before the nu factor.  Each call applies nu
+with the same elementwise products as a fresh build (``_weights``), so the
+weights are bitwise the same.  The geometry holds no (N, r) node array: each
+Gram leaf rebuilds its own rows of e^{i theta} from the levels, in the C
+layout of the full array, with the outer axes' exponentials taken from the
+geometry.  Before anything of node size is allocated, the node count is
+bounded from the points per axis n, n^r on the tensor branch and n^r r! on
+the nested one; past ``_NODE_BUDGET`` nodes the call raises ParameterError.
+
 The Gram matrix is one pass over the leaves of numpy's pairwise-summation
 tree on the nodes (``_pairwise``), which halves n complex values at
 (n - n % 8) // 2 as np.sum does, down to leaves of at most ``_LEAF`` = 32768
@@ -63,6 +77,8 @@ from .sympoly import evaluate_points_many
 TWO_PI = 2.0 * math.pi
 # nodes per leaf of the Gram pass; see the module docstring for the floor
 _LEAF = 32768
+# most nodes a rule may ask for, estimated before anything is allocated
+_NODE_BUDGET = 1 << 22
 
 
 def _axis_exponent(params: ParamSet) -> float:
@@ -112,7 +128,6 @@ class QuadratureRule:
     nodes: np.ndarray
     weights: np.ndarray
     meta: dict = field(default_factory=dict)
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
 
 def _tanh_sinh_axis(n: int, s: float) -> tuple:
@@ -220,8 +235,65 @@ def _segment(n, e_hi, e_lo, lo, hi):
     return t, scale[:, None] * w
 
 
-def _axis_segments(outer, n, two_s, d, nu_fac):
-    """Segments of the next axis for every row of outer angles at once.
+@dataclass(frozen=True)
+class _Level:
+    """One nested axis: row p of the axes before it gets size[p] new nodes,
+    ending at end[p], with angles t and nu-free weights wpre."""
+
+    size: np.ndarray
+    end: np.ndarray
+    t: np.ndarray
+    wpre: np.ndarray
+
+
+@dataclass(frozen=True)
+class _Geometry:
+    """The nu-free part of a node set: the per-axis angles (the rule's nodes,
+    then for non-even d one level per further axis) and e^{i theta} on every
+    axis but a nested last one.  The (N, r) nodes are never stored; a run of
+    them is rebuilt on demand, bitwise the rows of the full node array."""
+
+    r: int
+    axes: tuple  # per-axis angles; only the rule's nodes on the tensor branch
+    levels: tuple  # nested axes 1..r-1; empty on the even-d tensor branch
+    z_axes: tuple  # e^{i theta} of every axis but a nested last one
+
+    def coords(self, lo: int, hi: int) -> np.ndarray:
+        """(hi - lo, r) angles of nodes lo..hi-1."""
+        last = self.levels[-1].t[lo:hi] if self.levels else None
+        return self._rows(lo, hi, self.axes, last)
+
+    def exp_i(self, lo: int, hi: int) -> np.ndarray:
+        """np.exp(1j * coords(lo, hi)), with the outer axes' exponentials
+        taken from the geometry; the map is elementwise, so the bits agree."""
+        last = np.exp(1j * self.levels[-1].t[lo:hi]) if self.levels else None
+        return self._rows(lo, hi, self.z_axes, last)
+
+    def _rows(self, lo, hi, axes, last):
+        out = np.empty((hi - lo, self.r), dtype=axes[0].dtype)
+        if not self.levels:  # tensor grid in "ij" order
+            idx = np.arange(lo, hi)
+            for j in range(self.r - 1, -1, -1):
+                idx, at = np.divmod(idx, len(axes[0]))
+                out[:, j] = axes[0][at]
+            return out
+        out[:, -1] = last
+        # the run of parents on the axis before the last, and how many of
+        # the nodes each one has; their own parents map one for one
+        level = self.levels[-1]
+        p0, p1 = np.searchsorted(level.end, [lo, hi - 1], side="right")
+        run = np.arange(p0, p1 + 1)
+        start = level.end[run] - level.size[run]
+        counts = np.minimum(level.end[run], hi) - np.maximum(start, lo)
+        for j in range(self.r - 2, -1, -1):
+            out[:, j] = np.repeat(axes[j][run], counts)
+            if j:
+                run = np.searchsorted(self.levels[j - 1].end, run, side="right")
+        return out
+
+
+def _axis_level(outer, n, two_s, d) -> _Level:
+    """The next axis for every row of outer angles at once, before nu.
 
     outer is a (rows, k) array of the angles already chosen.  Each row's axis
     is cut at its sorted outer angles and at 0, 2 pi; outer angles closer
@@ -229,9 +301,9 @@ def _axis_segments(outer, n, two_s, d, nu_fac):
     are grouped by that merge pattern, so within a group every row has the
     same segments and end exponents.  Each segment gets a Gauss-Jacobi rule
     whose end exponents are 2s at 0 or 2 pi and d per outer angle at a cut;
-    the remaining smooth factors of the weight are multiplied into the
-    segment weights.  Yields (rows, t, w) per group, t and w of shape
-    (len(rows), nseg, n).
+    the remaining nu-free factors of the weight are multiplied into the
+    segment weights.  A row's new nodes stay together, in segment then node
+    order, and each group's segments are written straight into place.
     """
     srt = np.sort(outer, axis=1)
     k = srt.shape[1]
@@ -244,6 +316,11 @@ def _axis_segments(outer, n, two_s, d, nu_fac):
         cut = np.where(merged[:, j], 0.5 * (cut + srt[:, j]), srt[:, j])
     patterns, group = np.unique(merged, axis=0, return_inverse=True)
     group = group.ravel()
+    size = ((k + 1 - patterns.sum(axis=1)) * n)[group]  # new nodes per row
+    end = np.cumsum(size)
+    start = end - size
+    t_all = np.empty(end[-1])
+    w_all = np.empty(end[-1])
     for g, pattern in enumerate(patterns):
         rows = np.flatnonzero(group == g)
         a = srt[rows]
@@ -256,7 +333,6 @@ def _axis_segments(outer, n, two_s, d, nu_fac):
                 cuts.append((a[:, j], d))
         ends = [(np.zeros(len(rows)), two_s)] + cuts + [(np.full(len(rows), TWO_PI), two_s)]
         last = len(cuts)
-        ts, ws = [], []
         for i in range(last + 1):
             (lo, e_lo), (hi, e_hi) = ends[i], ends[i + 1]
             t, w = _segment(n, e_hi, e_lo, lo, hi)
@@ -278,72 +354,88 @@ def _axis_segments(outer, n, two_s, d, nu_fac):
                     w = w * (2.0 * np.sin((t - aj[:, None]) / 2.0)) ** e
                 elif j > i:
                     w = w * (2.0 * np.sin((aj[:, None] - t) / 2.0)) ** e
-            ts.append(t)
-            ws.append(w * nu_fac(t))
-        yield rows, np.stack(ts, axis=1), np.stack(ws, axis=1)
+            at = start[rows, None] + (i * n + np.arange(n))
+            t_all[at] = t
+            w_all[at] = w
+    return _Level(size, end, t_all, w_all)
 
 
-def _points_weights(params: ParamSet, rule: QuadratureRule) -> tuple:
-    """Full node set on (0, 2 pi)^r with total measure weights.
+@lru_cache(maxsize=2)
+def _geometry(r: int, d: Fraction, s: float, n: int, nodes: bytes) -> _Geometry:
+    """Nu-free geometry of the rule with these first-axis nodes; two entries
+    hold the coarse and fine rules of a sweep point across its nu values."""
+    axes = [np.frombuffer(nodes)]
+    levels = []
+    if not _is_even_d(d):
+        pts = axes[0][:, None]
+        for k in range(1, r):
+            level = _axis_level(pts, n, 2.0 * s, float(d))
+            levels.append(level)
+            axes.append(level.t)
+            if k < r - 1:
+                pts = np.column_stack([np.repeat(pts, level.size, axis=0), level.t])
+    gathered = axes[:-1] if levels else axes
+    return _Geometry(r, tuple(axes), tuple(levels), tuple(np.exp(1j * a) for a in gathered))
+
+
+def _weights(params: ParamSet, rule: QuadratureRule) -> tuple:
+    """(geometry, w): the cached nu-free geometry of the node set and the
+    total measure weights at its nodes.
 
     Weights include the per-axis singular factors, the e^{-nu (theta - pi)}
     factors and the pair coupling; the polynomials are the only thing left
-    for the integrand.
+    for the integrand.  The node budget is checked before anything of node
+    size is allocated.
     """
-    key = (params.r, params.d, float(params.alpha), float(params.nu))
-    if key in rule._cache:
-        return rule._cache[key]
     s = _axis_exponent(params)
     if abs(rule.s - s) > 1e-12:
         raise ParameterError("rule was built for different parameters")
     r = params.r
     if r > 3:
         raise ParameterError("quadrature supports r <= 3 (cost grows as n^r)")
+    even = _is_even_d(params.d)
+    n = rule.points_per_axis
+    bound = n**r * (1 if even else math.factorial(r))
+    if bound > _NODE_BUDGET:
+        raise ParameterError(
+            f"{n} points per axis at r = {r} may need {bound:,} quadrature nodes, "
+            f"over the budget of {_NODE_BUDGET:,}; use fewer points"
+        )
+    geom = _geometry(r, params.d, s, n, rule.nodes.tobytes())
     nu = float(params.nu)
-    d = float(params.d)
 
     def nu_fac(th):
         return np.exp(-nu * (th - math.pi))
 
-    outer_w = rule.weights * nu_fac(rule.nodes)
-    if _is_even_d(params.d):
+    w = rule.weights * nu_fac(rule.nodes)
+    if even:
         grids = np.meshgrid(*[rule.nodes] * r, indexing="ij")
         wgrid = np.ones_like(grids[0])
         for j in range(r):
             shape = [1] * r
             shape[j] = -1
-            wgrid = wgrid * outer_w.reshape(shape)
+            wgrid = wgrid * w.reshape(shape)
+        d = float(params.d)
         for p in range(r):
             for q in range(p + 1, r):
                 wgrid = wgrid * (
                     2.0 * np.abs(np.sin((grids[p] - grids[q]) / 2.0))
                 ) ** d
-        pts = np.stack([g.ravel() for g in grids], axis=1)
         w = wgrid.ravel()
     else:
-        # nested segments, one axis at a time for every prefix of outer
-        # angles at once; a prefix's new nodes stay together, in segment
-        # then node order, so merge groups are scattered back into place
-        pts, w = rule.nodes[:, None], outer_w
-        for _ in range(r - 1):
-            blocks = list(_axis_segments(pts, rule.points_per_axis, 2.0 * s, d, nu_fac))
-            size = np.empty(len(pts), dtype=np.intp)  # new nodes per prefix
-            for rows, t, _ in blocks:
-                size[rows] = t[0].size
-            start = np.cumsum(size) - size
-            new_pts = np.empty((size.sum(), pts.shape[1] + 1))
-            new_w = np.empty(size.sum())
-            for rows, t, wt in blocks:
-                at = (start[rows, None] + np.arange(t[0].size)).ravel()
-                new_pts[at, :-1] = np.repeat(pts[rows], t[0].size, axis=0)
-                new_pts[at, -1] = t.ravel()
-                new_w[at] = (w[rows, None, None] * wt).ravel()
-            pts, w = new_pts, new_w
-
+        # the same elementwise products as a per-prefix build, axis by axis
+        for level in geom.levels:
+            w = np.repeat(w, level.size) * (level.wpre * nu_fac(level.t))
     if not np.all(np.isfinite(w)):
         raise ParameterError("quadrature weight assembly produced non-finite values")
-    rule._cache[key] = (pts, w)
-    return pts, w
+    return geom, w
+
+
+def _points_weights(params: ParamSet, rule: QuadratureRule) -> tuple:
+    """The full (N, r) node array and the weights; the Gram pass never
+    materializes the nodes, this is for inspection and reference checks."""
+    geom, w = _weights(params, rule)
+    return geom.coords(0, len(w)), w
 
 
 def _prefactor(params: ParamSet) -> float:
@@ -452,12 +544,12 @@ def _gram(params: ParamSet, parts: list, rule: QuadratureRule) -> np.ndarray:
     call, so the result does not depend on the thread count; hermiticity
     stays a measured diagnostic.
     """
-    pts, w = _points_weights(params, rule)
+    geom, w = _weights(params, rule)
     bodies = [mcj_build(tuple(m), params).body for m in parts]
     P = len(parts)
 
     def leaf(lo, hi):
-        vals = evaluate_points_many(bodies, np.exp(1j * pts[lo:hi]))
+        vals = evaluate_points_many(bodies, geom.exp_i(lo, hi))
         S = np.empty((P, P), dtype=complex)
         for i in range(P):
             wv = w[lo:hi] * vals[i]

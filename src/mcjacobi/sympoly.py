@@ -340,7 +340,7 @@ def _lb_eigenvalue(lam: tuple, alpha: Fraction, r: int) -> Fraction:
     )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def _jack_terms(m: tuple, alpha: Fraction, r: int) -> tuple:
     """Monomial expansion of P_m^(alpha) as ((lambda, coef), ...).
 
@@ -451,7 +451,7 @@ def schur(m: Sequence[int], r: int) -> SymPoly:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def _spherical_cached(m: tuple, d: Fraction, r: int) -> SymPoly:
     p = jack_mono(m, d, r)
     return p.scale(Fraction(1) / p.eval_at_ones())

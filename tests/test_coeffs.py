@@ -9,6 +9,7 @@ import pytest
 from scipy.special import gamma as scipy_gamma
 
 import mcjacobi.coeffs as coeffs
+import mcjacobi.sympoly as sympoly
 from mcjacobi.coeffs import (
     _dim_dm_gamma,
     _phi_one_minus,
@@ -169,6 +170,27 @@ def test_binom_row_and_phi_one_plus_match_substitution(r, max_w, d):
         assert coeffs._binom_row(m, d, r) == _row_from_substitution(m, d, r)
         oracle = affine_substitute(spherical_poly(m, d, r), 1, 1)
         assert coeffs._phi_one_plus(m, d, r) == oracle
+
+
+def test_exact_caches_bounded_and_rebuild_equal():
+    # past the bound the first (m, d, r) entry of every exact cache is
+    # evicted and rebuilds to an equal value
+    caches = (coeffs._binom_row, coeffs._phi_one_plus, sympoly._jack_terms,
+              sympoly._spherical_cached)
+    assert all(f.cache_info().maxsize is not None for f in caches)
+    bound = max(f.cache_info().maxsize for f in caches)
+    m, d, r = (2, 1, 0), Fraction(7, 5), 3
+    first = (coeffs._binom_row(m, d, r), coeffs._phi_one_plus(m, d, r),
+             sympoly._jack_terms(m, Fraction(2) / d, r), sympoly._spherical_cached(m, d, r))
+    for i in range(bound + 5):  # one entry in each cache per fresh d at least
+        coeffs._phi_one_plus((1,), Fraction(3 + 2 * i, 2), 1)
+    assert all(f.cache_info().currsize <= f.cache_info().maxsize for f in caches)
+    misses = [f.cache_info().misses for f in caches]
+    again = (coeffs._binom_row(m, d, r), coeffs._phi_one_plus(m, d, r),
+             sympoly._jack_terms(m, Fraction(2) / d, r), sympoly._spherical_cached(m, d, r))
+    assert all(f.cache_info().misses > k for f, k in zip(caches, misses))
+    assert again == first
+    assert all(f.cache_info().currsize <= f.cache_info().maxsize for f in caches)
 
 
 def _double_phi_of_weight(w):

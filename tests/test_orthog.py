@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 from fractions import Fraction
@@ -17,10 +18,14 @@ from mcjacobi.coeffs import (
 )
 from mcjacobi.errors import ParameterError, SingularPointError
 from mcjacobi.mcj import mcj_build
+from mcjacobi.cli import run
 from mcjacobi.orthog import (
+    _NODE_BUDGET,
+    _geometry,
     _gram,
     _pairwise,
     _points_weights,
+    _weights,
     build_rule,
     conjecture_sweep,
     inner_product,
@@ -353,6 +358,69 @@ def test_leaf_gram_bitwise_equals_whole_array(p, points, nodes, leaves):
     assert len(w) == nodes
     assert len(_pairwise(0, nodes, lambda lo, hi: [(lo, hi)])) == leaves
     assert np.array_equal(_gram(p, parts, rule), _whole_array_gram(p, parts, rule))
+
+
+@pytest.mark.parametrize(
+    "base,points", [(ParamSet(r=3, d=1, alpha=3), 24), (ParamSet(r=2, d=Fraction(5, 2), alpha=3), 48)]
+)
+def test_gram_warm_geometry_equals_cold_bitwise(base, points):
+    # the nu-free geometry built at one nu serves the others bit for bit
+    parts = enumerate_partitions(2, base.r)
+    nus = (0.3, -0.2, 0.0)
+    cold = {}
+    for nu in nus:
+        _geometry.cache_clear()
+        p = base.with_(nu=nu)
+        cold[nu] = _gram(p, parts, build_rule(points, "tanh_sinh", p))
+    hits = _geometry.cache_info().hits
+    for nu in nus:  # each reuses the geometry that the last cold call built
+        p = base.with_(nu=nu)
+        assert np.array_equal(_gram(p, parts, build_rule(points, "tanh_sinh", p)), cold[nu])
+    assert _geometry.cache_info().hits == hits + len(nus)
+
+
+def _arrays(obj):
+    """Every numpy array held by a dataclass, through its fields and tuples."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, tuple):
+        for item in obj:
+            yield from _arrays(item)
+    elif dataclasses.is_dataclass(obj):
+        for f in dataclasses.fields(obj):
+            yield from _arrays(getattr(obj, f.name))
+
+
+def test_geometry_cache_bounded_and_holds_no_node_array():
+    cases = [
+        (ParamSet(r=3, d=1, alpha=3, nu=0.2), 16),
+        (ParamSet(r=3, d=2, alpha=5, nu=0.1), 12),
+        (ParamSet(r=2, d=Fraction(5, 2), alpha=3, nu=0.3), 32),
+        (ParamSet(r=2, d=2, alpha=3, nu=0.4), 24),
+    ]
+    for p, points in cases:
+        rule = build_rule(points, "auto", p)
+        geom, w = _weights(p, rule)
+        assert _geometry.cache_info().currsize <= _geometry.cache_info().maxsize
+        # per-axis arrays only: nothing of N * r elements is kept
+        arrays = list(_arrays(geom))
+        assert arrays and all(a.ndim == 1 and a.size != len(w) * p.r for a in arrays)
+        assert np.array_equal(geom.coords(0, len(w)), _points_weights(p, rule)[0])
+
+
+def test_node_budget_refused_before_assembly(capsys):
+    # 400 points at r = 3, nested: up to 400^3 * 3! nodes, far past the budget
+    misses = _geometry.cache_info().misses
+    code = run(["verify-orth", "--r", "3", "--d", "1", "--alpha", "3", "--nu", "0.2",
+                "--max-weight", "1", "--points", "400"])
+    assert code == 2
+    assert "budget" in capsys.readouterr().err
+    assert _geometry.cache_info().misses == misses
+    # r = 2, nested: the fewest points whose n^2 * 2! nodes exceed the budget
+    p = ParamSet(r=2, d=Fraction(5, 2), alpha=3, nu=0.3)
+    n = math.isqrt(_NODE_BUDGET // 2) + 1
+    with pytest.raises(ParameterError, match="budget"):
+        _weights(p, build_rule(n, "tanh_sinh", p))
 
 
 @pytest.mark.parametrize("n", [1, 5, 32_768, 32_769, 32_775, 65_536, 100_001, 651_456, 1_545_088])
