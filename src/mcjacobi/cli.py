@@ -196,20 +196,32 @@ def _cmd_verify_det(args) -> int:
     if params.d != 2:
         print("verify-det requires d = 2", file=sys.stderr)
         return 2
+    if args.trials < 1:
+        print("verify-det needs --trials >= 1", file=sys.stderr)
+        return 2
     rng = np.random.Generator(np.random.Philox(key=args.seed))
     worst = 0.0
+    checked = 0
     for m in enumerate_partitions(args.max_weight, params.r):
         poly = mcj.mcj_build(m, params)
         for _ in range(args.trials):
             th = np.sort(rng.uniform(0.15, 2 * math.pi - 0.15, size=params.r))
             if params.r > 1 and np.min(np.diff(th)) < 0.2:
                 continue
+            checked += 1
             sigma = [cmath.exp(1j * x) for x in th]
             v1, v2 = mcj.det_eval_phi(m, params, sigma), poly.evaluate(sigma)
             worst = max(worst, abs(v1 - v2) / (1 + abs(v2)))
             t = list(np.tan((th - math.pi) / 2))
             v1, v2 = mcj.det_eval_psi(m, params, t), mcj.psi_eval(m, params, t)
             worst = max(worst, abs(v1 - v2) / (1 + abs(v2)))
+    if not checked:
+        print(
+            f"verify-det checked nothing: every trial drew angles closer than 0.2 "
+            f"(seed {args.seed}); use more --trials or another --seed",
+            file=sys.stderr,
+        )
+        return 2
     ok = worst <= args.tol
     print(
         f"{'pass' if ok else 'FAIL'} determinant formulas: rel residual {worst:.3e} "

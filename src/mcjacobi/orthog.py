@@ -29,29 +29,36 @@ angles and, for non-even d, for each nested axis the new nodes per prefix,
 their angles and their weights before the nu factor.  Each call applies nu
 with the same elementwise products as a fresh build (``_weights``), so the
 weights are bitwise the same.  The geometry holds no (N, r) node array: each
-Gram leaf rebuilds its own rows of e^{i theta} from the levels, in the C
-layout of the full array, with the outer axes' exponentials taken from the
-geometry.  Before anything of node size is allocated, the node count is
-bounded from the points per axis n, n^r on the tensor branch and n^r r! on
-the nested one; past ``_NODE_BUDGET`` nodes the call raises ParameterError.
+Gram leaf rebuilds its own r contiguous columns of e^{i theta} from the
+levels, with the outer axes' exponentials taken from the geometry; only
+``_points_weights``, for inspection and tests, stacks the angle columns.
+Before any rule is built, ``build_rule`` bounds the node count
+from the points per axis n, n^r on the tensor branch and n^r r! on the nested
+one, and the cost of an n-point Gauss-Jacobi rule, n^2; past ``_NODE_BUDGET``
+either way it raises ParameterError.
 
 The Gram matrix is one pass over the leaves of numpy's pairwise-summation
 tree on the nodes (``_pairwise``), which halves n complex values at
 (n - n % 8) // 2 as np.sum does, down to leaves of at most ``_LEAF`` = 32768
-nodes.  Each leaf computes z = e^{i theta} for its own nodes, evaluates the
-polynomials there in one shared pass over their monomials
-(``sympoly.evaluate_points_many``) and reduces its P^2 sums; adding the leaf
+nodes.  Each leaf takes the r columns of z = e^{i theta} for its own nodes,
+evaluates the polynomials there in one shared pass over their monomials
+(``sympoly.evaluate_points_many``, each power z_j^e computed once) and reduces
+its P^2 sums against the conjugates, formed once per leaf; adding the leaf
 matrices in the tree's order makes every entry np.sum over all nodes, bit for
 bit, with only a few leaf-sized arrays in memory.  No BLAS is called, so
 reports are byte-identical whatever the BLAS thread count.
 
-The leaves never hold fewer than 16384 nodes (when there is more than one),
-and that floor is load-bearing.  numpy's complex multiply uses FMA in its
-SIMD kernel and is not bitwise commutative, and numpy evaluates ``a * temp``
-as ``temp *= a`` once the temporary reaches 256 KiB, i.e. 16384 complex
-values.  The elementwise bits therefore depend on the array length: leaves of
-16384 to 32768 nodes round like the whole array, while leaves of 8192 to
-16384 nodes move the r = 3, d = 1, 48-point Gram by up to 7e-17.
+The bits are those of the whole-array expressions ``prod * z_j**e`` and
+``wv * np.conj(v_j)``, whose right operands are fresh temporaries.  numpy's
+complex multiply uses FMA in its SIMD kernel and is not bitwise commutative,
+and numpy evaluates ``named * temp`` as ``temp *= named`` once the temporary
+reaches 256 KiB, i.e. 16384 complex values.  The leaf multiplies arrays it
+keeps (the powers, the conjugates), so it states that order explicitly
+(``sympoly._mul``): temporary first from 16384 values on, named first below.
+The order follows the length of the arrays multiplied, so the leaves never
+hold fewer than 16384 nodes (when there is more than one): a leaf of 8192 to
+16383 nodes would multiply named first where the whole array multiplies the
+temporary first, which moved the r = 3, d = 1, 48-point Gram by up to 7e-17.
 """
 
 from __future__ import annotations
@@ -72,7 +79,7 @@ from .errors import ParameterError, SingularPointError
 from .mcj import mcj_build
 from .params import ParamSet
 from .partitions import enumerate_partitions, format_partition
-from .sympoly import evaluate_points_many
+from .sympoly import _mul, evaluate_points_many
 
 TWO_PI = 2.0 * math.pi
 # nodes per leaf of the Gram pass; see the module docstring for the floor
@@ -182,10 +189,26 @@ def resolve_rule_kind(params: ParamSet, kind: str = "auto") -> str:
     return "tanh_sinh"
 
 
+def _check_budget(n: int, params: ParamSet) -> None:
+    """Refuse n points per axis before anything is built: a rule may need up
+    to n^r nodes on the even-d tensor branch and n^r r! on the nested one,
+    and an n-point Gauss-Jacobi rule costs n^2."""
+    r = params.r
+    nodes = n**r * (1 if _is_even_d(params.d) else math.factorial(r))
+    if max(nodes, n * n) > _NODE_BUDGET:
+        raise ParameterError(
+            f"{n} points per axis at r = {r} may need {nodes:,} quadrature nodes "
+            f"and a {n}-point Gauss-Jacobi rule (cost n^2 = {n * n:,}), over the "
+            f"budget of {_NODE_BUDGET:,}; use fewer points"
+        )
+
+
 def build_rule(points_per_axis: int, kind: str, params: ParamSet) -> QuadratureRule:
-    """Per-axis rule with the (2 sin(theta/2))^{2s} factor folded in."""
+    """Per-axis rule with the (2 sin(theta/2))^{2s} factor folded in; the
+    node budget is checked before the rule is built."""
     if points_per_axis < 4:
         raise ParameterError("points_per_axis must be >= 4")
+    _check_budget(points_per_axis, params)
     kind = resolve_rule_kind(params, kind)
     s = _axis_exponent(params)
     if kind == "tanh_sinh":
@@ -251,7 +274,8 @@ class _Geometry:
     """The nu-free part of a node set: the per-axis angles (the rule's nodes,
     then for non-even d one level per further axis) and e^{i theta} on every
     axis but a nested last one.  The (N, r) nodes are never stored; a run of
-    them is rebuilt on demand, bitwise the rows of the full node array."""
+    them is rebuilt on demand as r columns, bitwise the columns of the full
+    node array."""
 
     r: int
     axes: tuple  # per-axis angles; only the rule's nodes on the tensor branch
@@ -261,23 +285,24 @@ class _Geometry:
     def coords(self, lo: int, hi: int) -> np.ndarray:
         """(hi - lo, r) angles of nodes lo..hi-1."""
         last = self.levels[-1].t[lo:hi] if self.levels else None
-        return self._rows(lo, hi, self.axes, last)
+        return np.column_stack(self._columns(lo, hi, self.axes, last))
 
-    def exp_i(self, lo: int, hi: int) -> np.ndarray:
-        """np.exp(1j * coords(lo, hi)), with the outer axes' exponentials
-        taken from the geometry; the map is elementwise, so the bits agree."""
+    def exp_i(self, lo: int, hi: int) -> list:
+        """The r columns of np.exp(1j * coords(lo, hi)), each contiguous, with
+        the outer axes' exponentials taken from the geometry; the map is
+        elementwise, so the bits agree."""
         last = np.exp(1j * self.levels[-1].t[lo:hi]) if self.levels else None
-        return self._rows(lo, hi, self.z_axes, last)
+        return self._columns(lo, hi, self.z_axes, last)
 
-    def _rows(self, lo, hi, axes, last):
-        out = np.empty((hi - lo, self.r), dtype=axes[0].dtype)
+    def _columns(self, lo, hi, axes, last):
+        cols = [None] * self.r
         if not self.levels:  # tensor grid in "ij" order
             idx = np.arange(lo, hi)
             for j in range(self.r - 1, -1, -1):
                 idx, at = np.divmod(idx, len(axes[0]))
-                out[:, j] = axes[0][at]
-            return out
-        out[:, -1] = last
+                cols[j] = axes[0][at]
+            return cols
+        cols[-1] = last
         # the run of parents on the axis before the last, and how many of
         # the nodes each one has; their own parents map one for one
         level = self.levels[-1]
@@ -286,10 +311,10 @@ class _Geometry:
         start = level.end[run] - level.size[run]
         counts = np.minimum(level.end[run], hi) - np.maximum(start, lo)
         for j in range(self.r - 2, -1, -1):
-            out[:, j] = np.repeat(axes[j][run], counts)
+            cols[j] = np.repeat(axes[j][run], counts)
             if j:
                 run = np.searchsorted(self.levels[j - 1].end, run, side="right")
-        return out
+        return cols
 
 
 def _axis_level(outer, n, two_s, d) -> _Level:
@@ -395,12 +420,7 @@ def _weights(params: ParamSet, rule: QuadratureRule) -> tuple:
         raise ParameterError("quadrature supports r <= 3 (cost grows as n^r)")
     even = _is_even_d(params.d)
     n = rule.points_per_axis
-    bound = n**r * (1 if even else math.factorial(r))
-    if bound > _NODE_BUDGET:
-        raise ParameterError(
-            f"{n} points per axis at r = {r} may need {bound:,} quadrature nodes, "
-            f"over the budget of {_NODE_BUDGET:,}; use fewer points"
-        )
+    _check_budget(n, params)
     geom = _geometry(r, params.d, s, n, rule.nodes.tobytes())
     nu = float(params.nu)
 
@@ -550,11 +570,12 @@ def _gram(params: ParamSet, parts: list, rule: QuadratureRule) -> np.ndarray:
 
     def leaf(lo, hi):
         vals = evaluate_points_many(bodies, geom.exp_i(lo, hi))
+        conj = [np.conj(v) for v in vals]
         S = np.empty((P, P), dtype=complex)
         for i in range(P):
             wv = w[lo:hi] * vals[i]
             for j in range(P):
-                S[i, j] = np.sum(wv * np.conj(vals[j]))
+                S[i, j] = np.sum(_mul(wv, conj[j]))
         return S
 
     return _prefactor(params) * _pairwise(0, len(w), leaf)

@@ -5,8 +5,8 @@
 A polynomial is a finite sum  sum_lambda c_lambda m_lambda  where m_lambda is
 the monomial symmetric polynomial over the orbit of the exponent vector
 lambda (zero-padded to the arity).  ``evaluate_points_many`` evaluates a
-list of polynomials at a node set with one pass over the union of their
-monomials, computing each m_lambda once.
+list of polynomials at a node set, given as one column per coordinate, with
+one pass over the union of their monomials, computing each m_lambda once.
 
 The module also provides the three polynomial families everything else is
 built from:
@@ -125,7 +125,10 @@ class _BasePoly:
 
     def evaluate_points(self, pts: np.ndarray) -> np.ndarray:
         """Vectorized evaluation at an (N, arity) array of complex points."""
-        return evaluate_points_many([self], pts)[0]
+        pts = np.asarray(pts, dtype=complex)
+        if pts.ndim == 1:
+            pts = pts[None, :]
+        return evaluate_points_many([self], np.ascontiguousarray(pts.T))[0]
 
     # -- rendering ----------------------------------------------------------
 
@@ -204,31 +207,53 @@ class CSymPoly(_BasePoly):
 AnyPoly = Union[SymPoly, CSymPoly]
 
 
-def evaluate_points_many(polys: Sequence[_BasePoly], pts: np.ndarray) -> list:
-    """Values of every polynomial at an (N, arity) array of complex points.
+# numpy evaluates ``named * temp`` as ``temp *= named`` once the temporary
+# holds 256 KiB (16,384 complex values), and its FMA complex multiply is not
+# bitwise commutative, so the operand order is part of the result's bits
+_ELIDE_BYTES = 1 << 18
+
+
+def _mul(named: np.ndarray, temp: np.ndarray) -> np.ndarray:
+    """named * temp in the operand order numpy uses when temp is a fresh
+    temporary: temp first from 256 KiB on, named first below."""
+    if temp.nbytes >= _ELIDE_BYTES:
+        return np.multiply(temp, named)
+    return np.multiply(named, temp)
+
+
+def evaluate_points_many(polys: Sequence[_BasePoly], cols: Sequence[np.ndarray]) -> list:
+    """Values of every polynomial at N complex points given by columns:
+    cols[j] holds coordinate j of every point, one length-N array per axis.
 
     The union of the monomials is walked in the fixed term order and each
     m_lambda is evaluated once, then added, times its coefficient, into every
-    polynomial that has it.  Each polynomial still sums its own terms in its
-    own order, so its values do not depend on which others share the pass.
+    polynomial that has it.  Each power z_j^e is computed once per call (an
+    e = 1 factor is the column itself) and each orbit product starts from its
+    first power; the products keep the operand order of the product over an
+    all-ones start, so the values are bitwise those of evaluating each term
+    on its own.  Each polynomial still sums its own terms in its own order, so
+    its values do not depend on which others share the pass.
     """
-    pts = np.asarray(pts, dtype=complex)
-    if pts.ndim == 1:
-        pts = pts[None, :]
+    cols = [np.asarray(c, dtype=complex) for c in cols]
     for poly in polys:
-        if pts.shape[1] != poly.arity:
+        if len(cols) != poly.arity:
             raise ArityMismatchError(
-                f"points have {pts.shape[1]} coordinates, arity is {poly.arity}"
+                f"points have {len(cols)} coordinates, arity is {poly.arity}"
             )
-    totals = [np.zeros(pts.shape[0], dtype=complex) for _ in polys]
+    n = len(cols[0])
+    powers = {}
+    totals = [np.zeros(n, dtype=complex) for _ in polys]
     for lam in sorted(set().union(*(poly.terms for poly in polys)), key=_sort_key):
-        s = np.zeros(pts.shape[0], dtype=complex)
+        s = np.zeros(n, dtype=complex)
         for perm in _orbit_cached(lam):
-            prod = np.ones(pts.shape[0], dtype=complex)
+            prod = None
             for j, e in enumerate(perm):
                 if e:
-                    prod = prod * pts[:, j] ** e
-            s += prod
+                    zj_e = powers.get((j, e))
+                    if zj_e is None:
+                        zj_e = powers[j, e] = cols[j] if e == 1 else cols[j] ** e
+                    prod = zj_e if prod is None else _mul(prod, zj_e)
+            s += 1.0 if prod is None else prod  # lambda = 0: the empty product
         for total, poly in zip(totals, polys):
             c = poly.terms.get(lam)
             if c is not None:

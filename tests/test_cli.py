@@ -106,6 +106,27 @@ def test_verify_det(capsys):
     assert run(["verify-det", "--r", "2", "--d", "3", "--alpha", "3.5", "--nu", "0"]) == 2
 
 
+@pytest.mark.parametrize("trials", ["0", "-1"])
+def test_verify_det_without_trials_exits_2(capsys, trials):
+    assert run(["verify-det", "--r", "2", "--d", "2", "--alpha", "3.5", "--nu", "0.4",
+                "--max-weight", "1", "--trials", trials]) == 2
+    captured = capsys.readouterr()
+    assert "--trials >= 1" in captured.err
+    assert "pass" not in captured.out
+
+
+def test_verify_det_with_every_trial_skipped_exits_2(capsys):
+    # seed 14 draws its one r = 3 trial with two angles closer than 0.2
+    assert run(["verify-det", "--r", "3", "--d", "2", "--alpha", "5", "--nu", "0.4",
+                "--max-weight", "0", "--trials", "1", "--seed", "14"]) == 2
+    captured = capsys.readouterr()
+    assert "checked nothing" in captured.err
+    assert "pass" not in captured.out
+    # the next seed keeps its trial and checks it
+    assert run(["verify-det", "--r", "3", "--d", "2", "--alpha", "5", "--nu", "0.4",
+                "--max-weight", "0", "--trials", "1", "--seed", "13"]) == 0
+
+
 def test_verify_genfun(capsys):
     assert run(["verify-genfun", "--r", "1", "--d", "2", "--alpha", "2", "--nu", "0.5",
                 "--N", "30", "--z", "0.25", "--theta", "0.9", "--t", "0.8",

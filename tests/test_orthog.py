@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import tracemalloc
 from fractions import Fraction
@@ -8,6 +9,7 @@ import pytest
 from scipy.special import roots_jacobi
 
 import mcjacobi.coeffs as coeffs_mod
+import mcjacobi.orthog as orthog
 from mcjacobi.coeffs import (
     c0_tilde,
     dim_dm,
@@ -35,7 +37,6 @@ from mcjacobi.orthog import (
 )
 from mcjacobi.params import ParamSet
 from mcjacobi.partitions import enumerate_partitions
-from mcjacobi.sympoly import evaluate_points_many
 
 TWO_PI = 2 * math.pi
 
@@ -328,11 +329,34 @@ def test_gram_matches_fsum_reference(p, points):
     assert inner_product(parts[1], parts[2], p, rule) == G[1, 2]
 
 
+def _reference_evaluate(polys, pts):
+    """Frozen whole-array evaluator at an (N, r) point array: every orbit
+    product starts from ones and multiplies in pts[:, j] ** e factor by
+    factor, every orbit sum starts from zeros.  numpy's operand order for
+    these expressions is what the column pass must reproduce bit for bit."""
+    totals = [np.zeros(pts.shape[0], dtype=complex) for _ in polys]
+    lams = set().union(*(p.terms for p in polys))
+    for lam in sorted(lams, key=lambda lam: (sum(lam), [-e for e in lam])):
+        s = np.zeros(pts.shape[0], dtype=complex)
+        for perm in sorted(set(itertools.permutations(lam))):
+            prod = np.ones(pts.shape[0], dtype=complex)
+            for j, e in enumerate(perm):
+                if e:
+                    prod = prod * pts[:, j] ** e
+            s += prod
+        for total, p in zip(totals, polys):
+            c = p.terms.get(lam)
+            if c is not None:
+                total += complex(c) * s
+    return totals
+
+
 def _whole_array_gram(params, parts, rule):
-    """Reference Gram matrix: the same expressions as _gram, over all nodes at once."""
+    """Reference Gram matrix: the frozen evaluator and ``wv * np.conj(vj)``
+    reduced by np.sum over all nodes at once."""
     pts, w = _points_weights(params, rule)
     z = np.exp(1j * pts)
-    vals = evaluate_points_many([mcj_build(tuple(m), params).body for m in parts], z)
+    vals = _reference_evaluate([mcj_build(tuple(m), params).body for m in parts], z)
     pref = c0_tilde(params).value() / TWO_PI ** float(params.n)
     G = np.empty((len(parts), len(parts)), dtype=complex)
     for i, vi in enumerate(vals):
@@ -345,10 +369,16 @@ def _whole_array_gram(params, parts, rule):
 @pytest.mark.parametrize(
     "p,points,nodes,leaves",
     [
+        # one leaf below 16,384 nodes, where numpy keeps the named operand
+        # first: 14,400 and 4,608; one leaf from 16,384 on, where it puts the
+        # temporary first: 32,768; then 2, 4 and 32 leaves (the last is the
+        # benchmark's orth-r3 input)
         (ParamSet(r=2, d=2, alpha=3, nu=0.3), 120, 14_400, 1),
         (ParamSet(r=3, d=8, alpha=13, nu=0), 32, 32_768, 1),
         (ParamSet(r=3, d=2, alpha=5, nu=0), 40, 64_000, 2),
         (ParamSet(r=3, d=Fraction(5, 2), alpha=6, nu=0.3), 24, 81_216, 4),
+        (ParamSet(r=2, d=Fraction(5, 2), alpha=3, nu=0.3), 48, 4_608, 1),
+        (ParamSet(r=3, d=1, alpha=3, nu=0.2), 48, 651_456, 32),
     ],
 )
 def test_leaf_gram_bitwise_equals_whole_array(p, points, nodes, leaves):
@@ -421,6 +451,30 @@ def test_node_budget_refused_before_assembly(capsys):
     n = math.isqrt(_NODE_BUDGET // 2) + 1
     with pytest.raises(ParameterError, match="budget"):
         _weights(p, build_rule(n, "tanh_sinh", p))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # tensor branch: 100,000^2 nodes, and roots_jacobi(100000) alone takes minutes
+        ["--r", "2", "--d", "2", "--alpha", "3", "--nu", "0", "--points", "100000"],
+        # r = 1: 3,000 nodes, but a 3,000-point Gauss-Jacobi rule costs 3,000^2
+        ["--r", "1", "--d", "2", "--alpha", "3", "--nu", "0", "--points", "3000"],
+    ],
+)
+def test_node_budget_refused_before_the_axis_rule(argv, monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("roots_jacobi called past the budget")
+
+    monkeypatch.setattr(orthog, "roots_jacobi", refuse)
+    assert run(["verify-orth", "--max-weight", "1"] + argv) == 2
+    assert "budget" in capsys.readouterr().err
+    # 2,048 points per axis is the largest Gauss-Jacobi rule within the budget
+    p = ParamSet(r=1, d=2, alpha=3, nu=0)
+    with pytest.raises(AssertionError, match="past the budget"):
+        build_rule(2048, "gauss_gegenbauer", p)
+    with pytest.raises(ParameterError, match="budget"):
+        build_rule(2049, "gauss_gegenbauer", p)
 
 
 @pytest.mark.parametrize("n", [1, 5, 32_768, 32_769, 32_775, 65_536, 100_001, 651_456, 1_545_088])

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 from math import prod
 
 import numpy as np
@@ -12,6 +12,7 @@ from mcjacobi.partitions import dominance_leq, enumerate_partitions, weight
 from mcjacobi.sympoly import (
     CSymPoly,
     SymPoly,
+    _mul,
     affine_substitute,
     evaluate_points_many,
     jack_mono,
@@ -103,11 +104,57 @@ def test_evaluate_points_many_matches_one_at_a_time(exact):
         polys.append(poly.body_exact.to_complex() if exact else poly.body)
     rng = np.random.default_rng(7)
     pts = np.exp(1j * rng.uniform(0, 2 * np.pi, (200, 3))) * rng.uniform(0.5, 1.5, (200, 3))
-    many = evaluate_points_many(polys, pts)
+    many = evaluate_points_many(polys, np.ascontiguousarray(pts.T))
     assert len(many) == len(polys)
     for poly, vals in zip(polys, many):
         assert np.array_equal(vals, poly.evaluate_points(pts))
         assert np.array_equal(vals, _evaluate_points_reference(poly, pts))
+
+
+def _points_with_signed_zeros(n, r, seed):
+    """n points in r coordinates: every r-tuple of +-1, +-i with either sign
+    of zero in the other component, and 0, then random points."""
+    special = [1, -1, 1j, -1j, complex(1, -0.0), complex(-1, -0.0),
+               complex(0.0, 1), complex(-0.0, 1), complex(-0.0, -1), complex(-0.0, -0.0)]
+    rows = np.array(list(product(special, repeat=r)), dtype=complex)
+    rng = np.random.default_rng(seed)
+    m = n - len(rows)
+    rand = np.exp(1j * rng.uniform(0, 2 * np.pi, (m, r))) * rng.uniform(0.5, 1.5, (m, r))
+    return np.concatenate([rows, rand])
+
+
+@pytest.mark.parametrize("n", [1_200, 20_000])
+@pytest.mark.parametrize("exact", [False, True])
+def test_evaluate_points_bitwise_equals_ones_start_reference(exact, n):
+    # below and above numpy's 16,384-value elision size, each power computed
+    # once and each product started from its first power must give the bits
+    # of the all-ones start, signs of zeros included
+    params = ParamSet(r=3, d=Fraction(5, 2), alpha=6, nu=0 if exact else 0.3)
+    polys = []
+    for m in enumerate_partitions(4, 3):
+        poly = mcj_build(m, params)
+        polys.append(poly.body_exact.to_complex() if exact else poly.body)
+    lams = set().union(*(poly.terms for poly in polys))
+    assert (0, 0, 0) in lams and max(max(lam) for lam in lams) >= 3
+    pts = _points_with_signed_zeros(n, 3, seed=n)
+    many = evaluate_points_many(polys, np.ascontiguousarray(pts.T))
+    for poly, vals in zip(polys, many):
+        ref = _evaluate_points_reference(poly, pts)
+        assert vals.tobytes() == ref.tobytes()
+        assert poly.evaluate_points(pts).tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("n", [16_383, 16_384, 32_768])
+def test_mul_keeps_numpys_order_for_a_fresh_temporary(n):
+    # numpy evaluates a * <temporary> as <temporary> *= a from 256 KiB on,
+    # and complex a * b and b * a differ in the last bit on about a third
+    # of the elements; _mul must match numpy's own choice either side
+    rng = np.random.default_rng(n)
+    a = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    # outside the assert: pytest's rewriting would hold a reference to it
+    fresh = a * b.copy()
+    assert _mul(a, b).tobytes() == fresh.tobytes()
 
 
 def test_jack_degree_one_and_weight_two():
