@@ -224,16 +224,9 @@ def criterion_6(quick=False) -> CriterionResult:
 def criterion_7(quick=False) -> CriterionResult:
     """Operator checks: hypergeometric ODE, rank-1 eigenrelations, Euler."""
     t0 = time.perf_counter()
-    m_ode = 5 if quick else 10
-    m_rank1 = 4 if quick else 8
-    worst_ode = worst_r1 = 0.0
-    for alpha in (1.3, 2.0, 3.5):
-        for nu in (0.0, 0.7, -0.7):
-            for m in range(m_ode + 1):
-                worst_ode = max(worst_ode, mcj.ode_residual_onevar(m, alpha, nu))
-            for m in range(m_rank1 + 1):
-                r1, r2 = mcj.rank1_operator_residuals(m, alpha, nu)
-                worst_r1 = max(worst_r1, r1, r2)
+    worst_ode, worst_r1 = mcj.worst_operator_residuals(
+        (1.3, 2.0, 3.5), (0.0, 0.7, -0.7), 5 if quick else 10, 4 if quick else 8
+    )
     euler_ok = True
     for d in (Fraction(1, 2), 1, 2, 3):
         for r in (2, 3):

@@ -131,10 +131,9 @@ def _load_config_defaults(argv: list) -> tuple:
     if "--config" not in argv:
         return argv, {}
     i = argv.index("--config")
-    try:
-        path = argv[i + 1]
-    except IndexError:
-        raise SystemExit(2)
+    if i + 1 == len(argv):
+        raise ValueError("--config needs a file path")
+    path = argv[i + 1]
     rest = argv[:i] + argv[i + 2:]
     defaults = {}
     for line in Path(path).read_text().splitlines():
@@ -248,13 +247,9 @@ def _cmd_verify_genfun(args) -> int:
 
 
 def _cmd_verify_ode(args) -> int:
-    worst_ode = worst_r1 = 0.0
-    for alpha in _floats(args.alpha_grid):
-        for nu in _floats(args.nu_grid):
-            for m in range(args.m_max + 1):
-                worst_ode = max(worst_ode, mcj.ode_residual_onevar(m, alpha, nu))
-                r1, r2 = mcj.rank1_operator_residuals(m, alpha, nu)
-                worst_r1 = max(worst_r1, r1, r2)
+    worst_ode, worst_r1 = mcj.worst_operator_residuals(
+        _floats(args.alpha_grid), _floats(args.nu_grid), args.m_max, args.m_max
+    )
     ok = worst_ode <= args.tol and worst_r1 <= args.tol_rank1
     print(
         f"{'pass' if ok else 'FAIL'} operator residuals: ode {worst_ode:.3e} "
@@ -384,13 +379,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: list) -> int:
-    argv, defaults = _load_config_defaults(list(argv))
-    ap = build_parser()
-    if defaults:
+    try:
+        argv, defaults = _load_config_defaults(list(argv))
+        ap = build_parser()
         for action in ap._subparsers._group_actions[0].choices.values():  # type: ignore[union-attr]
             known = {a.dest for a in action._actions}
             action.set_defaults(**{k: v for k, v in defaults.items() if k in known})
-    try:
         args = ap.parse_args(argv)
         return args.fn(args)
     except McjError as exc:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-Liftable = Union[int, float, Fraction, complex, "QComplex"]
+Liftable = Union[int, float, Fraction, "QComplex"]
 
 
 @dataclass(frozen=True)
@@ -24,24 +24,17 @@ class QComplex:
     def lift(x: Liftable) -> "QComplex":
         if isinstance(x, QComplex):
             return x
-        if isinstance(x, complex):
-            return QComplex(Fraction(x.real), Fraction(x.imag))
         return QComplex(Fraction(x), Fraction(0))
 
     def __add__(self, other):
         o = QComplex.lift(other)
         return QComplex(self.re + o.re, self.im + o.im)
 
-    __radd__ = __add__
-
     def __neg__(self):
         return QComplex(-self.re, -self.im)
 
     def __sub__(self, other):
         return self + (-QComplex.lift(other))
-
-    def __rsub__(self, other):
-        return QComplex.lift(other) + (-self)
 
     def __mul__(self, other):
         o = QComplex.lift(other)
@@ -59,14 +52,8 @@ class QComplex:
             (self.im * o.re - self.re * o.im) / den,
         )
 
-    def __rtruediv__(self, other):
-        return QComplex.lift(other) / self
-
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
-
-    def conjugate(self) -> "QComplex":
-        return QComplex(self.re, -self.im)
 
     def abs_float(self) -> float:
         return abs(complex(float(self.re), float(self.im)))

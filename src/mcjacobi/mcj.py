@@ -25,7 +25,7 @@ import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, factorial
 from typing import Optional, Sequence
 
 import numpy as np
@@ -176,27 +176,55 @@ def mcj_build(m: tuple, params: ParamSet) -> MCJPolynomial:
     return MCJPolynomial(mm, params, body, None)
 
 
+def _rank1_series(m: int, b, c, one) -> list:
+    """The terms (-1)^k C(m,k) (b)_k / (c)_k, k = 0..m, of the one-variable
+    terminating series
+
+        (c)_m / m! sum_k (-1)^k C(m,k) (b)_k / (c)_k x^k
+
+    behind ``cj1_eval``, ``mp1_eval``, ``PsiFunction``, the rank-1 Laguerre
+    polynomial and the one-variable ODE; each caller supplies its own
+    prefactor and powers.  ``one`` fixes the scalar type (complex, Fraction
+    or QComplex) and ``b = None`` drops the numerator.  A term is
+    ``(-1)**k * comb(m, k) * num / den`` in that order, which the float
+    callers' rounding depends on.
+    """
+    for t in range(m):
+        if c + t == 0:
+            raise ParameterError(
+                f"the rank-1 series denominator (c)_k vanishes at c = {c}, k = {t + 1}"
+            )
+    terms = []
+    num = den = one
+    for k in range(m + 1):
+        terms.append((-1) ** k * comb(m, k) * num / den)
+        if b is not None:
+            num *= b + k
+        den *= c + k
+    return terms
+
+
+def _rank1_coeffs(m: int, a: Fraction, b, one, scale: int) -> list:
+    """The exact coefficients (a)_m / m! scale^k (-1)^k C(m,k) (b)_k / (a)_k,
+    k = 0..m, of ``_rank1_series`` with c = a."""
+    pref = coeffs.rising(a, m) / factorial(m)
+    return [pref * scale**k * t for k, t in enumerate(_rank1_series(m, b, a, one))]
+
+
 def cj1_eval(m: int, alpha: float, nu: float, sigma: complex) -> complex:
     """One-variable circular Jacobi value, as the terminating sum
 
         (alpha)_m / m! sum_k (-1)^k C(m,k) ((alpha+1)/2 + i nu)_k / (alpha)_k (1-sigma)^k.
     """
-    for t in range(m):
-        if alpha + t == 0:
-            raise ParameterError(f"(alpha)_k vanishes at alpha = {alpha}, k = {t + 1}")
-    b = 0.5 * (alpha + 1) + 1j * nu
+    terms = _rank1_series(m, 0.5 * (alpha + 1) + 1j * nu, alpha, 1.0 + 0j)
     pref = 1.0
     for t in range(m):
         pref *= (alpha + t) / (t + 1)
     total = 0j
-    num = 1.0 + 0j
-    den = 1.0 + 0j
     one_minus = 1 - sigma
     power = 1.0 + 0j
-    for k in range(m + 1):
-        total += (-1) ** k * comb(m, k) * num / den * power
-        num *= b + k
-        den *= alpha + k
+    for term in terms:
+        total += term * power
         power *= one_minus
     return pref * total
 
@@ -289,17 +317,7 @@ class PsiFunction:
     def build(m: int, alpha: float, nu: float) -> "PsiFunction":
         a = Fraction(alpha)
         beta = QComplex((a + 1) / 2, Fraction(nu))
-        pref = QC_ONE
-        for tt in range(m):
-            pref = pref * QComplex(Fraction(a + tt) / (tt + 1), Fraction(0))
-        terms = {}
-        num = QC_ONE
-        den = QC_ONE
-        for k in range(m + 1):
-            c = pref * ((-1) ** k * comb(m, k)) * (2**k) * num / den
-            terms[k] = c
-            num = num * (beta + k)
-            den = den * QComplex(a + k, Fraction(0))
+        terms = dict(enumerate(_rank1_coeffs(m, a, beta, QC_ONE, 2)))
         return PsiFunction(m, alpha, nu, beta, terms)
 
     def eval(self, t: float) -> complex:
@@ -313,20 +331,6 @@ class PsiFunction:
 # ---------------------------------------------------------------------------
 # operator residuals (all exact)
 # ---------------------------------------------------------------------------
-
-
-def _laguerre1_coeffs(m: int, alpha: Fraction) -> list:
-    """Exact coefficients of L_m^{(alpha-1)}(2u) in powers of u."""
-    pref = Fraction(1)
-    for t in range(m):
-        pref *= Fraction(alpha + t, t + 1)
-    out = []
-    den = Fraction(1)  # (alpha)_k
-    for k in range(m + 1):
-        if k > 0:
-            den *= alpha + (k - 1)
-        out.append(pref * (-1) ** k * comb(m, k) * Fraction(2) ** k / den)
-    return out
 
 
 def rank1_operator_residuals(m: int, alpha: float, nu: float):
@@ -348,8 +352,9 @@ def rank1_operator_residuals(m: int, alpha: float, nu: float):
     a = Fraction(alpha)
     nu_f = Fraction(nu)
 
-    # Laguerre side, exact rational polynomial algebra in u
-    p = _laguerre1_coeffs(m, a)
+    # Laguerre side, exact rational polynomial algebra in u: the coefficients
+    # of L_m^{(alpha-1)}(2u) in powers of u
+    p = _rank1_coeffs(m, a, None, Fraction(1), 2)
 
     def dcoef(c):  # derivative
         return [c[k] * k for k in range(1, len(c))]
@@ -411,20 +416,12 @@ def ode_residual_onevar(m: int, alpha: float, nu: float) -> float:
     """
     a = Fraction(alpha)
     b1 = QComplex((a + 1) / 2, Fraction(nu))
-    pref = QC_ONE
-    for t in range(m):
-        pref = pref * QComplex(Fraction(a + t) / (t + 1), Fraction(0))
 
     # expand sum_k a_k (1-sigma)^k into the power basis
     p = [QC_ZERO] * (m + 1)
-    num = QC_ONE
-    den = QC_ONE
-    for k in range(m + 1):
-        a_k = pref * ((-1) ** k * comb(m, k)) * num / den
+    for k, a_k in enumerate(_rank1_coeffs(m, a, b1, QC_ONE, 1)):
         for t in range(k + 1):
             p[t] = p[t] + a_k * ((-1) ** t * comb(k, t))
-        num = num * (b1 + k)
-        den = den * QComplex(a + k, Fraction(0))
 
     def deriv(c):
         return [c[k] * k for k in range(1, len(c))]
@@ -444,6 +441,26 @@ def ode_residual_onevar(m: int, alpha: float, nu: float) -> float:
     for k, c in enumerate(p):  # + m b1 p
         res[k] = res[k] + c * b1 * m
     return max((c.abs_float() for c in res), default=0.0)
+
+
+def worst_operator_residuals(
+    alphas: Sequence[float], nus: Sequence[float], m_ode: int, m_rank1: int
+) -> tuple:
+    """The largest ``ode_residual_onevar`` over m <= m_ode and the largest
+    ``rank1_operator_residuals`` entry over m <= m_rank1, on the (alpha, nu)
+    grid; for each m the ODE is checked before the rank-1 relations.
+
+    Returns (worst_ode, worst_rank1).
+    """
+    worst_ode = worst_r1 = 0.0
+    for alpha in alphas:
+        for nu in nus:
+            for m in range(max(m_ode, m_rank1) + 1):
+                if m <= m_ode:
+                    worst_ode = max(worst_ode, ode_residual_onevar(m, alpha, nu))
+                if m <= m_rank1:
+                    worst_r1 = max(worst_r1, *rank1_operator_residuals(m, alpha, nu))
+    return worst_ode, worst_r1
 
 
 def euler_residual(m: Sequence[int], params: ParamSet) -> Fraction:
@@ -766,15 +783,10 @@ def mp1_eval(m: int, lam: float, s: complex, phi_angle: float) -> complex:
     pref = cmath.exp(1j * m * phi_angle)
     for t in range(m):
         pref *= (2 * lam + t) / (t + 1)
-    base = lam + 1j * s
     x = 1 - cmath.exp(-2j * phi_angle)
     total = 0j
-    num = 1.0 + 0j
-    den = 1.0 + 0j
     power = 1.0 + 0j
-    for k in range(m + 1):
-        total += (-1) ** k * comb(m, k) * num / den * power
-        num *= base + k
-        den *= 2 * lam + k
+    for term in _rank1_series(m, lam + 1j * s, 2 * lam, 1.0 + 0j):
+        total += term * power
         power *= x
     return pref * total

@@ -134,7 +134,6 @@ class QuadratureRule:
     s: float
     nodes: np.ndarray
     weights: np.ndarray
-    meta: dict = field(default_factory=dict)
 
 
 def _tanh_sinh_axis(n: int, s: float) -> tuple:
@@ -159,7 +158,7 @@ def _tanh_sinh_axis(n: int, s: float) -> tuple:
     # keep nodes strictly inside (0, 2 pi); extreme nodes round onto the
     # boundary but their mass is real, so nudge instead of dropping
     theta = np.clip(theta[good], np.nextafter(0.0, 1.0), np.nextafter(TWO_PI, 0.0))
-    return theta, w[good], {"T": T, "h": h}
+    return theta, w[good]
 
 
 def _gegenbauer_axis(n: int, s: float) -> tuple:
@@ -169,7 +168,7 @@ def _gegenbauer_axis(n: int, s: float) -> tuple:
     x, w = roots_jacobi(n, s - 0.5, s - 0.5)
     theta = 2.0 * np.arccos(x[::-1])
     weights = 2.0 ** (2.0 * s + 1.0) * w[::-1]
-    return theta, weights, {}
+    return theta, weights
 
 
 def resolve_rule_kind(params: ParamSet, kind: str = "auto") -> str:
@@ -212,12 +211,12 @@ def build_rule(points_per_axis: int, kind: str, params: ParamSet) -> QuadratureR
     kind = resolve_rule_kind(params, kind)
     s = _axis_exponent(params)
     if kind == "tanh_sinh":
-        nodes, weights, meta = _tanh_sinh_axis(points_per_axis, s)
+        nodes, weights = _tanh_sinh_axis(points_per_axis, s)
     elif kind == "gauss_gegenbauer":
-        nodes, weights, meta = _gegenbauer_axis(points_per_axis, s)
+        nodes, weights = _gegenbauer_axis(points_per_axis, s)
     else:
         raise ParameterError(f"unknown rule kind: {kind}")
-    return QuadratureRule(kind, points_per_axis, s, nodes, weights, meta)
+    return QuadratureRule(kind, points_per_axis, s, nodes, weights)
 
 
 # ---------------------------------------------------------------------------

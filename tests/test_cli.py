@@ -227,6 +227,9 @@ def test_eval_psi_vanishing_pochhammer_exits_2(child_env):
         (["conjecture-sweep", "--nu", ",", "--max-weight", "1"], "need at least one value"),
         (["verify-ode", "--m-max", "2", "--alpha-grid", ","], "need at least one value"),
         (["verify-ode", "--m-max", "2", "--nu-grid", ""], "need at least one value"),
+        (["verify-ode", "--m-max", "3", "--alpha-grid", "0"], "(c)_k vanishes at c = 0"),
+        (["--config", "no-such-dir/missing.cfg", "selftest", "--quick"], "missing.cfg"),
+        (["--config"], "--config needs a file path"),
     ],
 )
 def test_non_finite_input_exits_2(child_env, argv, message):

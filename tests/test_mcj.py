@@ -1,6 +1,7 @@
 import cmath
 import math
 from fractions import Fraction
+from math import comb
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ import mcjacobi.coeffs as coeffs
 import mcjacobi.mcj as mcj
 from mcjacobi.coeffs import dim_dm, gen_binom, gen_pochhammer
 from mcjacobi.errors import ParameterError, VandermondeZeroError
+from mcjacobi.exact import QC_ONE, QComplex
 from mcjacobi.mcj import (
     PsiFunction,
     cauchy_kernel_det,
@@ -497,3 +499,154 @@ def test_mp1_circular_jacobi_bridge():
         v1 = cj1_eval(m, alpha, nu, cmath.exp(1j * th))
         v2 = cmath.exp(1j * m * th / 2) * mp1_eval(m, alpha / 2, nu - 0.5j, -th / 2)
         assert abs(v1 - v2) <= 1e-12 * (1 + abs(v1))
+
+
+# ---------------------------------------------------------------- rank-1 series
+#
+# Frozen copies of the five hand-rolled loops that ``mcj._rank1_series``
+# replaced: the oracles of its float bits and of its exact coefficients.
+
+
+def _cj1_eval_loop(m, alpha, nu, sigma):
+    for t in range(m):
+        if alpha + t == 0:
+            raise ParameterError(f"(alpha)_k vanishes at alpha = {alpha}, k = {t + 1}")
+    b = 0.5 * (alpha + 1) + 1j * nu
+    pref = 1.0
+    for t in range(m):
+        pref *= (alpha + t) / (t + 1)
+    total = 0j
+    num = 1.0 + 0j
+    den = 1.0 + 0j
+    one_minus = 1 - sigma
+    power = 1.0 + 0j
+    for k in range(m + 1):
+        total += (-1) ** k * comb(m, k) * num / den * power
+        num *= b + k
+        den *= alpha + k
+        power *= one_minus
+    return pref * total
+
+
+def _mp1_eval_loop(m, lam, s, phi_angle):
+    pref = cmath.exp(1j * m * phi_angle)
+    for t in range(m):
+        pref *= (2 * lam + t) / (t + 1)
+    base = lam + 1j * s
+    x = 1 - cmath.exp(-2j * phi_angle)
+    total = 0j
+    num = 1.0 + 0j
+    den = 1.0 + 0j
+    power = 1.0 + 0j
+    for k in range(m + 1):
+        total += (-1) ** k * comb(m, k) * num / den * power
+        num *= base + k
+        den *= 2 * lam + k
+        power *= x
+    return pref * total
+
+
+def _psi_coeffs_loop(m, alpha, nu):
+    a = Fraction(alpha)
+    beta = QComplex((a + 1) / 2, Fraction(nu))
+    pref = QC_ONE
+    for tt in range(m):
+        pref = pref * QComplex(Fraction(a + tt) / (tt + 1), Fraction(0))
+    terms = {}
+    num = QC_ONE
+    den = QC_ONE
+    for k in range(m + 1):
+        c = pref * ((-1) ** k * comb(m, k)) * (2**k) * num / den
+        terms[k] = c
+        num = num * (beta + k)
+        den = den * QComplex(a + k, Fraction(0))
+    return terms
+
+
+def _laguerre1_coeffs_loop(m, alpha):
+    pref = Fraction(1)
+    for t in range(m):
+        pref *= Fraction(alpha + t, t + 1)
+    out = []
+    den = Fraction(1)  # (alpha)_k
+    for k in range(m + 1):
+        if k > 0:
+            den *= alpha + (k - 1)
+        out.append(pref * (-1) ** k * comb(m, k) * Fraction(2) ** k / den)
+    return out
+
+
+def _ode_coeffs_loop(m, alpha, nu):
+    """The coefficients a_k of sum_k a_k (1 - sigma)^k in ``ode_residual_onevar``."""
+    a = Fraction(alpha)
+    b1 = QComplex((a + 1) / 2, Fraction(nu))
+    pref = QC_ONE
+    for t in range(m):
+        pref = pref * QComplex(Fraction(a + t) / (t + 1), Fraction(0))
+    out = []
+    num = QC_ONE
+    den = QC_ONE
+    for k in range(m + 1):
+        out.append(pref * ((-1) ** k * comb(m, k)) * num / den)
+        num = num * (b1 + k)
+        den = den * QComplex(a + k, Fraction(0))
+    return out
+
+
+def _bits(values):
+    return np.array(values, dtype=complex).tobytes()
+
+
+def test_cj1_eval_bitwise_equals_loop():
+    rng = np.random.Generator(np.random.Philox(key=11))
+    live, frozen = [], []
+    for _ in range(3000):
+        m = int(rng.integers(0, 15))
+        alpha = float(rng.uniform(-3.0, 6.0))
+        nu = float(rng.uniform(-1.5, 1.5))
+        if rng.random() < 0.5:
+            sigma = cmath.exp(1j * float(rng.uniform(0.0, 2 * math.pi)))
+        else:
+            sigma = complex(*rng.normal(size=2))
+        live.append(cj1_eval(m, alpha, nu, sigma))
+        frozen.append(_cj1_eval_loop(m, alpha, nu, sigma))
+    assert _bits(live) == _bits(frozen)
+
+
+def test_mp1_eval_bitwise_equals_loop():
+    rng = np.random.Generator(np.random.Philox(key=12))
+    live, frozen = [], []
+    for _ in range(3000):
+        m = int(rng.integers(0, 15))
+        lam = float(rng.uniform(0.1, 3.0))
+        s = complex(float(rng.uniform(-1.5, 1.5)), float(rng.choice([0.0, -0.5])))
+        phi = float(rng.uniform(-math.pi, math.pi))
+        live.append(mp1_eval(m, lam, s, phi))
+        frozen.append(_mp1_eval_loop(m, lam, s, phi))
+    assert _bits(live) == _bits(frozen)
+
+
+@pytest.mark.parametrize("alpha", [1.3, 2.0, 3.5])
+@pytest.mark.parametrize("nu", [0.0, 0.7, -0.7])
+def test_exact_rank1_coefficients_equal_loops(alpha, nu):
+    a = Fraction(alpha)
+    b1 = QComplex((a + 1) / 2, Fraction(nu))
+    for m in range(11):
+        assert PsiFunction.build(m, alpha, nu).coeffs == _psi_coeffs_loop(m, alpha, nu)
+        assert mcj._rank1_coeffs(m, a, None, Fraction(1), 2) == _laguerre1_coeffs_loop(m, a)
+        assert mcj._rank1_coeffs(m, a, b1, QC_ONE, 1) == _ode_coeffs_loop(m, alpha, nu)
+
+
+def test_rank1_series_vanishing_denominator():
+    # each of these divided by zero before the shared guard
+    with pytest.raises(ParameterError):
+        mp1_eval(2, 0.0, 0.3, 0.4)
+    with pytest.raises(ParameterError):
+        PsiFunction.build(1, 0.0, 0.2)
+    with pytest.raises(ParameterError):
+        ode_residual_onevar(3, -2.0, 0.0)
+    with pytest.raises(ParameterError):
+        rank1_operator_residuals(1, 0.0, 0.0)
+    # (c)_k with k < m never reaches c + m, and m = 0 has no denominator
+    assert mcj._rank1_series(2, None, -2, Fraction(1)) == [1, 1, Fraction(1, 2)]
+    assert ode_residual_onevar(0, 0.0, 0.0) == 0.0
