@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from typing import Optional, Sequence, Union
 
 from scipy.special import loggamma
@@ -25,9 +26,20 @@ from .sympoly import SymPoly, spherical_poly
 TWO_PI = 2.0 * math.pi
 
 
+def _rising_num(n: int, q: int, k: int) -> int:
+    """The integer numerator n (n + q) ... (n + (k-1) q) of (n/q)_k q^k."""
+    out = 1
+    for t in range(k):
+        out *= n + t * q
+    return out
+
+
 def rising(x, k: int):
-    """Rising factorial x (x+1) ... (x+k-1); exact for exact x."""
-    out = x * 0 + 1 if not isinstance(x, (int, Fraction)) else Fraction(1)
+    """Rising factorial x (x+1) ... (x+k-1); exact for exact x = n/q, as one
+    Fraction of the integer product n (n + q) ... (n + (k-1) q) over q^k."""
+    if isinstance(x, (int, Fraction)):
+        return Fraction(_rising_num(x.numerator, x.denominator, k), x.denominator**k)
+    out = x * 0 + 1
     for t in range(k):
         out = out * (x + t)
     return out
@@ -48,12 +60,20 @@ def gen_pochhammer(s, m: Sequence[int], params: ParamSet):
     """
     mm = pad(m, params.r)
     sv = _broadcast(s, params.r)
-    exact = all(isinstance(x, (int, Fraction)) for x in sv)
-    out = Fraction(1) if exact else 1.0 + 0j
+    if all(isinstance(x, (int, Fraction)) for x in sv):
+        # s_j - (d/2) j = (s_n 2 d_q - s_q d_n j) / (s_q 2 d_q): one integer
+        # numerator and one integer denominator across every factor
+        d_n, d_q = params.d.numerator, 2 * params.d.denominator
+        num = den = 1
+        for j in range(params.r):
+            s_n, s_q = sv[j].numerator, sv[j].denominator
+            q = s_q * d_q
+            num *= _rising_num(s_n * d_q - s_q * d_n * j, q, mm[j])
+            den *= q ** mm[j]
+        return Fraction(num, den)
+    out = 1.0 + 0j
     for j in range(params.r):
-        shift = params.d / 2 * j
-        base = sv[j] - (shift if exact else float(shift))
-        out = out * rising(base, mm[j])
+        out = out * rising(sv[j] - float(params.d / 2 * j), mm[j])
     return out
 
 
@@ -83,35 +103,16 @@ def dim_dm(m: Sequence[int], params: ParamSet) -> Fraction:
     rational d > 0.
     """
     mm = pad(m, params.r)
-    d2 = params.d / 2
-    out = Fraction(1)
+    a, b = params.d.numerator, 2 * params.d.denominator  # d/2 = a/b
+    num = den = 1
     for p in range(params.r):
         for q in range(p + 1, params.r):
             g = q - p
             k = mm[p] - mm[q]
-            out *= (k + d2 * g) / (d2 * g)
-            out *= rising(d2 * (g + 1), k)
-            out /= rising(d2 * (g - 1) + 1, k)
-    return out
-
-
-def _dim_dm_gamma(m: Sequence[int], params: ParamSet) -> float:
-    """Floating cross-check of dim_dm via the explicit Gamma-product form."""
-    mm = pad(m, params.r)
-    d2 = float(params.d) / 2
-    lg = math.lgamma
-    acc = 0.0
-    for j in range(1, params.r + 1):
-        acc += lg(d2) - lg(d2 * j) - lg(d2 * (j - 1) + 1)
-    val = math.exp(acc)
-    for p in range(params.r):
-        for q in range(p + 1, params.r):
-            g = q - p
-            k = mm[p] - mm[q]
-            val *= (k + d2 * g) * math.exp(
-                lg(k + d2 * (g + 1)) - lg(k + d2 * (g - 1) + 1)
-            )
-    return val
+            # the b^k of the two rising factorials cancel
+            num *= (k * b + a * g) * _rising_num(a * (g + 1), b, k)
+            den *= a * g * _rising_num(a * (g - 1) + b, b, k)
+    return Fraction(num, den)
 
 
 @dataclass(frozen=True)
@@ -184,33 +185,44 @@ def _one_box(m: tuple, d: Fraction, r: int) -> list:
     return peeled
 
 
+def _sum_products(steps: list) -> tuple:
+    """The keyed sums  sum_j b_j c_j[key]  over steps [(b_j, c_j), ...] of a
+    Fraction b_j and a dict c_j of Fractions, as (den, {key: numerator}):
+    integer numerators over the lcm den of the products' denominators, keys
+    in order of first appearance."""
+    den = lcm(*(b.denominator * c.denominator for b, cs in steps for c in cs.values()))
+    acc: dict = {}
+    for b, cs in steps:
+        for key, c in cs.items():
+            scale = den // (b.denominator * c.denominator)
+            acc[key] = acc.get(key, 0) + b.numerator * c.numerator * scale
+    return den, acc
+
+
 @lru_cache(maxsize=1024)
 def _binom_row(m: tuple, d: Fraction, r: int) -> dict:
     """Coefficients of Phi_k in the expansion of Phi_m(1 + x), all k.
 
     One-box recursion (Lassalle 1990; Dumitriu, Edelman & Shuman 2007):
         (|m| - |k|) binom(m,k) = sum_i binom(m, m - e_i) binom(m - e_i, k),
-    with binom(m, m) = 1.
+    with binom(m, m) = 1.  The right-hand side is summed by ``_sum_products``.
     """
-    acc: dict = {}
-    for kappa, b in _one_box(m, d, r):
-        for k, v in _binom_row(kappa, d, r).items():
-            acc[k] = acc.get(k, 0) + b * v
+    den, acc = _sum_products([(b, _binom_row(kappa, d, r)) for kappa, b in _one_box(m, d, r)])
     w = weight(m)
     row = {m: Fraction(1)}
-    row.update((k, v / (w - weight(k))) for k, v in acc.items() if v)
+    row.update((k, Fraction(v, den * (w - weight(k)))) for k, v in acc.items() if v)
     return row
 
 
 @lru_cache(maxsize=1024)
 def _phi_one_plus(m: tuple, d: Fraction, r: int) -> SymPoly:
     """Phi_m(1 + x) = sum_k binom(m,k) Phi_k(x), exact; shared by the
-    circular-Jacobi family through ``_phi_one_minus``."""
-    terms: dict = {}
-    for k, b in _binom_row(m, d, r).items():
-        for lam, c in spherical_poly(k, d, r).terms.items():
-            terms[lam] = terms.get(lam, 0) + b * c
-    return SymPoly(r, terms)
+    circular-Jacobi family through ``_phi_one_minus``; summed by
+    ``_sum_products``."""
+    den, terms = _sum_products(
+        [(b, spherical_poly(k, d, r).terms) for k, b in _binom_row(m, d, r).items()]
+    )
+    return SymPoly(r, {lam: Fraction(v, den) for lam, v in terms.items()})
 
 
 def _phi_one_minus(m: tuple, d: Fraction, r: int) -> dict:

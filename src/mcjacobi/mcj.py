@@ -25,7 +25,7 @@ import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, lcm
 from typing import Optional, Sequence
 
 import numpy as np
@@ -89,9 +89,13 @@ def _k_table(k: tuple, params: ParamSet, scalar: type) -> tuple:
 @lru_cache(maxsize=4096)
 def _phi_table(k: tuple, d: Fraction, r: int, shifted: bool, scalar: type) -> tuple:
     """The monomial terms of Phi_k(1 - sigma) when ``shifted``, of Phi_k
-    otherwise, as (lambda, coefficient) pairs in the scalar type."""
+    otherwise, as (den, ((lambda, value), ...)): exact terms are integer
+    numerators over their lcm den, complex terms are the values over den = 1."""
     phi = coeffs._phi_one_minus(k, d, r) if shifted else spherical_poly(k, d, r).terms
-    return tuple((lam, scalar(c)) for lam, c in phi.items())
+    if scalar is complex:
+        return 1, tuple((lam, complex(c)) for lam, c in phi.items())
+    den = lcm(*(c.denominator for c in phi.values()))
+    return den, tuple((lam, c.numerator * (den // c.denominator)) for lam, c in phi.items())
 
 
 def _family_body(
@@ -108,6 +112,12 @@ def _family_body(
     doubles (``CSymPoly``) otherwise.  Every factor is read from the bounded
     tables ``_m_table``, ``_k_table`` and ``_phi_table``; (alpha)_m is the
     k = m entry of ``_k_table``.
+
+    An exact body is accumulated in integers: with E_k the denominator of
+    the k-th coefficient times that of its Phi table and L the lcm of the
+    E_k, each term adds numerator * (L / E_k) * c, and each monomial's sum
+    becomes one Fraction over L.  A partial sum is zero exactly when the
+    rational one is, so the terms keep the key order of rational sums.
     """
     r = params.r
     mm = pad(m, r)
@@ -115,7 +125,7 @@ def _family_body(
     scalar = Fraction if exact else complex
     dim, nr_poch, row = _m_table(mm, params.d, r, scalar)
     pref = dim * _k_table(mm, params, scalar)[2] / nr_poch
-    terms: dict = {}
+    steps = []
     for k, b in row:
         sign, beta_k, alpha_k = _k_table(k, params, scalar)
         # complex coefficients are ((pref * sign * b) * (beta)_k) / (alpha)_k
@@ -125,13 +135,24 @@ def _family_body(
         if beta:
             coef = coef * beta_k
         coef = coef / alpha_k
-        for lam, c in _phi_table(k, params.d, r, shifted, scalar):
+        steps.append((coef, _phi_table(k, params.d, r, shifted, scalar)))
+    if exact:
+        den = lcm(*(coef.denominator * phi_den for coef, (phi_den, _) in steps))
+        steps = [
+            (coef.numerator * (den // (coef.denominator * phi_den)), (phi_den, phi))
+            for coef, (phi_den, phi) in steps
+        ]
+    terms: dict = {}
+    for coef, (_, phi) in steps:
+        for lam, c in phi:
             v = terms.get(lam, 0) + c * coef
             if v == 0:
                 terms.pop(lam, None)
             else:
                 terms[lam] = v
-    return (SymPoly if exact else CSymPoly)(r, terms)
+    if exact:
+        return SymPoly(r, {lam: Fraction(v, den) for lam, v in terms.items()})
+    return CSymPoly(r, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -450,8 +471,11 @@ def worst_operator_residuals(
     ``rank1_operator_residuals`` entry over m <= m_rank1, on the (alpha, nu)
     grid; for each m the ODE is checked before the rank-1 relations.
 
-    Returns (worst_ode, worst_rank1).
+    Returns (worst_ode, worst_rank1).  A negative degree bound would check
+    nothing, so it is refused.
     """
+    if min(m_ode, m_rank1) < 0:
+        raise ParameterError(f"need a degree bound m >= 0, got {min(m_ode, m_rank1)}")
     worst_ode = worst_r1 = 0.0
     for alpha in alphas:
         for nu in nus:

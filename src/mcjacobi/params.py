@@ -54,6 +54,9 @@ class ParamSet:
                 raise ValueError(f"{name} must be finite, got {value!r}")
         if isinstance(self.alpha, Fraction) and self.alpha.denominator == 1:
             object.__setattr__(self, "alpha", int(self.alpha))
+        # hashed once: the factor tables look a ParamSet up per k, and hashing
+        # its Fraction d each time costs as much as the lookup
+        object.__setattr__(self, "_hash", hash(self._key()))
 
     @property
     def n(self) -> Fraction:
@@ -82,7 +85,7 @@ class ParamSet:
         return self._key() == other._key()
 
     def __hash__(self):
-        return hash(self._key())
+        return self._hash
 
     @property
     def alpha_is_exact(self) -> bool:

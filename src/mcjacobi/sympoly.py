@@ -25,7 +25,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
-from math import comb
+from math import comb, lcm
 from typing import Sequence, Union
 
 import numpy as np
@@ -358,10 +358,13 @@ def affine_substitute(p: AnyPoly, a: AnyCoef, b: AnyCoef) -> AnyPoly:
 # ---------------------------------------------------------------------------
 
 
-def _lb_eigenvalue(lam: tuple, alpha: Fraction, r: int) -> Fraction:
-    return sum(
-        (Fraction(li) * (alpha * (li - 1) / 2 + (r - 1 - idx)) for idx, li in enumerate(lam)),
-        start=Fraction(0),
+def _lb_parts(lam: tuple, r: int) -> tuple:
+    """The integers (A, B) of the eigenvalue e_lam = (alpha/2) A + B of the
+    deformed Laplace-Beltrami operator on m_lam:
+        A = sum_i lam_i (lam_i - 1),   B = sum_i lam_i (r - 1 - i)."""
+    return (
+        sum(li * (li - 1) for li in lam),
+        sum(li * (r - 1 - i) for i, li in enumerate(lam)),
     )
 
 
@@ -380,16 +383,23 @@ def _jack_terms(m: tuple, alpha: Fraction, r: int) -> tuple:
         nu = sort(mu + t e_i - t e_j),
     where every nu dominates mu, so it comes earlier in the order and its
     coefficient (0 if unset) is already known.
+
+    With alpha/2 = p/q, e_m - e_mu = (p (A_m - A_mu) + q (B_m - B_mu)) / q in
+    the integers of ``_lb_parts``, and the right-hand side is summed as
+    integer numerators over the lcm of the c_nu denominators, so each
+    coefficient is one division.
     """
     w = weight(m)
-    e_m = _lb_eigenvalue(m, alpha, r)
+    half = alpha / 2
+    p, q = half.numerator, half.denominator
+    a_m, b_m = _lb_parts(m, r)
     coefs = {m: Fraction(1)}
-    order = (pad(p, r) for p in _parts_desc(w, w, r))
+    order = (pad(lam, r) for lam in _parts_desc(w, w, r))
     for mu in order:  # skip to m: the coefficients above it vanish
         if mu == m:
             break
     for mu in order:
-        num = Fraction(0)
+        pairs = []
         for i in range(r):
             for j in range(i + 1, r):
                 for t in range(1, mu[j] + 1):
@@ -398,9 +408,12 @@ def _jack_terms(m: tuple, alpha: Fraction, r: int) -> tuple:
                     nu[j] -= t
                     c_nu = coefs.get(tuple(sorted(nu, reverse=True)))
                     if c_nu:
-                        num += (mu[i] - mu[j] + 2 * t) * c_nu
+                        pairs.append((mu[i] - mu[j] + 2 * t, c_nu))
+        den = lcm(*(c.denominator for _, c in pairs))
+        num = sum(f * c.numerator * (den // c.denominator) for f, c in pairs)
         if num:
-            coefs[mu] = num / (e_m - _lb_eigenvalue(mu, alpha, r))
+            a_mu, b_mu = _lb_parts(mu, r)
+            coefs[mu] = Fraction(num * q, den * (p * (a_m - a_mu) + q * (b_m - b_mu)))
     return tuple(sorted(coefs.items(), key=lambda kv: _sort_key(kv[0])))
 
 

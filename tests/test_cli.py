@@ -140,6 +140,15 @@ def test_verify_ode(capsys):
     assert run(["verify-ode", "--m-max", "4"]) == 0
 
 
+def test_verify_ode_with_negative_m_max_exits_2(capsys):
+    # range(m_max + 1) is empty: nothing would be checked
+    assert run(["verify-ode", "--m-max", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert "degree bound m >= 0" in captured.err
+    assert "pass" not in captured.out
+    assert run(["verify-ode", "--m-max", "0"]) == 0
+
+
 def test_conjecture_sweep_cli(tmp_path, capsys):
     out = tmp_path / "sweep.json"
     code = run(["conjecture-sweep", "--r", "2", "--d", "5/2", "--alpha", "3",

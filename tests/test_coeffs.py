@@ -11,7 +11,6 @@ from scipy.special import gamma as scipy_gamma
 import mcjacobi.coeffs as coeffs
 import mcjacobi.sympoly as sympoly
 from mcjacobi.coeffs import (
-    _dim_dm_gamma,
     _phi_one_minus,
     c0_tilde,
     dim_dm,
@@ -26,7 +25,7 @@ from mcjacobi.coeffs import (
 )
 from mcjacobi.errors import GammaPoleError, InvariantError, ParameterError
 from mcjacobi.params import ParamSet
-from mcjacobi.partitions import contains, enumerate_partitions, weight
+from mcjacobi.partitions import contains, enumerate_partitions, pad, weight
 from mcjacobi.sympoly import affine_substitute, jack_mono, schur, spherical_poly
 
 P22 = ParamSet(r=2, d=2, alpha=3, nu=0.5)
@@ -44,6 +43,19 @@ def test_paramset_derived():
         ParamSet(r=0, d=1)
     with pytest.raises(ValueError):
         ParamSet(r=1, d=0)
+
+
+def test_paramset_hash_is_computed_once(monkeypatch):
+    a = ParamSet(r=3, d=Fraction(5, 2), alpha=Fraction(7, 2), nu=0.3)
+    assert a == a.with_(nu=0.3) and hash(a) == hash(a.with_(nu=0.3)) == hash(a._key())
+    assert a.with_(alpha=3) == a.with_(alpha=Fraction(6, 2))
+    assert a.with_(alpha=3) != a.with_(alpha=3.0)  # an exact alpha builds exact bodies
+    # the factor tables hash a ParamSet per lookup; it must not rehash its key
+    calls = []
+    key = ParamSet._key
+    monkeypatch.setattr(ParamSet, "_key", lambda self: calls.append(1) or key(self))
+    hash(a), hash(a)
+    assert not calls
 
 
 @pytest.mark.parametrize(
@@ -86,6 +98,25 @@ def test_gamma_omega_examples():
     assert abs(a - b) < 1e-13
     with pytest.raises(GammaPoleError):
         gamma_omega_log([1, 1], P22)  # second argument hits 1 - 1 = 0
+
+
+def _dim_dm_gamma(m, params):
+    """Floating cross-check of dim_dm via the explicit Gamma-product form."""
+    mm = pad(m, params.r)
+    d2 = float(params.d) / 2
+    lg = math.lgamma
+    acc = 0.0
+    for j in range(1, params.r + 1):
+        acc += lg(d2) - lg(d2 * j) - lg(d2 * (j - 1) + 1)
+    val = math.exp(acc)
+    for p in range(params.r):
+        for q in range(p + 1, params.r):
+            g = q - p
+            k = mm[p] - mm[q]
+            val *= (k + d2 * g) * math.exp(
+                lg(k + d2 * (g + 1)) - lg(k + d2 * (g - 1) + 1)
+            )
+    return val
 
 
 def test_dim_dm():

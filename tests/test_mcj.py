@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 from scipy.special import eval_genlaguerre, roots_genlaguerre
 
+import fraction_oracle as oracle
 import mcjacobi.coeffs as coeffs
 import mcjacobi.mcj as mcj
-from mcjacobi.coeffs import dim_dm, gen_binom, gen_pochhammer
+from mcjacobi.coeffs import dim_dm, gen_pochhammer
 from mcjacobi.errors import ParameterError, VandermondeZeroError
 from mcjacobi.exact import QC_ONE, QComplex
 from mcjacobi.mcj import (
@@ -146,12 +147,13 @@ def test_mcj_equals_cj1_at_rank_one():
 
 def _family_body_loop(m, params, *, beta, shifted, exact):
     """The family kernel before its factor tables, rebuilding every factor for
-    every (m, k): the oracle of ``mcj._family_body``."""
+    every (m, k) from the frozen Fraction routines: the oracle of
+    ``mcj._family_body``."""
     r = params.r
     mm = pad(m, r)
     mcj._check_poch_nonzero(mm, params)
     if exact:
-        scalar, poch = Fraction, gen_pochhammer
+        scalar, poch = Fraction, oracle.gen_pochhammer
         alpha = Fraction(params.alpha)
         beta_arg = (alpha + params.n_over_r) / 2
     else:
@@ -159,15 +161,15 @@ def _family_body_loop(m, params, *, beta, shifted, exact):
         alpha = complex(float(params.alpha))
         beta_arg = 0.5 * (alpha + float(params.n_over_r)) + 1j * float(params.nu)
     pref = (
-        scalar(dim_dm(mm, params))
+        scalar(oracle.dim_dm(mm, params))
         * poch(alpha, mm, params)
-        / scalar(gen_pochhammer(params.n_over_r, mm, params))
+        / scalar(oracle.gen_pochhammer(params.n_over_r, mm, params))
     )
     terms: dict = {}
     for k in enumerate_partitions(weight(mm), r):
         if not contains(mm, k):
             continue
-        b = gen_binom(mm, k, params)
+        b = oracle.gen_binom(mm, k, params)
         if b == 0:
             continue
         coef = pref * (-1) ** weight(k) * scalar(b)
@@ -175,9 +177,9 @@ def _family_body_loop(m, params, *, beta, shifted, exact):
             coef = coef * poch(beta_arg, k, params)
         coef = coef / poch(alpha, k, params)
         if shifted:
-            phi = coeffs._phi_one_minus(k, params.d, r)
+            phi = oracle._phi_one_minus(k, params.d, r)
         else:
-            phi = spherical_poly(k, params.d, r).terms
+            phi = oracle.spherical_poly(k, params.d, r).terms
         for lam, c in phi.items():
             v = terms.get(lam, 0) + scalar(c) * coef
             if v == 0:
