@@ -16,8 +16,6 @@ from functools import lru_cache
 from math import lcm
 from typing import Optional, Sequence, Union
 
-from scipy.special import loggamma
-
 from .errors import GammaPoleError, InvariantError, ParameterError
 from .params import ParamSet
 from .partitions import enumerate_partitions, pad, weight
@@ -83,6 +81,8 @@ def gamma_omega_log(s, params: ParamSet) -> complex:
     Gamma_Omega(s) = (2 pi)^{(n-r)/2} prod_j Gamma(s_j - (d/2)(j-1)); the
     squared modulus |Gamma_Omega(x+iy)|^2 is exp(2 Re log Gamma_Omega).
     """
+    from scipy.special import loggamma  # imported on first use: most commands never need it
+
     sv = _broadcast(s, params.r)
     total = float((params.n - params.r) / 2) * math.log(TWO_PI) + 0j
     for j in range(params.r):

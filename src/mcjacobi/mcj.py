@@ -33,10 +33,14 @@ import numpy as np
 from . import coeffs
 from .coeffs import delta_factorial, dim_dm, gen_pochhammer
 from .errors import ParameterError, VandermondeZeroError
-from .exact import QC_I, QC_ONE, QC_ZERO, QComplex
 from .params import ParamSet
-from .partitions import Partition, enumerate_partitions, pad, weight
+from .partitions import Partition, count_partitions, enumerate_partitions, pad, weight
 from .sympoly import CSymPoly, SymPoly, _sort_key, spherical_poly
+
+# work budgets, checked before any work, each ~10 s of the worst case measured on a
+# 2-core x86 machine: exact operator units, and partitions a genfun truncation sums
+_OPERATOR_BUDGET = 1 << 22
+_GENFUN_BUDGET = 400
 
 
 def _check_poch_nonzero(m: Sequence[int], params: ParamSet) -> None:
@@ -197,24 +201,28 @@ def mcj_build(m: tuple, params: ParamSet) -> MCJPolynomial:
     return MCJPolynomial(mm, params, body, None)
 
 
+def _check_series_den(m: int, c) -> None:
+    """(c)_k, k <= m, is the denominator of the rank-1 series; refuse a zero."""
+    for t in range(m):
+        if c + t == 0:
+            raise ParameterError(
+                f"the rank-1 series denominator (c)_k vanishes at c = {c}, k = {t + 1}"
+            )
+
+
 def _rank1_series(m: int, b, c, one) -> list:
     """The terms (-1)^k C(m,k) (b)_k / (c)_k, k = 0..m, of the one-variable
     terminating series
 
         (c)_m / m! sum_k (-1)^k C(m,k) (b)_k / (c)_k x^k
 
-    behind ``cj1_eval``, ``mp1_eval``, ``PsiFunction``, the rank-1 Laguerre
-    polynomial and the one-variable ODE; each caller supplies its own
-    prefactor and powers.  ``one`` fixes the scalar type (complex, Fraction
-    or QComplex) and ``b = None`` drops the numerator.  A term is
-    ``(-1)**k * comb(m, k) * num / den`` in that order, which the float
-    callers' rounding depends on.
+    behind ``cj1_eval`` and ``mp1_eval``; each caller supplies its own
+    prefactor and powers (the exact operator checks use ``_rank1_coeffs``).
+    ``one`` fixes the scalar type (complex or Fraction) and ``b = None`` drops
+    the numerator.  A term is ``(-1)**k * comb(m, k) * num / den`` in that
+    order, which the float callers' rounding depends on.
     """
-    for t in range(m):
-        if c + t == 0:
-            raise ParameterError(
-                f"the rank-1 series denominator (c)_k vanishes at c = {c}, k = {t + 1}"
-            )
+    _check_series_den(m, c)
     terms = []
     num = den = one
     for k in range(m + 1):
@@ -225,11 +233,54 @@ def _rank1_series(m: int, b, c, one) -> list:
     return terms
 
 
-def _rank1_coeffs(m: int, a: Fraction, b, one, scale: int) -> list:
+def _lift(alpha, nu) -> tuple:
+    """(q, A, B_re, N): alpha = A/q, beta = (alpha + 1)/2 + i nu = (B_re + i N)/q
+    over one q, a power of two for floats, which lift to their exact binary values."""
+    a, n = Fraction(alpha), Fraction(nu)
+    b = (a + 1) / 2
+    q = lcm(a.denominator, b.denominator, n.denominator)
+    return (q, *(x.numerator * (q // x.denominator) for x in (a, b, n)))
+
+
+def _rank1_coeffs(m: int, q: int, A: int, B: Optional[tuple], scale: int) -> tuple:
     """The exact coefficients (a)_m / m! scale^k (-1)^k C(m,k) (b)_k / (a)_k,
-    k = 0..m, of ``_rank1_series`` with c = a."""
-    pref = coeffs.rising(a, m) / factorial(m)
-    return [pref * scale**k * t for k, t in enumerate(_rank1_series(m, b, a, one))]
+    k = 0..m, of the rank-1 series with c = a = A/q and b = (B_re + i B_im)/q,
+    as (den, [(re, im), ...]).  Since (a)_m / (a)_k = (a+k)_{m-k}, the k-th
+    is the Gaussian integer
+
+        (-1)^k C(m,k) scale^k prod_{j<k} (B + jq) prod_{k<=j<m} (A + jq)
+
+    over den = m! q^m; B = None drops (b)_k, which leaves q^k for the first
+    product."""
+    _check_series_den(m, Fraction(A, q))
+    tail = [1] * (m + 1)  # tail[k] = prod_{k<=j<m} (A + jq)
+    for j in range(m - 1, -1, -1):
+        tail[j] = tail[j + 1] * (A + j * q)
+    out = []
+    x, y = 1, 0  # prod_{j<k} (B + jq), or q^k
+    for k in range(m + 1):
+        c = (-1) ** k * comb(m, k) * scale**k * tail[k]
+        out.append((c * x, c * y))
+        bx, by = (q, 0) if B is None else (B[0] + k * q, B[1])
+        x, y = x * bx - y * by, x * by + y * bx
+    return factorial(m) * q**m, out
+
+
+def _deriv(vec: list) -> list:
+    """The derivative of a polynomial with Gaussian-integer coefficients."""
+    return [(x * k, y * k) for k, (x, y) in enumerate(vec) if k]
+
+
+def _apply(res: list, vec: list, shift: int, c: tuple) -> None:
+    """res[k + shift] += c vec[k], for Gaussian integers (re, im)."""
+    for k, (x, y) in enumerate(vec, shift):
+        res[k][0] += x * c[0] - y * c[1]
+        res[k][1] += x * c[1] + y * c[0]
+
+
+def _max_abs(values, den: int) -> float:
+    """max |x + i y| / den; each part rounds once, as the float of its Fraction would."""
+    return max((abs(complex(x / den, y / den)) for x, y in values), default=0.0)
 
 
 def cj1_eval(m: int, alpha: float, nu: float, sigma: complex) -> complex:
@@ -322,35 +373,34 @@ def psi1_eval(m: int, alpha: float, nu: float, t: float) -> complex:
 
 @dataclass(frozen=True)
 class PsiFunction:
-    """Rank-1 Psi as a finite span of powers (1 - i t)^{-(beta + k)}.
-
-    ``coeffs[k]`` multiplies (1 - i t)^{-(beta + k)}; exact Gaussian-rational
-    coefficients so that operator identities can be checked symbolically.
-    """
+    """Rank-1 Psi as a finite span of powers (1 - i t)^{-(beta + k)}: ``coeffs[k] / den``
+    multiplies (1 - i t)^{-(beta + k)} and beta is ``beta / q``, with exact Gaussian-integer
+    numerators (re, im) so that operator identities can be checked symbolically."""
 
     m: int
     alpha: float
     nu: float
-    beta: QComplex
-    coeffs: dict  # k -> QComplex
+    q: int
+    beta: tuple  # (re, im) over q
+    den: int
+    coeffs: dict  # k -> (re, im) over den
 
     @staticmethod
     def build(m: int, alpha: float, nu: float) -> "PsiFunction":
-        a = Fraction(alpha)
-        beta = QComplex((a + 1) / 2, Fraction(nu))
-        terms = dict(enumerate(_rank1_coeffs(m, a, beta, QC_ONE, 2)))
-        return PsiFunction(m, alpha, nu, beta, terms)
+        q, A, b_re, N = _lift(alpha, nu)
+        den, terms = _rank1_coeffs(m, q, A, (b_re, N), 2)
+        return PsiFunction(m, alpha, nu, q, (b_re, N), den, dict(enumerate(terms)))
 
     def eval(self, t: float) -> complex:
-        b = self.beta.to_complex()
+        b = complex(self.beta[0] / self.q, self.beta[1] / self.q)
         total = 0j
-        for k, c in sorted(self.coeffs.items()):
-            total += c.to_complex() * (1 - 1j * t) ** (-(b + k))
+        for k, (x, y) in sorted(self.coeffs.items()):
+            total += complex(x / self.den, y / self.den) * (1 - 1j * t) ** (-(b + k))
         return total
 
 
 # ---------------------------------------------------------------------------
-# operator residuals (all exact)
+# operator residuals (all exact, Gaussian integers over one denominator)
 # ---------------------------------------------------------------------------
 
 
@@ -370,60 +420,40 @@ def rank1_operator_residuals(m: int, alpha: float, nu: float):
 
     Returns (residual_laguerre, residual_psi) as max absolute coefficients.
     """
-    a = Fraction(alpha)
-    nu_f = Fraction(nu)
+    q, A, b_re, N = _lift(alpha, nu)
 
-    # Laguerre side, exact rational polynomial algebra in u: the coefficients
-    # of L_m^{(alpha-1)}(2u) in powers of u
-    p = _rank1_coeffs(m, a, None, Fraction(1), 2)
+    # Laguerre side: the coefficients of L_m^{(alpha-1)}(2u) in powers of u,
+    # integers over den; the residual is over q den, which clears alpha = A/q
+    den, p = _rank1_coeffs(m, q, A, None, 2)
+    p1 = _deriv(p)
+    res = [[0, 0] for _ in range(m + 2)]
+    _apply(res, _deriv(p1), 1, (-q, 0))  # -u p''
+    _apply(res, p1, 1, (2 * q, 0))  # 2u p'
+    _apply(res, p1, 0, (-A, 0))  # -alpha p'
+    _apply(res, p, 0, (-2 * m * q, 0))  # -2m p
 
-    def dcoef(c):  # derivative
-        return [c[k] * k for k in range(1, len(c))]
-
-    p1 = dcoef(p)
-    p2 = dcoef(p1)
-
-    res = [Fraction(0)] * (m + 2)
-    for k, c in enumerate(p2):  # -u p''
-        res[k + 1] -= c
-    for k, c in enumerate(p1):  # 2u p' - alpha p'
-        res[k + 1] += 2 * c
-        res[k] -= a * c
-    for k, c in enumerate(p):  # -2m p
-        res[k] -= 2 * m * c
-    res1 = max((abs(c) for c in res), default=Fraction(0))
-
-    # Psi side, exact Gaussian-rational span algebra
+    # Psi side: with c = C/den and gamma - 1 = g/q, the potential term
+    # c pot / (gamma - 1) is C P conj(g) / (4 q |g|^2 den) for
+    # pot = P / (4 q^2); every other term is over q den, so all of them
+    # share the denominator 4 L q den, with L the lcm of the norms |g|^2
     psi = PsiFunction.build(m, alpha, nu)
-    beta = psi.beta
-    pot = QComplex((a - 1) ** 2 / 4 + nu_f**2, Fraction(0))
-    two_nu_minus_i = QComplex(2 * nu_f, Fraction(-1))
-    out: dict = {}
-
-    def add(idx, val):
-        out[idx] = out.get(idx, QC_ZERO) + val
-
+    P = (A - q) ** 2 + 4 * N * N
+    norms = [(b_re + (k - 1) * q) ** 2 + N * N for k in range(m + 1)]
+    if P and 0 in norms:
+        raise ParameterError("antiderivative undefined: exponent gamma = 1")
+    L = lcm(*norms) if P else 1
+    out = [[0, 0] for _ in range(m + 2)]  # the exponent k - 1 at out[k]
     for k, c in psi.coeffs.items():
-        gamma = beta + k
-        # -i (1+t^2) d_t : gamma * (2 (.)^{-g} - (.)^{-g+1})
-        add(k, c * gamma * 2)
-        add(k - 1, -(c * gamma))
-        # (2 nu - i) t
-        add(k - 1, c * two_nu_minus_i * QC_I)
-        add(k, -(c * two_nu_minus_i * QC_I))
-        # -alpha
-        add(k, -(c * QComplex(a, Fraction(0))))
-        # i * pot * d_t^{-1} -> pot / (gamma - 1) at exponent k-1
-        if not pot.is_zero():
-            gm1 = gamma - 1
-            if gm1.is_zero():
-                raise ParameterError("antiderivative undefined: exponent gamma = 1")
-            add(k - 1, c * pot / gm1)
-        # eigenvalue
-        add(k, -(c * (2 * m)))
+        gx, gy = b_re + k * q, N  # gamma = (gx + i gy) / q
+        # -i (1+t^2) d_t : gamma (2 (.)^{-g} - (.)^{-g+1}); (2 nu - i) t, which
+        # is (1 + 2 nu i) ((.)^{-g+1} - (.)^{-g}); -alpha; the eigenvalue -2m
+        _apply(out, [c], k + 1, (4 * L * (2 * gx - q - A - 2 * m * q), 4 * L * (2 * gy - 2 * N)))
+        _apply(out, [c], k, (4 * L * (q - gx), 4 * L * (2 * N - gy)))
+        if P:  # i pot d_t^{-1} -> pot / (gamma - 1) at exponent k - 1
+            s = P * (L // norms[k])
+            _apply(out, [c], k, (s * (gx - q), -s * gy))
 
-    res2 = max((v.abs_float() for v in out.values()), default=0.0)
-    return float(res1), res2
+    return _max_abs(res, q * den), _max_abs(out, 4 * L * q * psi.den)
 
 
 def ode_residual_onevar(m: int, alpha: float, nu: float) -> float:
@@ -435,33 +465,45 @@ def ode_residual_onevar(m: int, alpha: float, nu: float) -> float:
     to the exact coefficient vector of the degree-m family member; returns
     the largest residual coefficient (exactly zero in exact arithmetic).
     """
-    a = Fraction(alpha)
-    b1 = QComplex((a + 1) / 2, Fraction(nu))
+    q, A, b_re, N = _lift(alpha, nu)
+    den, a_k = _rank1_coeffs(m, q, A, (b_re, N), 1)
 
-    # expand sum_k a_k (1-sigma)^k into the power basis
-    p = [QC_ZERO] * (m + 1)
-    for k, a_k in enumerate(_rank1_coeffs(m, a, b1, QC_ONE, 1)):
+    # expand sum_k a_k (1-sigma)^k into the power basis, over den
+    p = [[0, 0] for _ in range(m + 1)]
+    for k, a in enumerate(a_k):
         for t in range(k + 1):
-            p[t] = p[t] + a_k * ((-1) ** t * comb(k, t))
+            _apply(p, [a], t, ((-1) ** t * comb(k, t), 0))
+    p1 = _deriv(p)
+    p2 = _deriv(p1)
 
-    def deriv(c):
-        return [c[k] * k for k in range(1, len(c))]
+    # over q den, with beta = (b_re + i N)/q = (alpha+1)/2 + i nu:
+    # 3/2 - m + i nu - alpha/2 = (2 - m) - conj(beta) and
+    # 3/2 - m + i nu + alpha/2 = (1 - m) + beta
+    res = [[0, 0] for _ in range(m + 3)]
+    _apply(res, p2, 1, (q, 0))  # sigma (1-sigma) p''
+    _apply(res, p2, 2, (-q, 0))
+    _apply(res, p1, 0, ((2 - m) * q - b_re, N))  # the p' terms
+    _apply(res, p1, 1, ((m - 1) * q - b_re, -N))
+    _apply(res, p, 0, (m * b_re, m * N))  # + m beta p
+    return _max_abs(res, q * den)
 
-    p1 = deriv(p)
-    p2 = deriv(p1)
-    c_lin = QComplex(Fraction(3, 2) - m, Fraction(nu))  # 3/2 - m + i nu
-    half_a = QComplex(a / 2, Fraction(0))
 
-    res = [QC_ZERO] * (m + 3)
-    for k, c in enumerate(p2):  # sigma(1-sigma) p''
-        res[k + 1] = res[k + 1] + c
-        res[k + 2] = res[k + 2] - c
-    for k, c in enumerate(p1):  # (c_lin (1-sigma) - a/2 (1+sigma)) p'
-        res[k] = res[k] + c * (c_lin - half_a)
-        res[k + 1] = res[k + 1] - c * (c_lin + half_a)
-    for k, c in enumerate(p):  # + m b1 p
-        res[k] = res[k] + c * b1 * m
-    return max((c.abs_float() for c in res), default=0.0)
+def _check_operator_grid(alphas: Sequence[float], nus: Sequence[float], m_max: int) -> None:
+    """Refuse an operator grid before any work: every m <= m_max costs about (m_max + 1)^3
+    big-integer operations per grid point, on integers that grow with the bit length b
+    of the lifted parameters, so a point counts (m_max + 1)^3 max(1, b/64)^1.5 units."""
+    cube = min(m_max + 1, _OPERATOR_BUDGET) ** 3
+    units = cube * len(alphas) * len(nus)  # a lower bound, so a huge grid is refused unread
+    if units <= _OPERATOR_BUDGET:
+        units = cube * sum(
+            max(1.0, max(map(abs, _lift(a, n))).bit_length() / 64) ** 1.5 for a in alphas for n in nus
+        )
+    if units > _OPERATOR_BUDGET:
+        raise ParameterError(
+            f"operator checks for m <= {m_max} on {len(alphas) * len(nus)} (alpha, nu) points "
+            f"need ~{units:.3g} units of work, over the budget of {_OPERATOR_BUDGET:,}; "
+            f"use a smaller m or grid"
+        )
 
 
 def worst_operator_residuals(
@@ -472,10 +514,11 @@ def worst_operator_residuals(
     grid; for each m the ODE is checked before the rank-1 relations.
 
     Returns (worst_ode, worst_rank1).  A negative degree bound would check
-    nothing, so it is refused.
+    nothing, so it is refused, as is a grid over the work budget.
     """
     if min(m_ode, m_rank1) < 0:
         raise ParameterError(f"need a degree bound m >= 0, got {min(m_ode, m_rank1)}")
+    _check_operator_grid(alphas, nus, max(m_ode, m_rank1))
     worst_ode = worst_r1 = 0.0
     for alpha in alphas:
         for nu in nus:
@@ -678,13 +721,18 @@ def hciz_det(x: Sequence[complex], y: Sequence[complex]) -> complex:
 # ---------------------------------------------------------------------------
 
 
-def _check_genfun_domain(params: ParamSet, z: Sequence[complex]):
+def _check_genfun_domain(params: ParamSet, z: Sequence[complex], N: int):
     if len(z) != params.r:
         raise ParameterError("z must have length r")
     if max(abs(complex(x)) for x in z) >= 1 / 3:
         raise ParameterError("spectral bound violated: need max |z_j| < 1/3")
     if params.r != 1 and params.d != 2:
         raise ParameterError("closed generating forms need r = 1 or d = 2")
+    if count_partitions(N, params.r, _GENFUN_BUDGET + 1) > _GENFUN_BUDGET:
+        raise ParameterError(
+            f"a truncation at N = {N} sums over more than {_GENFUN_BUDGET} partitions at "
+            f"r = {params.r}, over the budget (the work grows as their square); use a smaller N"
+        )
 
 
 def genfun_residual_phi(
@@ -696,7 +744,7 @@ def genfun_residual_phi(
     d = 2:  prod_j (1-z_j)^{-alpha} times the determinant Cauchy kernel at
             (w, z') = (1 - sigma, -z/(1-z)).
     """
-    _check_genfun_domain(params, z)
+    _check_genfun_domain(params, z, N)
     r = params.r
     z = [complex(x) for x in z]
     sigma = [complex(x) for x in sigma]
@@ -729,7 +777,7 @@ def genfun_residual_psi(
     d = 2: the determinant assembly with one-variable factors
            (1-z_p)^{-(alpha-r+1)} ((1+z_p)/(1-z_p) - i t_q)^{-((alpha-r)/2 + 1 + i nu)}.
     """
-    _check_genfun_domain(params, z)
+    _check_genfun_domain(params, z, N)
     r = params.r
     z = [complex(x) for x in z]
     alpha = float(params.alpha)
@@ -771,7 +819,7 @@ def laguerre_genfun_residual(
     r = 1: (1-z)^{-alpha} exp(-u z/(1-z));  d = 2: the exponential-kernel
     determinant with arguments (-u, z/(1-z)).
     """
-    _check_genfun_domain(params, z)
+    _check_genfun_domain(params, z, N)
     r = params.r
     z = [complex(x) for x in z]
     alpha = float(params.alpha)

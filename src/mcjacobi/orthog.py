@@ -72,7 +72,6 @@ from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.special import roots_jacobi
 
 from . import coeffs
 from .errors import ParameterError, SingularPointError
@@ -159,6 +158,12 @@ def _tanh_sinh_axis(n: int, s: float) -> tuple:
     # boundary but their mass is real, so nudge instead of dropping
     theta = np.clip(theta[good], np.nextafter(0.0, 1.0), np.nextafter(TWO_PI, 0.0))
     return theta, w[good]
+
+
+def roots_jacobi(n: int, a: float, b: float) -> tuple:
+    """``scipy.special.roots_jacobi``, imported on first use: most commands never need it."""
+    from scipy.special import roots_jacobi as roots
+    return roots(n, a, b)
 
 
 def _gegenbauer_axis(n: int, s: float) -> tuple:

@@ -10,6 +10,10 @@ from typing import Union
 Rational = Union[int, Fraction]
 Number = Union[int, float, Fraction]
 
+# the largest |alpha|, |nu| and d accepted: far past any family the checks are
+# meant for; larger values overflow the float evaluations at small degrees
+PARAM_LIMIT = 10**6
+
 
 def as_fraction(x) -> Fraction:
     """Exact coercion; floats are lifted to their exact binary value."""
@@ -48,10 +52,12 @@ class ParamSet:
             float(self.d)
         except OverflowError:
             raise ValueError("multiplicity d must be finite as a float") from None
-        for name in ("alpha", "nu"):
+        for name in ("d", "alpha", "nu"):
             value = getattr(self, name)
             if not isinstance(value, (int, Fraction)) and not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
+            if abs(value) > PARAM_LIMIT:
+                raise ValueError(f"|{name}| must be at most {PARAM_LIMIT:,}")
         if isinstance(self.alpha, Fraction) and self.alpha.denominator == 1:
             object.__setattr__(self, "alpha", int(self.alpha))
         # hashed once: the factor tables look a ParamSet up per k, and hashing

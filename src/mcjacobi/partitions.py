@@ -7,6 +7,7 @@ at module boundaries partitions are zero-padded to the ambient arity r.
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Iterator, Sequence
 
 from .errors import WeightMismatchError
@@ -78,6 +79,13 @@ def enumerate_partitions(max_weight: int, r: int) -> list:
         for p in _parts_desc(w, w, r):
             out.append(pad(p, r))
     return out
+
+
+def count_partitions(max_weight: int, r: int, stop: int) -> int:
+    """The number of partitions of weight <= max_weight and length <= r,
+    counted lazily up to ``stop``: a larger count returns ``stop``."""
+    parts = (p for w in range(max_weight + 1) for p in _parts_desc(w, w, r))
+    return sum(1 for _ in islice(parts, stop))
 
 
 def contains(m: Sequence[int], k: Sequence[int]) -> bool:

@@ -1,11 +1,15 @@
 import json
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import mcjacobi.coeffs as coeffs
-from mcjacobi.cli import dumps_17g, format_complex, run
+from mcjacobi import acceptance, mcj
+from mcjacobi.cli import _floats, _params, build_parser, dumps_17g, format_complex, run
 
 
 def test_print_poly(capsys):
@@ -290,3 +294,92 @@ def test_dumps_17g_and_complex_format():
     assert dumps_17g(0.1) == "0.10000000000000001"
     assert format_complex(1.5 - 0.25j) == "1.5-0.25i"
     assert format_complex(complex(0, 2)) == "0+2i"
+
+
+# commands that README or CI show being refused for their size
+OVER_BUDGET = [
+    ["verify-ode", "--m-max", "100000"],
+    ["verify-genfun", "--N", "100000"],
+]
+
+
+def _documented_commands():
+    """argv of every verify-ode / verify-genfun command in README and CI."""
+    root = Path(__file__).resolve().parents[1]
+    text = "\n".join(
+        (root / name).read_text() for name in ("README.md", ".github/workflows/tests.yml")
+    ).replace("\\\n", " ")
+    pattern = re.compile(r"mcjacobi(?:\.cli)? (verify-ode|verify-genfun)\b([^;|&>\n]*)")
+    return [[cmd] + shlex.split(rest) for cmd, rest in pattern.findall(text)]
+
+
+def _check_budget(argv):
+    """Run the work-budget checks of one command without doing its work."""
+    args = build_parser().parse_args(argv)
+    if args.command == "verify-ode":
+        mcj._check_operator_grid(_floats(args.alpha_grid), _floats(args.nu_grid), args.m_max)
+    else:
+        z = [complex(x) for x in _floats(args.z)]
+        mcj._check_genfun_domain(_params(args), z, args.N)
+
+
+def test_documented_commands_within_work_budget():
+    commands = _documented_commands()
+    assert ["verify-ode", "--m-max", "30"] in commands
+    assert all(argv in commands for argv in OVER_BUDGET)
+    for argv in commands:
+        try:
+            _check_budget(argv)
+        except ValueError as exc:  # some are refused on purpose, most not for size
+            assert ("budget" in str(exc)) == (argv in OVER_BUDGET), (argv, exc)
+        else:
+            assert argv not in OVER_BUDGET, argv
+
+
+def test_selftest_within_work_budget(monkeypatch):
+    # criteria 6 and 7 are the battery's generating-function and operator
+    # checks; each check must run, under the budget
+    checked = []
+    for name in ("_check_operator_grid", "_check_genfun_domain"):
+        real = getattr(mcj, name)
+
+        def spy(*args, real=real, name=name):
+            checked.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(mcj, name, spy)
+    assert acceptance.criterion_6().passed
+    assert acceptance.criterion_7().passed
+    assert {"_check_operator_grid", "_check_genfun_domain"} <= set(checked)
+
+
+def test_verify_genfun_nan_residual_fails(capsys, monkeypatch):
+    # at N = 170 the Psi truncation overflows to a NaN residual; max() would
+    # drop it and report a pass
+    monkeypatch.setattr(mcj, "genfun_residual_psi", lambda *args: float("nan"))
+    assert run(["verify-genfun", "--N", "5"]) == 1
+    assert capsys.readouterr().out.startswith("FAIL")
+
+
+def test_light_commands_never_import_scipy(child_env):
+    # scipy.special is imported on first use, and these commands never use it
+    script = """
+import sys
+from mcjacobi.cli import run
+for argv in (
+    ["print-poly", "--r", "2", "--alpha", "3", "--nu", "0.5", "--m", "2,1"],
+    ["eval", "--r", "2", "--alpha", "3", "--nu", "0.5", "--m", "2,1", "--theta", "0.9,2.7"],
+    ["eval", "--family", "psi", "--m", "3"],
+    ["verify-det", "--r", "2", "--max-weight", "2", "--trials", "3"],
+    ["verify-genfun"],
+    ["verify-ode", "--m-max", "3"],
+):
+    if run(argv) != 0:
+        sys.exit(f"{argv} failed")
+sys.exit("scipy imported" if "scipy" in sys.modules else 0)
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=child_env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -8,11 +8,11 @@ import pytest
 from scipy.special import eval_genlaguerre, roots_genlaguerre
 
 import fraction_oracle as oracle
+import qcomplex_oracle as qc
 import mcjacobi.coeffs as coeffs
 import mcjacobi.mcj as mcj
 from mcjacobi.coeffs import dim_dm, gen_pochhammer
 from mcjacobi.errors import ParameterError, VandermondeZeroError
-from mcjacobi.exact import QC_ONE, QComplex
 from mcjacobi.mcj import (
     PsiFunction,
     cauchy_kernel_det,
@@ -505,8 +505,9 @@ def test_mp1_circular_jacobi_bridge():
 
 # ---------------------------------------------------------------- rank-1 series
 #
-# Frozen copies of the five hand-rolled loops that ``mcj._rank1_series``
-# replaced: the oracles of its float bits and of its exact coefficients.
+# Frozen copies of the hand-rolled loops that ``mcj._rank1_series`` replaced:
+# the oracles of its float bits.  The exact coefficient loops are in
+# ``qcomplex_oracle``, now the oracles of ``mcj._rank1_coeffs``.
 
 
 def _cj1_eval_loop(m, alpha, nu, sigma):
@@ -548,53 +549,6 @@ def _mp1_eval_loop(m, lam, s, phi_angle):
     return pref * total
 
 
-def _psi_coeffs_loop(m, alpha, nu):
-    a = Fraction(alpha)
-    beta = QComplex((a + 1) / 2, Fraction(nu))
-    pref = QC_ONE
-    for tt in range(m):
-        pref = pref * QComplex(Fraction(a + tt) / (tt + 1), Fraction(0))
-    terms = {}
-    num = QC_ONE
-    den = QC_ONE
-    for k in range(m + 1):
-        c = pref * ((-1) ** k * comb(m, k)) * (2**k) * num / den
-        terms[k] = c
-        num = num * (beta + k)
-        den = den * QComplex(a + k, Fraction(0))
-    return terms
-
-
-def _laguerre1_coeffs_loop(m, alpha):
-    pref = Fraction(1)
-    for t in range(m):
-        pref *= Fraction(alpha + t, t + 1)
-    out = []
-    den = Fraction(1)  # (alpha)_k
-    for k in range(m + 1):
-        if k > 0:
-            den *= alpha + (k - 1)
-        out.append(pref * (-1) ** k * comb(m, k) * Fraction(2) ** k / den)
-    return out
-
-
-def _ode_coeffs_loop(m, alpha, nu):
-    """The coefficients a_k of sum_k a_k (1 - sigma)^k in ``ode_residual_onevar``."""
-    a = Fraction(alpha)
-    b1 = QComplex((a + 1) / 2, Fraction(nu))
-    pref = QC_ONE
-    for t in range(m):
-        pref = pref * QComplex(Fraction(a + t) / (t + 1), Fraction(0))
-    out = []
-    num = QC_ONE
-    den = QC_ONE
-    for k in range(m + 1):
-        out.append(pref * ((-1) ** k * comb(m, k)) * num / den)
-        num = num * (b1 + k)
-        den = den * QComplex(a + k, Fraction(0))
-    return out
-
-
 def _bits(values):
     return np.array(values, dtype=complex).tobytes()
 
@@ -631,12 +585,16 @@ def test_mp1_eval_bitwise_equals_loop():
 @pytest.mark.parametrize("alpha", [1.3, 2.0, 3.5])
 @pytest.mark.parametrize("nu", [0.0, 0.7, -0.7])
 def test_exact_rank1_coefficients_equal_loops(alpha, nu):
-    a = Fraction(alpha)
-    b1 = QComplex((a + 1) / 2, Fraction(nu))
+    q, A, b_re, N = mcj._lift(alpha, nu)
     for m in range(11):
-        assert PsiFunction.build(m, alpha, nu).coeffs == _psi_coeffs_loop(m, alpha, nu)
-        assert mcj._rank1_coeffs(m, a, None, Fraction(1), 2) == _laguerre1_coeffs_loop(m, a)
-        assert mcj._rank1_coeffs(m, a, b1, QC_ONE, 1) == _ode_coeffs_loop(m, alpha, nu)
+        psi = PsiFunction.build(m, alpha, nu)
+        assert list(psi.coeffs) == list(range(m + 1))
+        psi_qc = qc.psi_coeffs(m, alpha, nu).values()
+        assert qc.fraction_pairs(psi.den, psi.coeffs.values()) == qc.pairs(psi_qc)
+        lag = qc.laguerre1_coeffs(m, Fraction(alpha))
+        assert qc.fraction_pairs(*mcj._rank1_coeffs(m, q, A, None, 2)) == [(c, 0) for c in lag]
+        ode = mcj._rank1_coeffs(m, q, A, (b_re, N), 1)
+        assert qc.fraction_pairs(*ode) == qc.pairs(qc.ode_coeffs(m, alpha, nu))
 
 
 def test_rank1_series_vanishing_denominator():

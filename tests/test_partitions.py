@@ -4,6 +4,7 @@ from mcjacobi.errors import WeightMismatchError
 from mcjacobi.partitions import (
     check_partition,
     contains,
+    count_partitions,
     dominance_leq,
     enumerate_partitions,
     format_partition,
@@ -18,6 +19,16 @@ def test_enumerate_small_cases():
     assert enumerate_partitions(2, 2) == [(0, 0), (1, 0), (2, 0), (1, 1)]
     assert enumerate_partitions(0, 3) == [(0, 0, 0)]
     assert enumerate_partitions(3, 1) == [(0,), (1,), (2,), (3,)]
+
+
+def test_count_partitions_stops_at_the_bound():
+    for w in range(7):
+        for r in (1, 2, 3, 5):
+            total = len(enumerate_partitions(w, r))
+            assert count_partitions(w, r, total + 1) == total
+            assert count_partitions(w, r, max(1, total - 2)) == max(1, total - 2)
+    # lazy: the count stops at the bound however large the weight
+    assert count_partitions(10**12, 10**6, 401) == 401
 
 
 def test_enumerate_order_is_weight_then_revlex():
