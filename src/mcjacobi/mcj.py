@@ -34,7 +34,9 @@ from . import coeffs
 from .coeffs import delta_factorial, dim_dm, gen_pochhammer
 from .errors import ParameterError, VandermondeZeroError
 from .params import ParamSet
-from .partitions import Partition, count_partitions, enumerate_partitions, pad, weight
+from .partitions import (
+    Partition, count_partitions, enumerate_partitions, format_partition, pad, weight,
+)
 from .sympoly import CSymPoly, SymPoly, _sort_key, spherical_poly
 
 # work budgets, checked before any work, each ~10 s of the worst case measured on a
@@ -721,7 +723,11 @@ def hciz_det(x: Sequence[complex], y: Sequence[complex]) -> complex:
 # ---------------------------------------------------------------------------
 
 
-def _check_genfun_domain(params: ParamSet, z: Sequence[complex], N: int):
+def _check_genfun_domain(params: ParamSet, z: Sequence[complex], N: int, beta: bool = True):
+    """Refuse a truncation at N outside the closed forms' domain, over the
+    partition budget, or whose float body factors would leave the double
+    range: the generalized Pochhammer symbols (n/r)_m, (alpha)_m and, when
+    ``beta``, (beta)_m are largest at the partitions of weight N."""
     if len(z) != params.r:
         raise ParameterError("z must have length r")
     if max(abs(complex(x)) for x in z) >= 1 / 3:
@@ -733,6 +739,18 @@ def _check_genfun_domain(params: ParamSet, z: Sequence[complex], N: int):
             f"a truncation at N = {N} sums over more than {_GENFUN_BUDGET} partitions at "
             f"r = {params.r}, over the budget (the work grows as their square); use a smaller N"
         )
+    alpha, n_over_r = float(params.alpha), float(params.n_over_r)
+    symbols = {"n/r": n_over_r, "alpha": alpha}
+    if beta:
+        symbols["beta"] = 0.5 * (alpha + n_over_r) + 1j * float(params.nu)
+    top = [m for m in enumerate_partitions(N, params.r) if weight(m) == N]
+    for name, a in symbols.items():
+        for m in top:
+            if not cmath.isfinite(coeffs._poch_complex(a, m, params)):
+                raise ParameterError(
+                    f"a truncation at N = {N} needs ({name})_m at m = {format_partition(m)} "
+                    f"as a float, past the double range; use a smaller N"
+                )
 
 
 def genfun_residual_phi(
@@ -819,7 +837,7 @@ def laguerre_genfun_residual(
     r = 1: (1-z)^{-alpha} exp(-u z/(1-z));  d = 2: the exponential-kernel
     determinant with arguments (-u, z/(1-z)).
     """
-    _check_genfun_domain(params, z, N)
+    _check_genfun_domain(params, z, N, False)  # no beta numerator
     r = params.r
     z = [complex(x) for x in z]
     alpha = float(params.alpha)

@@ -8,7 +8,8 @@ from pathlib import Path
 import pytest
 
 import mcjacobi.coeffs as coeffs
-from mcjacobi import acceptance, mcj
+from mcjacobi import acceptance, mcj, orthog
+from mcjacobi.errors import ParameterError
 from mcjacobi.cli import _floats, _params, build_parser, dumps_17g, format_complex, run
 
 
@@ -300,16 +301,22 @@ def test_dumps_17g_and_complex_format():
 OVER_BUDGET = [
     ["verify-ode", "--m-max", "100000"],
     ["verify-genfun", "--N", "100000"],
+    ["verify-orth", "--r", "2", "--d", "2", "--alpha", "3", "--nu", "0", "--max-weight", "1",
+     "--points", "100000"],
+    ["verify-orth", "--r", "2", "--max-weight", "100000"],
+    ["conjecture-sweep", "--max-weight", "100000"],
 ]
 
 
 def _documented_commands():
-    """argv of every verify-ode / verify-genfun command in README and CI."""
+    """argv of every command with a work budget in README and CI."""
     root = Path(__file__).resolve().parents[1]
     text = "\n".join(
         (root / name).read_text() for name in ("README.md", ".github/workflows/tests.yml")
     ).replace("\\\n", " ")
-    pattern = re.compile(r"mcjacobi(?:\.cli)? (verify-ode|verify-genfun)\b([^;|&>\n]*)")
+    pattern = re.compile(
+        r"mcjacobi(?:\.cli)? (verify-ode|verify-genfun|verify-orth|conjecture-sweep)\b([^;|&>\n]*)"
+    )
     return [[cmd] + shlex.split(rest) for cmd, rest in pattern.findall(text)]
 
 
@@ -318,14 +325,24 @@ def _check_budget(argv):
     args = build_parser().parse_args(argv)
     if args.command == "verify-ode":
         mcj._check_operator_grid(_floats(args.alpha_grid), _floats(args.nu_grid), args.m_max)
-    else:
+    elif args.command == "verify-genfun":
         z = [complex(x) for x in _floats(args.z)]
         mcj._check_genfun_domain(_params(args), z, args.N)
+    elif args.command == "verify-orth":
+        params = _params(args)
+        orthog._check_budget(args.points, params)
+        orthog._check_work(params, args.max_weight, args.points)
+    else:
+        orthog._sweep_grid(args.d, _floats(args.alpha), _floats(args.nu), args.r,
+                           args.max_weight, args.points)
 
 
 def test_documented_commands_within_work_budget():
     commands = _documented_commands()
     assert ["verify-ode", "--m-max", "30"] in commands
+    assert {argv[0] for argv in commands} == {
+        "verify-ode", "verify-genfun", "verify-orth", "conjecture-sweep"
+    }
     assert all(argv in commands for argv in OVER_BUDGET)
     for argv in commands:
         try:
@@ -354,11 +371,54 @@ def test_selftest_within_work_budget(monkeypatch):
 
 
 def test_verify_genfun_nan_residual_fails(capsys, monkeypatch):
-    # at N = 170 the Psi truncation overflows to a NaN residual; max() would
-    # drop it and report a pass
+    # a float sum that overflows gives a NaN residual; max() would drop it
+    # and report a pass
     monkeypatch.setattr(mcj, "genfun_residual_psi", lambda *args: float("nan"))
     assert run(["verify-genfun", "--N", "5"]) == 1
     assert capsys.readouterr().out.startswith("FAIL")
+
+
+@pytest.mark.parametrize("N,symbol", [("170", "(alpha)_m"), ("171", "(n/r)_m")])
+def test_verify_genfun_refuses_float_overflow(N, symbol, capsys, monkeypatch):
+    # at r = 1, alpha = 2: (alpha)_N = (N + 1)! and (n/r)_N = N! pass the
+    # double range at N = 170 and 171; refused before any sum is built
+    monkeypatch.setattr(mcj, "mcj_build", None)
+    assert run(["verify-genfun", "--N", N]) == 2
+    err = capsys.readouterr().err
+    assert f"N = {N}" in err and symbol in err and "double range" in err
+
+
+def test_verify_genfun_within_float_range():
+    # the largest N whose factors stay finite at the defaults
+    args = build_parser().parse_args(["verify-genfun", "--N", "169"])
+    mcj._check_genfun_domain(_params(args), [0.2], 169)
+    for N in (170, 171):
+        with pytest.raises(ParameterError, match=f"N = {N}"):
+            mcj._check_genfun_domain(_params(args), [0.2], N)
+    # Laguerre sums have no (beta)_m: a huge nu overflows only that symbol
+    p = _params(build_parser().parse_args(["verify-genfun", "--nu", "1e6"]))
+    with pytest.raises(ParameterError, match="beta"):
+        mcj._check_genfun_domain(p, [0.2], 60)
+    mcj._check_genfun_domain(p, [0.2], 60, False)
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        # a bad alpha late in the grid
+        (["--r", "2", "--max-weight", "3", "--points", "96", "--alpha", "3,2e6"], "alpha"),
+        # a d late in the grid whose nested rule is past the node budget
+        (["--r", "3", "--d", "2,1", "--alpha", "5", "--points", "48", "--max-weight", "1"],
+         "budget"),
+    ],
+)
+def test_conjecture_sweep_checks_whole_grid_first(argv, message, capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a certificate ran before the grid was checked")
+
+    monkeypatch.setattr(orthog, "verify_orthogonality", refuse)
+    assert run(["conjecture-sweep"] + argv) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_light_commands_never_import_scipy(child_env):

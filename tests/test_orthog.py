@@ -1,6 +1,10 @@
 import dataclasses
 import itertools
 import math
+import os
+import subprocess
+import sys
+import threading
 import tracemalloc
 from fractions import Fraction
 
@@ -26,7 +30,6 @@ from mcjacobi.orthog import (
     _geometry,
     _gram,
     _pairwise,
-    _points_weights,
     _weights,
     build_rule,
     conjecture_sweep,
@@ -37,6 +40,7 @@ from mcjacobi.orthog import (
 )
 from mcjacobi.params import ParamSet
 from mcjacobi.partitions import enumerate_partitions
+from quadrature_oracle import coords, points_weights
 
 TWO_PI = 2 * math.pi
 
@@ -127,7 +131,7 @@ def test_nested_weights_match_dyson_constant_term(r, d):
     base = ParamSet(r=r, d=d)
     p = base.with_(alpha=base.n_over_r, nu=0)
     rule = build_rule(32, "tanh_sinh", p)
-    _, w = _points_weights(p, rule)
+    _, w = _weights(p, rule)
     half = float(d) / 2
     dyson = TWO_PI ** r * math.gamma(1 + r * half) / math.gamma(1 + half) ** r
     assert math.fsum(w.tolist()) == pytest.approx(dyson, rel=1e-10)
@@ -201,7 +205,8 @@ def test_nested_nodes_match_per_prefix_reference(r, points, d, kind, nu):
     base = ParamSet(r=r, d=d)
     p = base.with_(alpha=float(base.n_over_r) + 0.7, nu=nu)
     rule = build_rule(points, kind, p)
-    pts, w = _points_weights(p, rule)
+    geom, w = _weights(p, rule)
+    pts = coords(geom, 0, len(w))
     ref_pts, ref_w, merged = _nested_reference(p, rule)
     assert np.array_equal(pts, ref_pts)
     assert np.array_equal(w, ref_w)
@@ -300,7 +305,7 @@ def test_jack_norm_route_consistency():
 
 def _fsum_gram(params, parts, rule):
     """Reference Gram matrix: every entry reduced by the correctly rounded math.fsum."""
-    pts, w = _points_weights(params, rule)
+    pts, w = points_weights(params, rule)
     z = np.exp(1j * pts)
     vals = [mcj_build(m, params).evaluate_points(z) for m in parts]
     pref = c0_tilde(params).value() / TWO_PI ** float(params.n)
@@ -354,7 +359,7 @@ def _reference_evaluate(polys, pts):
 def _whole_array_gram(params, parts, rule):
     """Reference Gram matrix: the frozen evaluator and ``wv * np.conj(vj)``
     reduced by np.sum over all nodes at once."""
-    pts, w = _points_weights(params, rule)
+    pts, w = points_weights(params, rule)
     z = np.exp(1j * pts)
     vals = _reference_evaluate([mcj_build(tuple(m), params).body for m in parts], z)
     pref = c0_tilde(params).value() / TWO_PI ** float(params.n)
@@ -371,8 +376,8 @@ def _whole_array_gram(params, parts, rule):
     [
         # one leaf below 16,384 nodes, where numpy keeps the named operand
         # first: 14,400 and 4,608; one leaf from 16,384 on, where it puts the
-        # temporary first: 32,768; then 2, 4 and 32 leaves (the last is the
-        # benchmark's orth-r3 input)
+        # temporary first: 32,768; then 2 (the tensor branch), 4 and 32 leaves
+        # (the last is the benchmark's orth-r3 input)
         (ParamSet(r=2, d=2, alpha=3, nu=0.3), 120, 14_400, 1),
         (ParamSet(r=3, d=8, alpha=13, nu=0), 32, 32_768, 1),
         (ParamSet(r=3, d=2, alpha=5, nu=0), 40, 64_000, 2),
@@ -381,13 +386,69 @@ def _whole_array_gram(params, parts, rule):
         (ParamSet(r=3, d=1, alpha=3, nu=0.2), 48, 651_456, 32),
     ],
 )
-def test_leaf_gram_bitwise_equals_whole_array(p, points, nodes, leaves):
+def test_leaf_gram_bitwise_equals_whole_array(p, points, nodes, leaves, monkeypatch):
     rule = build_rule(points, "auto", p)
     parts = enumerate_partitions(2, p.r)
-    _, w = _points_weights(p, rule)
+    _, w = _weights(p, rule)
     assert len(w) == nodes
+    # the last axis' weights, filled in leaf-sized runs, are the whole-array ones
+    assert np.array_equal(w, points_weights(p, rule)[1])
     assert len(_pairwise(0, nodes, lambda lo, hi: [(lo, hi)])) == leaves
-    assert np.array_equal(_gram(p, parts, rule), _whole_array_gram(p, parts, rule))
+    ref = _whole_array_gram(p, parts, rule).tobytes()
+    threads = set()
+    real = orthog.evaluate_points_many
+
+    def spy(*args):
+        threads.add(threading.current_thread().name)
+        return real(*args)
+
+    monkeypatch.setattr(orthog, "evaluate_points_many", spy)
+    for cpus in (1, 2):  # one leaf at a time, then two in flight on the pool
+        monkeypatch.setattr(orthog, "_cpu_count", lambda: cpus)
+        threads.clear()
+        assert _gram(p, parts, rule).tobytes() == ref
+        assert {name.startswith("mcjacobi-gram") for name in threads} == {cpus == 2 and leaves > 1}
+
+
+def test_non_finite_weight_refused_in_multi_leaf_pass(monkeypatch):
+    # a NaN in the last first-axis weight reaches only the last run of the
+    # nested last axis
+    monkeypatch.setattr(orthog, "_cpu_count", lambda: 2)
+    p = ParamSet(r=3, d=1, alpha=3, nu=0.2)
+    rule = build_rule(48, "auto", p)
+    weights = rule.weights.copy()
+    weights[-1] = math.nan
+    bad = dataclasses.replace(rule, weights=weights)
+    with pytest.raises(ParameterError, match="non-finite"):
+        _gram(p, enumerate_partitions(2, 3), bad)
+
+
+def test_import_and_single_leaf_pass_start_no_threads(child_env):
+    # scipy.special imports concurrent.futures itself, so the single-leaf
+    # command is checked for the pool and its threads instead
+    script = """
+import sys, threading
+import mcjacobi
+assert "concurrent.futures" not in sys.modules, "import mcjacobi"
+from mcjacobi import orthog
+from mcjacobi.cli import run
+from mcjacobi.params import ParamSet
+from mcjacobi.partitions import enumerate_partitions
+orthog._cpu_count = lambda: 2
+p = ParamSet(r=2, d=2, alpha=3, nu=0.5)
+orthog._gram(p, enumerate_partitions(2, 2), orthog.build_rule(64, "tanh_sinh", p))
+assert "concurrent.futures" not in sys.modules, "single-leaf Gram pass"
+assert run(["verify-orth", "--r", "2", "--d", "2", "--alpha", "3", "--nu", "0.5",
+            "--max-weight", "2"]) == 0
+assert orthog._pool.cache_info().currsize == 0, "single-leaf verify-orth"
+assert not [t for t in threading.enumerate() if t.name.startswith("mcjacobi-gram")]
+p = ParamSet(r=3, d=2, alpha=5, nu=0.1)  # two leaves
+orthog._gram(p, enumerate_partitions(1, 3), orthog.build_rule(40, "auto", p))
+assert orthog._pool.cache_info().currsize == 1, "two-leaf Gram pass"
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=child_env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize(
@@ -435,7 +496,9 @@ def test_geometry_cache_bounded_and_holds_no_node_array():
         # per-axis arrays only: nothing of N * r elements is kept
         arrays = list(_arrays(geom))
         assert arrays and all(a.ndim == 1 and a.size != len(w) * p.r for a in arrays)
-        assert np.array_equal(geom.coords(0, len(w)), _points_weights(p, rule)[0])
+        pts, ref_w = points_weights(p, rule)
+        assert np.array_equal(orthog._points_weights(p, rule)[0], pts)
+        assert np.array_equal(w, ref_w)
 
 
 def test_node_budget_refused_before_assembly(capsys):
@@ -499,14 +562,16 @@ def test_pairwise_leaf_sums_equal_np_sum_bitwise(n):
     assert np.complex128(tree).tobytes() == np.sum(a).tobytes()
 
 
-def test_gram_memory_bounded_on_orth_r3_input():
+def test_gram_memory_bounded_on_orth_r3_input(monkeypatch):
     # the benchmark's orth-r3 job: 651,456 nodes, 4 partitions; a whole-array
-    # pass peaks near 100 MB, the leaf pass at a few leaf-sized arrays
+    # pass peaks near 100 MB, the leaf pass at a few leaf-sized arrays per
+    # leaf in flight, here the most there can be
+    monkeypatch.setattr(orthog, "_cpu_count", lambda: orthog._IN_FLIGHT)
     p = ParamSet(r=3, d=1, alpha=3, nu=0.2)
     rule = build_rule(48, "auto", p)
     parts = enumerate_partitions(2, 3)
-    # nodes, weights and bodies are cached before the traced call
-    _points_weights(p, rule)
+    # the geometry and the bodies are cached before the traced call
+    _weights(p, rule)
     for m in parts:
         mcj_build(m, p)
     tracemalloc.start()
@@ -516,6 +581,29 @@ def test_gram_memory_bounded_on_orth_r3_input():
     finally:
         tracemalloc.stop()
     assert peak <= 16 * 2**20
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork on this platform")
+def test_forked_child_makes_its_own_pool(child_env):
+    # the parent's pool threads do not exist in a forked child; reusing the
+    # pool there would wait forever
+    script = """
+import os
+from mcjacobi import orthog
+from mcjacobi.params import ParamSet
+from mcjacobi.partitions import enumerate_partitions
+orthog._cpu_count = lambda: 2
+p = ParamSet(r=3, d=2, alpha=5, nu=0.1)  # two leaves
+args = (p, enumerate_partitions(1, 3), orthog.build_rule(40, "auto", p))
+G = orthog._gram(*args)
+pid = os.fork()
+if pid == 0:
+    os._exit(0 if orthog._gram(*args).tobytes() == G.tobytes() else 1)
+assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=child_env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 # ---------------------------------------------------------------- reports
