@@ -3,12 +3,22 @@
 Each criterion is a function returning a :class:`CriterionResult`; the CLI
 ``selftest`` command and the test suite both drive :func:`run_all`.  The
 tolerances are fixed here and nowhere else.
+
+With two CPUs and ``os.fork``, :func:`run_all` runs the quadrature criteria
+1-4, the only ones that need ``scipy.special``, in a forked child while the
+parent runs the exact and scalar criteria 5-10; the child inherits the
+parent's state, monkeypatches included, and sends its results back pickled
+through a pipe.  The results, and so the output, do not depend on the CPU
+count.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import os
+import pickle
+import signal
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -16,6 +26,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import coeffs, mcj, orthog
+from .errors import McjError
 from .params import ParamSet
 from .partitions import contains, enumerate_partitions, weight
 from .sympoly import jack_mono, schur, spherical_poly
@@ -340,5 +351,54 @@ ALL_CRITERIA = [
 ]
 
 
+# criteria 1-4 by position, never by identity: a tracer may replace the
+# list's entries with wrappers
+_QUADRATURE = 4
+
+
+def _run_child(criteria: list, quick: bool, wfd: int) -> None:
+    """In a forked child: pickle the results of ``criteria``, or the
+    exception one raised, into the pipe ``wfd``, then end the process
+    without running the parent's exit handlers or flushing its buffers."""
+    code = 1
+    try:
+        try:
+            payload = [fn(quick=quick) for fn in criteria]
+        except BaseException as exc:
+            payload = exc
+        with open(wfd, "wb") as pipe:
+            pickle.dump(payload, pipe)
+        code = 0
+    finally:
+        os._exit(code)
+
+
 def run_all(quick: bool = False) -> list:
-    return [fn(quick=quick) for fn in ALL_CRITERIA]
+    """The ten results in criterion order.  A forked child is reaped, or
+    killed and reaped, before this returns or raises."""
+    if not hasattr(os, "fork") or orthog._cpu_count() < 2:
+        return [fn(quick=quick) for fn in ALL_CRITERIA]
+    rfd, wfd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        os.close(rfd)
+        _run_child(ALL_CRITERIA[:_QUADRATURE], quick, wfd)
+    os.close(wfd)
+    with open(rfd, "rb") as pipe:
+        try:
+            tail = [fn(quick=quick) for fn in ALL_CRITERIA[_QUADRATURE:]]
+            data = pipe.read()
+        except BaseException:
+            os.kill(pid, signal.SIGKILL)
+            raise
+        finally:
+            _, status = os.waitpid(pid, 0)
+    if not data:
+        raise McjError(
+            "the process running criteria 1-4 ended without a result "
+            f"(exit status {os.waitstatus_to_exitcode(status)})"
+        )
+    head = pickle.loads(data)
+    if isinstance(head, BaseException):
+        raise head
+    return head + tail

@@ -723,11 +723,29 @@ def hciz_det(x: Sequence[complex], y: Sequence[complex]) -> complex:
 # ---------------------------------------------------------------------------
 
 
+def _check_float_range(params: ParamSet, N: int, what: str, knob: str, beta: bool = True):
+    """Refuse ``what``, a sum over the partitions of weight <= N, when its
+    float body factors would leave the double range: the generalized
+    Pochhammer symbols (n/r)_m, (alpha)_m and, when ``beta``, (beta)_m are
+    largest at the partitions of weight N.  The message says to use a
+    smaller ``knob``."""
+    alpha, n_over_r = float(params.alpha), float(params.n_over_r)
+    symbols = {"n/r": n_over_r, "alpha": alpha}
+    if beta:
+        symbols["beta"] = 0.5 * (alpha + n_over_r) + 1j * float(params.nu)
+    top = [m for m in enumerate_partitions(N, params.r) if weight(m) == N]
+    for name, a in symbols.items():
+        for m in top:
+            if not cmath.isfinite(coeffs._poch_complex(a, m, params)):
+                raise ParameterError(
+                    f"{what} needs ({name})_m at m = {format_partition(m)} as a float, "
+                    f"past the double range; use a smaller {knob}"
+                )
+
+
 def _check_genfun_domain(params: ParamSet, z: Sequence[complex], N: int, beta: bool = True):
     """Refuse a truncation at N outside the closed forms' domain, over the
-    partition budget, or whose float body factors would leave the double
-    range: the generalized Pochhammer symbols (n/r)_m, (alpha)_m and, when
-    ``beta``, (beta)_m are largest at the partitions of weight N."""
+    partition budget, or past the float range (``_check_float_range``)."""
     if len(z) != params.r:
         raise ParameterError("z must have length r")
     if max(abs(complex(x)) for x in z) >= 1 / 3:
@@ -739,18 +757,7 @@ def _check_genfun_domain(params: ParamSet, z: Sequence[complex], N: int, beta: b
             f"a truncation at N = {N} sums over more than {_GENFUN_BUDGET} partitions at "
             f"r = {params.r}, over the budget (the work grows as their square); use a smaller N"
         )
-    alpha, n_over_r = float(params.alpha), float(params.n_over_r)
-    symbols = {"n/r": n_over_r, "alpha": alpha}
-    if beta:
-        symbols["beta"] = 0.5 * (alpha + n_over_r) + 1j * float(params.nu)
-    top = [m for m in enumerate_partitions(N, params.r) if weight(m) == N]
-    for name, a in symbols.items():
-        for m in top:
-            if not cmath.isfinite(coeffs._poch_complex(a, m, params)):
-                raise ParameterError(
-                    f"a truncation at N = {N} needs ({name})_m at m = {format_partition(m)} "
-                    f"as a float, past the double range; use a smaller N"
-                )
+    _check_float_range(params, N, f"a truncation at N = {N}", "N", beta)
 
 
 def genfun_residual_phi(

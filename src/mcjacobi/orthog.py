@@ -38,7 +38,8 @@ bounds the node count from the points per axis n, n^r on the tensor branch
 and n^r r! on the nested one, and the cost of an n-point Gauss-Jacobi rule,
 n^2; past ``_NODE_BUDGET`` either way it raises ParameterError.  Before any
 polynomial is built, ``verify_orthogonality`` bounds the partition count P
-and the Gram work P^2 N (``_check_work``).
+and the Gram work P^2 N, and refuses a max weight whose float body factors
+would pass the double range (``_check_work``).
 
 The Gram matrix is one pass over the leaves of numpy's pairwise-summation
 tree on the nodes (``_pairwise``), which halves n complex values at
@@ -83,7 +84,7 @@ import numpy as np
 
 from . import coeffs
 from .errors import ParameterError, SingularPointError
-from .mcj import mcj_build
+from .mcj import _check_float_range, mcj_build
 from .params import ParamSet
 from .partitions import count_partitions, enumerate_partitions, format_partition
 from .sympoly import _mul, evaluate_points_many
@@ -230,7 +231,8 @@ def _check_budget(n: int, params: ParamSet) -> None:
 def _check_work(params: ParamSet, max_weight: int, n: int) -> None:
     """Refuse a certificate over partitions of weight <= max_weight with an
     n-point rule before anything is built, from the partition count P (the
-    exact build) and P^2 times the nodes (the Gram pass)."""
+    exact build), P^2 times the nodes (the Gram pass) and the float range of
+    the bodies' factors."""
     P = count_partitions(max_weight, params.r, _PARTITION_BUDGET + 1)
     units = P * P * _node_bound(n, params)
     if P > _PARTITION_BUDGET:
@@ -238,7 +240,8 @@ def _check_work(params: ParamSet, max_weight: int, n: int) -> None:
     elif units > _GRAM_BUDGET:
         need = f"{P} partitions and up to {units:,} Gram entry-nodes (P^2 times the nodes)"
     else:
-        return
+        what = f"max weight {max_weight} at r = {params.r}"
+        return _check_float_range(params, max_weight, what, "max weight")
     raise ParameterError(
         f"max weight {max_weight} at r = {params.r} with {n} points per axis needs {need}, "
         f"over the budget of {_PARTITION_BUDGET} partitions and {_GRAM_BUDGET:,} "

@@ -10,6 +10,7 @@ import pytest
 import mcjacobi.coeffs as coeffs
 from mcjacobi import acceptance, mcj, orthog
 from mcjacobi.errors import ParameterError
+from mcjacobi.params import ParamSet
 from mcjacobi.cli import _floats, _params, build_parser, dumps_17g, format_complex, run
 
 
@@ -306,6 +307,11 @@ OVER_BUDGET = [
     ["verify-orth", "--r", "2", "--max-weight", "100000"],
     ["conjecture-sweep", "--max-weight", "100000"],
 ]
+# commands that README or CI show being refused because a float factor would
+# pass the double range
+PAST_FLOAT_RANGE = [
+    ["verify-orth", "--r", "1", "--d", "2", "--alpha", "2", "--nu", "0.3", "--max-weight", "250"],
+]
 
 
 def _documented_commands():
@@ -343,14 +349,15 @@ def test_documented_commands_within_work_budget():
     assert {argv[0] for argv in commands} == {
         "verify-ode", "verify-genfun", "verify-orth", "conjecture-sweep"
     }
-    assert all(argv in commands for argv in OVER_BUDGET)
+    assert all(argv in commands for argv in OVER_BUDGET + PAST_FLOAT_RANGE)
     for argv in commands:
         try:
             _check_budget(argv)
         except ValueError as exc:  # some are refused on purpose, most not for size
             assert ("budget" in str(exc)) == (argv in OVER_BUDGET), (argv, exc)
+            assert ("double range" in str(exc)) == (argv in PAST_FLOAT_RANGE), (argv, exc)
         else:
-            assert argv not in OVER_BUDGET, argv
+            assert argv not in OVER_BUDGET + PAST_FLOAT_RANGE, argv
 
 
 def test_selftest_within_work_budget(monkeypatch):
@@ -386,6 +393,33 @@ def test_verify_genfun_refuses_float_overflow(N, symbol, capsys, monkeypatch):
     assert run(["verify-genfun", "--N", N]) == 2
     err = capsys.readouterr().err
     assert f"N = {N}" in err and symbol in err and "double range" in err
+
+
+@pytest.mark.parametrize(
+    "argv,symbol",
+    [
+        # at r = 1, d = 2: (n/r)_m = m! and (alpha)_m = (m + 1)! at alpha = 2
+        (PAST_FLOAT_RANGE[0], "(n/r)_m at m = 250"),
+        (["verify-orth", "--r", "1", "--alpha", "2", "--max-weight", "170"], "(alpha)_m at m = 170"),
+        (["conjecture-sweep", "--r", "1", "--d", "2", "--alpha", "2", "--nu", "0.3",
+          "--max-weight", "171", "--points", "8"], "(n/r)_m at m = 171"),
+    ],
+)
+def test_certificate_past_float_range_refused_before_any_build(argv, symbol, capsys, monkeypatch):
+    # refused by the work check, before any polynomial is built
+    monkeypatch.setattr(orthog, "mcj_build", None)
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    weight = argv[argv.index("--max-weight") + 1]
+    assert f"max weight {weight} at r = 1" in err and symbol in err and "double range" in err
+
+
+def test_certificate_within_float_range_passes_the_work_check():
+    # the largest max weight whose factors stay finite at r = 1, d = 2, alpha = 2
+    p = ParamSet(r=1, d=2, alpha=2, nu=0.3)
+    orthog._check_work(p, 169, 64)
+    with pytest.raises(ParameterError, match="max weight 170"):
+        orthog._check_work(p, 170, 64)
 
 
 def test_verify_genfun_within_float_range():
