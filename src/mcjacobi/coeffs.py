@@ -19,7 +19,7 @@ from typing import Optional, Sequence, Union
 from .errors import GammaPoleError, InvariantError, ParameterError
 from .params import ParamSet
 from .partitions import enumerate_partitions, pad, weight
-from .sympoly import SymPoly, spherical_poly
+from .sympoly import SymPoly, _int_sum, spherical_poly
 
 TWO_PI = 2.0 * math.pi
 
@@ -163,7 +163,8 @@ def _one_box(m: tuple, d: Fraction, r: int) -> list:
     E = sum_j d/dx_j.  The coefficient of m_mu in E Phi_m is
     sum_j (mu_j + 1) c_{sort(mu + e_j)}; it is needed only at the candidates
     m - e_i, which are peeled from the lex-largest down, since the support of
-    Phi_{m - e_i} is dominated by m - e_i.  At x = 1 the identity reads
+    Phi_{m - e_i} is dominated by m - e_i.  Each candidate's sum is taken by
+    ``_int_sum`` and divided once.  At x = 1 the identity reads
     sum_i binom(m, m - e_i) = |m|, which is checked.
     """
     phi = spherical_poly(m, d, r).terms
@@ -172,15 +173,22 @@ def _one_box(m: tuple, d: Fraction, r: int) -> list:
         if m[i] == (m[i + 1] if i + 1 < r else 0):
             continue
         kappa = m[:i] + (m[i] - 1,) + m[i + 1:]
-        c = Fraction(0)
+        parts = []
         for j in range(r):
             up = list(kappa)
             up[j] += 1
-            c += (kappa[j] + 1) * phi.get(tuple(sorted(up, reverse=True)), 0)
+            c = phi.get(tuple(sorted(up, reverse=True)))
+            if c:
+                parts.append(((kappa[j] + 1) * c.numerator, c.denominator))
         for prev, b in peeled:
-            c -= b * spherical_poly(prev, d, r).terms.get(kappa, 0)
-        peeled.append((kappa, c / spherical_poly(kappa, d, r).terms[kappa]))
-    if sum(b for _, b in peeled) != weight(m):
+            c = spherical_poly(prev, d, r).terms.get(kappa)
+            if c:
+                parts.append((-b.numerator * c.numerator, b.denominator * c.denominator))
+        num, den = _int_sum(parts)
+        lead = spherical_poly(kappa, d, r).terms[kappa]
+        peeled.append((kappa, Fraction(num * lead.denominator, den * lead.numerator)))
+    num, den = _int_sum([(b.numerator, b.denominator) for _, b in peeled])
+    if num != weight(m) * den:
         raise InvariantError("one-box binomials do not sum to |m|")
     return peeled
 
@@ -222,7 +230,7 @@ def _phi_one_plus(m: tuple, d: Fraction, r: int) -> SymPoly:
     den, terms = _sum_products(
         [(b, spherical_poly(k, d, r).terms) for k, b in _binom_row(m, d, r).items()]
     )
-    return SymPoly(r, {lam: Fraction(v, den) for lam, v in terms.items()})
+    return SymPoly._trusted(r, {lam: Fraction(v, den) for lam, v in terms.items() if v})
 
 
 def _phi_one_minus(m: tuple, d: Fraction, r: int) -> dict:
@@ -238,14 +246,26 @@ def _phi_one_minus(m: tuple, d: Fraction, r: int) -> dict:
     }
 
 
+@lru_cache(maxsize=1024)
+def _binom_row_by_ratio(m: tuple, d_num: int, d_den: int, r: int) -> dict:
+    """``_binom_row`` at d = d_num/d_den, keyed by the two integers, which
+    hash in C where a Fraction key runs ``Fraction.__hash__`` on every lookup;
+    the table that ``gen_binom`` and ``mcj._m_table`` read."""
+    return _binom_row(m, Fraction(d_num, d_den), r)
+
+
+_ZERO = Fraction(0)
+
+
 def gen_binom(m: Sequence[int], k: Sequence[int], params: ParamSet) -> Fraction:
     """Generalized binomial coefficient: coefficient of Phi_k in Phi_m(1+x).
 
     Vanishes whenever k is not contained in m: the row of m holds exactly
     the k contained in m.
     """
-    row = _binom_row(pad(m, params.r), params.d, params.r)
-    return row.get(pad(k, params.r), Fraction(0))
+    r, d = params.r, params.d
+    row = _binom_row_by_ratio(pad(m, r), d.numerator, d.denominator, r)
+    return row.get(pad(k, r), _ZERO)
 
 
 def gamma_k_partition(k: Sequence[int], x: Sequence[int], params: ParamSet) -> Fraction:

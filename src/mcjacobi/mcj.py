@@ -47,12 +47,19 @@ _GENFUN_BUDGET = 400
 
 def _check_poch_nonzero(m: Sequence[int], params: ParamSet) -> None:
     """(alpha)_k must be nonzero for every k contained in m; tested exactly
-    when alpha is exact, since a float test misses zeros such as 4/3 - 7/3 + 1."""
+    when alpha is exact, since a float test misses zeros such as 4/3 - 7/3 + 1:
+    axis j vanishes iff t = (d/2) j - alpha is an integer with 0 <= t < m_j."""
     mm = pad(m, params.r)
     if params.alpha_is_exact:
-        alpha, d2 = Fraction(params.alpha), params.d / 2
-    else:
-        alpha, d2 = float(params.alpha), float(params.d) / 2
+        a_num, a_den = params.alpha.numerator, params.alpha.denominator
+        d_num, d_den = params.d.numerator, params.d.denominator
+        D = 2 * d_den * a_den
+        for j in range(params.r):
+            t, rest = divmod(d_num * j * a_den - 2 * d_den * a_num, D)
+            if not rest and 0 <= t < mm[j]:
+                raise ParameterError(f"(alpha)_k vanishes: alpha - (d/2)({j}) + {t} = 0")
+        return
+    alpha, d2 = float(params.alpha), float(params.d) / 2
     for j in range(params.r):
         base = alpha - d2 * j
         for t in range(mm[j]):
@@ -63,17 +70,21 @@ def _check_poch_nonzero(m: Sequence[int], params: ParamSet) -> None:
 
 
 @lru_cache(maxsize=4096)
-def _m_table(m: tuple, d: Fraction, r: int, scalar: type) -> tuple:
+def _m_table(m: tuple, d_num: int, d_den: int, r: int, scalar: type) -> tuple:
     """The factors of ``_family_body`` that depend only on m: d_m, (n/r)_m and
     the pairs (k, binom(m,k)) over k contained in m, in the scalar type and
-    in ``enumerate_partitions`` order.  The row holds exactly the k contained
-    in m, since binom(m,k) > 0 there and 0 elsewhere."""
-    p = ParamSet(r=r, d=d)
-    row = sorted(coeffs._binom_row(m, d, r).items(), key=lambda kb: _sort_key(kb[0]))
+    in ``enumerate_partitions`` order, at d = d_num/d_den.  The row holds
+    exactly the k contained in m, since binom(m,k) > 0 there and 0 elsewhere.
+    The complex table is the exact one converted entry by entry."""
+    if scalar is complex:
+        dim, nr_poch, row = _m_table(m, d_num, d_den, r, Fraction)
+        return complex(dim), complex(nr_poch), tuple((k, complex(b)) for k, b in row)
+    p = ParamSet(r=r, d=Fraction(d_num, d_den))
+    row = coeffs._binom_row_by_ratio(m, d_num, d_den, r)
     return (
-        scalar(dim_dm(m, p)),
-        scalar(gen_pochhammer(p.n_over_r, m, p)),
-        tuple((k, scalar(b)) for k, b in row),
+        dim_dm(m, p),
+        gen_pochhammer(p.n_over_r, m, p),
+        tuple(sorted(row.items(), key=lambda kb: _sort_key(kb[0]))),
     )
 
 
@@ -93,10 +104,12 @@ def _k_table(k: tuple, params: ParamSet, scalar: type) -> tuple:
 
 
 @lru_cache(maxsize=4096)
-def _phi_table(k: tuple, d: Fraction, r: int, shifted: bool, scalar: type) -> tuple:
+def _phi_table(k: tuple, d_num: int, d_den: int, r: int, shifted: bool, scalar: type) -> tuple:
     """The monomial terms of Phi_k(1 - sigma) when ``shifted``, of Phi_k
-    otherwise, as (den, ((lambda, value), ...)): exact terms are integer
-    numerators over their lcm den, complex terms are the values over den = 1."""
+    otherwise, at d = d_num/d_den, as (den, ((lambda, value), ...)): exact
+    terms are integer numerators over their lcm den, complex terms are the
+    values over den = 1."""
+    d = Fraction(d_num, d_den)
     phi = coeffs._phi_one_minus(k, d, r) if shifted else spherical_poly(k, d, r).terms
     if scalar is complex:
         return 1, tuple((lam, complex(c)) for lam, c in phi.items())
@@ -119,37 +132,49 @@ def _family_body(
     tables ``_m_table``, ``_k_table`` and ``_phi_table``; (alpha)_m is the
     k = m entry of ``_k_table``.
 
-    An exact body is accumulated in integers: with E_k the denominator of
-    the k-th coefficient times that of its Phi table and L the lcm of the
-    E_k, each term adds numerator * (L / E_k) * c, and each monomial's sum
-    becomes one Fraction over L.  A partial sum is zero exactly when the
-    rational one is, so the terms keep the key order of rational sums.
+    An exact body is accumulated in integers: the k-th coefficient is an
+    integer numerator over an integer denominator E_k, which includes that
+    of its Phi table, and with L the lcm of the E_k each term adds
+    numerator * (L / E_k) * c; each monomial's sum becomes one Fraction over
+    L.  A partial sum is zero exactly when the rational one is, so the terms
+    keep the key order of rational sums.
     """
     r = params.r
     mm = pad(m, r)
     _check_poch_nonzero(mm, params)
+    d_num, d_den = params.d.numerator, params.d.denominator
     scalar = Fraction if exact else complex
-    dim, nr_poch, row = _m_table(mm, params.d, r, scalar)
-    pref = dim * _k_table(mm, params, scalar)[2] / nr_poch
+    dim, nr_poch, row = _m_table(mm, d_num, d_den, r, scalar)
+    alpha_m = _k_table(mm, params, scalar)[2]
     steps = []
-    for k, b in row:
-        sign, beta_k, alpha_k = _k_table(k, params, scalar)
-        # complex coefficients are ((pref * sign * b) * (beta)_k) / (alpha)_k
-        # in this order, and the terms accumulate k by k in enumeration order:
-        # the rounding of the body feeds the byte-identical orthogonality reports
-        coef = pref * sign * b
-        if beta:
-            coef = coef * beta_k
-        coef = coef / alpha_k
-        steps.append((coef, _phi_table(k, params.d, r, shifted, scalar)))
     if exact:
-        den = lcm(*(coef.denominator * phi_den for coef, (phi_den, _) in steps))
-        steps = [
-            (coef.numerator * (den // (coef.denominator * phi_den)), (phi_den, phi))
-            for coef, (phi_den, phi) in steps
-        ]
+        # pref = d_m (alpha)_m / (n/r)_m = pref_num / pref_den
+        pref_num = dim.numerator * alpha_m.numerator * nr_poch.denominator
+        pref_den = dim.denominator * alpha_m.denominator * nr_poch.numerator
+        for k, b in row:
+            sign, beta_k, alpha_k = _k_table(k, params, scalar)
+            k_num = sign * pref_num * b.numerator * alpha_k.denominator
+            k_den = pref_den * b.denominator * alpha_k.numerator
+            if beta:
+                k_num *= beta_k.numerator
+                k_den *= beta_k.denominator
+            phi_den, phi = _phi_table(k, d_num, d_den, r, shifted, scalar)
+            steps.append((k_num, k_den * phi_den, phi))
+        den = lcm(*(e for _, e, _ in steps))
+        steps = [(num * (den // e), phi) for num, e, phi in steps]
+    else:
+        pref = dim * alpha_m / nr_poch
+        for k, b in row:
+            sign, beta_k, alpha_k = _k_table(k, params, scalar)
+            # complex coefficients are ((pref * sign * b) * (beta)_k) / (alpha)_k
+            # in this order, and the terms accumulate k by k in enumeration order:
+            # the rounding of the body feeds the byte-identical orthogonality reports
+            coef = pref * sign * b
+            if beta:
+                coef = coef * beta_k
+            steps.append((coef / alpha_k, _phi_table(k, d_num, d_den, r, shifted, scalar)[1]))
     terms: dict = {}
-    for coef, (_, phi) in steps:
+    for coef, phi in steps:
         for lam, c in phi:
             v = terms.get(lam, 0) + c * coef
             if v == 0:
@@ -157,8 +182,8 @@ def _family_body(
             else:
                 terms[lam] = v
     if exact:
-        return SymPoly(r, {lam: Fraction(v, den) for lam, v in terms.items()})
-    return CSymPoly(r, terms)
+        return SymPoly._trusted(r, {lam: Fraction(v, den) for lam, v in terms.items()})
+    return CSymPoly._trusted(r, terms)
 
 
 # ---------------------------------------------------------------------------

@@ -102,8 +102,10 @@ class ParamSet:
         return self.nu == 0
 
     def orthogonality_ok(self) -> bool:
-        """The standing assumption alpha > n/r - 1 = (d/2)(r-1)."""
-        return self.alpha > float((self.d / 2) * (self.r - 1))
+        """The standing assumption alpha > n/r - 1 = (d/2)(r-1), compared
+        exactly when alpha is exact: the bound's double can round below it."""
+        bound = (self.d / 2) * (self.r - 1)
+        return self.alpha > (bound if self.alpha_is_exact else float(bound))
 
     def with_(self, **kw) -> "ParamSet":
         data = {"r": self.r, "d": self.d, "alpha": self.alpha, "nu": self.nu}

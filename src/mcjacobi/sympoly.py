@@ -42,6 +42,13 @@ def _orbit_cached(lam: tuple) -> tuple:
     return tuple(sorted(set(permutations(lam))))
 
 
+def _int_sum(parts: list) -> tuple:
+    """sum_j a_j / b_j over integer pairs [(a_j, b_j), ...] with every b_j > 0,
+    as (numerator, lcm of the b_j)."""
+    den = lcm(*(b for _, b in parts))
+    return sum(a * (den // b) for a, b in parts), den
+
+
 def _sort_key(lam: tuple):
     # (weight, reverse-lexicographic): the fixed deterministic term order.
     return (sum(lam), tuple(-p for p in lam))
@@ -57,6 +64,18 @@ class _BasePoly:
             raise ValueError("arity must be >= 1")
         self.arity = arity
         self.terms = {pad(k, arity): v for k, v in terms.items() if v != 0}
+
+    @classmethod
+    def _trusted(cls, arity: int, terms: dict):
+        """A polynomial whose terms are the dict a kernel built, taken as it
+        is: every key padded to the arity, every value of the class's scalar
+        type (``Fraction`` or ``complex``) and non-zero, and the dict mutated
+        by no one after.  The public constructors check and convert each term
+        instead."""
+        poly = cls.__new__(cls)
+        poly.arity = arity
+        poly.terms = terms
+        return poly
 
     # -- ring operations ---------------------------------------------------
 
@@ -175,14 +194,19 @@ class SymPoly(_BasePoly):
         return cls(r, {pad(lam, r): Fraction(1)})
 
     def to_complex(self) -> "CSymPoly":
-        return CSymPoly(self.arity, {k: complex(v) for k, v in self.terms.items()})
+        # a coefficient whose double rounds to 0.0 is dropped, as CSymPoly() drops it
+        return CSymPoly._trusted(
+            self.arity, {k: c for k, v in self.terms.items() if (c := complex(v))}
+        )
 
     def eval_at_ones(self) -> Fraction:
-        """Exact value at (1,...,1) = sum of coefficients times orbit sizes."""
-        return sum(
-            (c * len(_orbit_cached(lam)) for lam, c in self.terms.items()),
-            start=Fraction(0),
-        )
+        """Exact value at (1,...,1) = sum of coefficients times orbit sizes,
+        summed by ``_int_sum``."""
+        parts = [
+            (c.numerator * len(_orbit_cached(lam)), c.denominator)
+            for lam, c in self.terms.items()
+        ]
+        return Fraction(*_int_sum(parts))
 
 
 class CSymPoly(_BasePoly):
@@ -426,7 +450,7 @@ def jack_mono(m: Sequence[int], d, r: int) -> SymPoly:
     if d <= 0:
         raise ValueError("multiplicity d must be > 0")
     mm = pad(m, r)
-    return SymPoly(r, dict(_jack_terms(mm, Fraction(2, 1) / d, r)))
+    return SymPoly._trusted(r, dict(_jack_terms(mm, Fraction(2, 1) / d, r)))
 
 
 # ---------------------------------------------------------------------------
@@ -490,11 +514,20 @@ def schur(m: Sequence[int], r: int) -> SymPoly:
 
 
 @lru_cache(maxsize=1024)
-def _spherical_cached(m: tuple, d: Fraction, r: int) -> SymPoly:
-    p = jack_mono(m, d, r)
-    return p.scale(Fraction(1) / p.eval_at_ones())
+def _spherical_cached(m: tuple, d_num: int, d_den: int, r: int) -> SymPoly:
+    """Phi_m at d = d_num/d_den, keyed by the two integers, which hash in C
+    where a Fraction key would run ``Fraction.__hash__`` on every lookup.
+    Each coefficient c of P_m becomes c / P_m(1) as one Fraction of integers."""
+    p = jack_mono(m, Fraction(d_num, d_den), r)
+    at_ones = p.eval_at_ones()
+    a, b = at_ones.numerator, at_ones.denominator
+    return SymPoly._trusted(
+        r, {lam: Fraction(c.numerator * b, c.denominator * a) for lam, c in p.terms.items()}
+    )
 
 
 def spherical_poly(m: Sequence[int], d, r: int) -> SymPoly:
     """Spherical polynomial: Jack rescaled so the value at (1,...,1) is 1."""
-    return _spherical_cached(pad(m, r), Fraction(d), r)
+    if not isinstance(d, Fraction):
+        d = Fraction(d)
+    return _spherical_cached(pad(m, r), d.numerator, d.denominator, r)

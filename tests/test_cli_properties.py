@@ -111,3 +111,18 @@ def test_verify_genfun_over_budget_exits_2(r, N):
         ["verify-genfun", "--r", str(r), "--N", str(N), "--z", z, "--theta", angles, "--t", angles]
     )
     assert code == 2 and "budget" in err and "Traceback" not in err
+
+
+@PROPERTY_SETTINGS
+@given(
+    st.sampled_from(["verify-orth", "conjecture-sweep"]),
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=400, max_value=10**30),
+)
+def test_huge_max_weight_exits_2(command, r, max_weight):
+    # past 400 partitions of weight <= max_weight at any r: the partition budget
+    argv = [command, "--r", str(r), "--max-weight", str(max_weight), "--points", "8"]
+    if command == "verify-orth":
+        argv += [f"{k}={v}" for k, v in VALID.items()]
+    code, err = _exit_code(argv)
+    assert code == 2 and "budget" in err and "Traceback" not in err, (argv, code, err)

@@ -206,19 +206,25 @@ def test_binom_row_and_phi_one_plus_match_substitution(r, max_w, d):
 def test_exact_caches_bounded_and_rebuild_equal():
     # past the bound the first (m, d, r) entry of every exact cache is
     # evicted and rebuilds to an equal value
-    caches = (coeffs._binom_row, coeffs._phi_one_plus, sympoly._jack_terms,
-              sympoly._spherical_cached)
+    caches = (coeffs._binom_row, coeffs._binom_row_by_ratio, coeffs._phi_one_plus,
+              sympoly._jack_terms, sympoly._spherical_cached)
     assert all(f.cache_info().maxsize is not None for f in caches)
     bound = max(f.cache_info().maxsize for f in caches)
     m, d, r = (2, 1, 0), Fraction(7, 5), 3
-    first = (coeffs._binom_row(m, d, r), coeffs._phi_one_plus(m, d, r),
-             sympoly._jack_terms(m, Fraction(2) / d, r), sympoly._spherical_cached(m, d, r))
+
+    def build():
+        return (coeffs._binom_row(m, d, r), coeffs._binom_row_by_ratio(m, 7, 5, r),
+                coeffs._phi_one_plus(m, d, r), sympoly._jack_terms(m, Fraction(2) / d, r),
+                sympoly._spherical_cached(m, 7, 5, r))
+
+    first = build()
     for i in range(bound + 5):  # one entry in each cache per fresh d at least
-        coeffs._phi_one_plus((1,), Fraction(3 + 2 * i, 2), 1)
+        d_i = Fraction(3 + 2 * i, 2)
+        coeffs._phi_one_plus((1,), d_i, 1)
+        coeffs.gen_binom((1,), (0,), ParamSet(r=1, d=d_i))
     assert all(f.cache_info().currsize <= f.cache_info().maxsize for f in caches)
     misses = [f.cache_info().misses for f in caches]
-    again = (coeffs._binom_row(m, d, r), coeffs._phi_one_plus(m, d, r),
-             sympoly._jack_terms(m, Fraction(2) / d, r), sympoly._spherical_cached(m, d, r))
+    again = build()
     assert all(f.cache_info().misses > k for f, k in zip(caches, misses))
     assert again == first
     assert all(f.cache_info().currsize <= f.cache_info().maxsize for f in caches)
@@ -318,6 +324,19 @@ def test_expected_norm_examples():
         assert expected_norm((m,), p3) == pytest.approx(gam, rel=1e-12)
     with pytest.raises(ParameterError):
         expected_norm((0, 0), ParamSet(r=2, d=2, alpha=0.5, nu=0))
+
+
+@pytest.mark.parametrize(
+    "alpha", [Fraction(1, 6), Fraction(1, 6) - Fraction(1, 10**20), Fraction(1, 7)]
+)
+def test_exact_alpha_at_or_below_the_bound_is_refused(alpha):
+    # the bound (d/2)(r-1) = 1/6 rounds below 1/6 as a double, so an exact alpha
+    # at the bound, or just under it, must be compared exactly
+    p = ParamSet(r=2, d=Fraction(1, 3), alpha=alpha)
+    assert not p.orthogonality_ok()
+    with pytest.raises(ParameterError, match=r"need alpha > \(d/2\)\(r-1\)"):
+        expected_norm((0, 0), p)
+    assert ParamSet(r=2, d=Fraction(1, 3), alpha=Fraction(1, 5)).orthogonality_ok()
 
 
 @pytest.mark.parametrize("alpha", [2.5, None])

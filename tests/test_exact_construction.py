@@ -1,0 +1,157 @@
+"""The exact construction layer without per-term Fraction work: kernel-built
+polynomials equal their validated copies, bodies are pinned, and warm
+lookups hash no Fraction."""
+
+import hashlib
+from fractions import Fraction
+
+import pytest
+
+import fraction_oracle as oracle
+import mcjacobi.coeffs as coeffs
+import mcjacobi.mcj as mcj
+import mcjacobi.sympoly as sympoly
+from mcjacobi.errors import ParameterError
+from mcjacobi.params import ParamSet
+from mcjacobi.partitions import enumerate_partitions, pad
+from mcjacobi.sympoly import CSymPoly, SymPoly
+
+# (r, d, alpha, max weight): exact alpha > (d/2)(r-1), integer and non-integer d
+CASES = [
+    (1, Fraction(2), Fraction(3), 6),
+    (2, Fraction(1, 3), Fraction(7, 3), 5),
+    (2, Fraction(5, 2), Fraction(3), 5),
+    (3, Fraction(7, 3), Fraction(11, 2), 4),
+    (4, Fraction(1, 2), Fraction(9, 4), 3),
+]
+
+
+def _assert_as_validated(poly):
+    """``poly`` is what its public constructor makes of its own terms: same
+    values in the same key order, padded keys, non-zero values of the
+    class's scalar type."""
+    scalar = Fraction if type(poly) is SymPoly else complex
+    again = type(poly)(poly.arity, poly.terms)
+    assert list(poly.terms.items()) == list(again.terms.items())
+    for lam, c in poly.terms.items():
+        assert len(lam) == poly.arity and type(c) is scalar and c != 0
+
+
+@pytest.mark.parametrize("r,d,alpha,w", CASES)
+def test_kernel_built_polynomials_equal_validated_copies(r, d, alpha, w):
+    pe = ParamSet(r=r, d=d, alpha=alpha, nu=0)
+    pc = pe.with_(nu=0.3)
+    for m in enumerate_partitions(w, r):
+        built = [
+            sympoly.jack_mono(m, d, r),
+            sympoly.spherical_poly(m, d, r),
+            coeffs._phi_one_plus(m, d, r),
+            mcj.mcj_build(m, pe).body_exact,
+            mcj.mcj_build(m, pe).body,
+            mcj.mcj_build(m, pc).body,
+            mcj.laguerre_build(m, pc).body,
+            mcj._psi_body(m, pc),
+        ]
+        for beta, shifted in ((True, True), (False, False), (True, False)):
+            built.append(mcj._family_body(m, pe, beta=beta, shifted=shifted, exact=True))
+        for poly in built:
+            _assert_as_validated(poly)
+
+
+@pytest.mark.parametrize("r,d,alpha,w", CASES)
+def test_spherical_normalization_matches_oracle(r, d, alpha, w):
+    # the integer sum at (1,...,1) and the one-Fraction-per-term scale
+    for m in enumerate_partitions(w, r):
+        new, old = sympoly.spherical_poly(m, d, r), oracle.spherical_poly(m, d, r)
+        assert list(new.terms.items()) == list(old.terms.items())
+        jack = sympoly.jack_mono(m, d, r)
+        total = sum(c * len(sympoly._orbit_cached(lam)) for lam, c in jack.terms.items())
+        assert jack.eval_at_ones() == total
+
+
+def test_to_complex_drops_a_coefficient_that_rounds_to_zero():
+    exact = SymPoly(2, {(0, 0): Fraction(1), (1, 0): Fraction(1, 10**400),
+                        (2, 1): Fraction(-3, 7)})
+    cplx = exact.to_complex()
+    assert list(cplx.terms.items()) == [((0, 0), 1 + 0j), ((2, 1), complex(Fraction(-3, 7)))]
+    assert cplx == CSymPoly(2, {k: complex(v) for k, v in exact.terms.items()})
+
+
+def test_exact_bodies_pinned():
+    # sha256 of the 41 rendered exact bodies of weight <= 8 at r = 3, d = 7/3,
+    # as the Fraction-per-term construction rendered them
+    p = ParamSet(r=3, d=Fraction(7, 3), alpha=Fraction(11, 2), nu=0)
+    parts = enumerate_partitions(8, 3)
+    text = "\n".join(mcj.mcj_build(m, p).body_exact.render() for m in parts)
+    assert len(parts) == 41
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "57343e6bd382fbee42dfb8c2fb61a367c82e8ebed49876a1d6047602e29dcf8a"
+    )
+
+
+def _poch_zero_oracle(m, params):
+    """The first (j, t) with alpha - (d/2) j + t = 0 and t < m_j, in Fractions."""
+    alpha, d2 = Fraction(params.alpha), params.d / 2
+    for j in range(params.r):
+        for t in range(pad(m, params.r)[j]):
+            if alpha - d2 * j + t == 0:
+                return j, t
+    return None
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+@pytest.mark.parametrize("d", [Fraction(1, 3), Fraction(1), Fraction(5, 2), Fraction(7, 3)])
+def test_poch_zero_divisibility_test_matches_fraction_loop(r, d):
+    for j in range(r):
+        for t in range(-1, 5):
+            for shift in (0, Fraction(1, 9)):
+                alpha = d / 2 * j - t + shift
+                if alpha == 0:
+                    continue
+                p = ParamSet(r=r, d=d, alpha=alpha, nu=0)
+                for m in enumerate_partitions(5, r):
+                    hit = _poch_zero_oracle(m, p)
+                    if hit is None:
+                        mcj._check_poch_nonzero(m, p)
+                        continue
+                    with pytest.raises(ParameterError) as exc:
+                        mcj._check_poch_nonzero(m, p)
+                    assert str(exc.value) == (
+                        f"(alpha)_k vanishes: alpha - (d/2)({hit[0]}) + {hit[1]} = 0"
+                    )
+
+
+def test_warm_lookups_hash_no_fraction(monkeypatch):
+    r, d = 3, Fraction(11, 7)
+    pe = ParamSet(r=r, d=d, alpha=5, nu=0)
+    pc = pe.with_(nu=0.3)
+    parts = enumerate_partitions(5, r)
+
+    def job():
+        for m in parts:
+            sympoly.spherical_poly(m, d, r)
+            for k in parts:
+                coeffs.gen_binom(m, k, pe)
+            # the uncached builds read only the warm factor tables
+            mcj.mcj_build.__wrapped__(m, pe)
+            mcj.mcj_build.__wrapped__(m, pc)
+            mcj.laguerre_build.__wrapped__(m, pc)
+
+    job()
+    calls = []
+    real_hash = Fraction.__hash__
+
+    def counting_hash(self):
+        calls.append(self)
+        return real_hash(self)
+
+    monkeypatch.setattr(Fraction, "__hash__", counting_hash)
+    job()
+    monkeypatch.undo()
+    assert len(calls) == 0
+    # the count sees a cold lookup: a fresh d hashes in the Fraction-keyed kernels
+    fresh = ParamSet(r=r, d=Fraction(13, 7))
+    monkeypatch.setattr(Fraction, "__hash__", counting_hash)
+    coeffs.gen_binom((2, 1), (1,), fresh)
+    monkeypatch.undo()
+    assert calls
