@@ -37,7 +37,7 @@ from .params import ParamSet
 from .partitions import (
     Partition, count_partitions, enumerate_partitions, format_partition, pad, weight,
 )
-from .sympoly import CSymPoly, SymPoly, _sort_key, spherical_poly
+from .sympoly import CSymPoly, SymPoly, _as_complex, _sort_key, spherical_poly
 
 # work budgets, checked before any work, each ~10 s of the worst case measured on a
 # 2-core x86 machine: exact operator units, and partitions a genfun truncation sums
@@ -78,7 +78,7 @@ def _m_table(m: tuple, d_num: int, d_den: int, r: int, scalar: type) -> tuple:
     The complex table is the exact one converted entry by entry."""
     if scalar is complex:
         dim, nr_poch, row = _m_table(m, d_num, d_den, r, Fraction)
-        return complex(dim), complex(nr_poch), tuple((k, complex(b)) for k, b in row)
+        return _as_complex(dim), _as_complex(nr_poch), tuple((k, _as_complex(b)) for k, b in row)
     p = ParamSet(r=r, d=Fraction(d_num, d_den))
     row = coeffs._binom_row_by_ratio(m, d_num, d_den, r)
     return (
@@ -112,7 +112,7 @@ def _phi_table(k: tuple, d_num: int, d_den: int, r: int, shifted: bool, scalar: 
     d = Fraction(d_num, d_den)
     phi = coeffs._phi_one_minus(k, d, r) if shifted else spherical_poly(k, d, r).terms
     if scalar is complex:
-        return 1, tuple((lam, complex(c)) for lam, c in phi.items())
+        return 1, tuple((lam, _as_complex(c)) for lam, c in phi.items())
     den = lcm(*(c.denominator for c in phi.values()))
     return den, tuple((lam, c.numerator * (den // c.denominator)) for lam, c in phi.items())
 

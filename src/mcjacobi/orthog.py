@@ -25,21 +25,27 @@ Only the per-axis factors e^{-nu (theta - pi)} depend on nu, so a node set is
 split in two.  Its nu-free geometry (``_geometry``) is cached per (r, d, s,
 points per axis, first-axis nodes), two entries at most, enough for the
 coarse and fine rules of a sweep point across its nu values: the per-axis
-angles and, for non-even d, for each nested axis the new nodes per prefix,
-their angles and their weights before the nu factor.  Each call applies nu
-with the same elementwise products as a fresh build (``_weights``), so the
-weights are bitwise the same.  The geometry holds no (N, r) node array: each
-Gram leaf rebuilds its own r contiguous columns of e^{i theta} from the
-levels, with the outer axes' exponentials taken from the geometry; only
-``_points_weights``, for inspection, stacks the angle columns.  The last
-nested axis' weights are filled in ``_LEAF``-sized runs of one array, so no
-temporary spans all the nodes.  Before any rule is built, ``build_rule``
-bounds the node count from the points per axis n, n^r on the tensor branch
-and n^r r! on the nested one, and the cost of an n-point Gauss-Jacobi rule,
-n^2; past ``_NODE_BUDGET`` either way it raises ParameterError.  Before any
-polynomial is built, ``verify_orthogonality`` bounds the partition count P
-and the Gram work P^2 N, and refuses a max weight whose float body factors
-would pass the double range (``_check_work``).
+angles and their e^{i theta} (built in place, bitwise np.exp(1j * theta)),
+and, for non-even d, for each nested axis the new nodes per prefix and their
+weights before the nu factor, 32 bytes per node of the last axis.  A nested
+axis is built in runs of rows of about ``_LEAF`` new nodes per segment, so no
+temporary of the build spans all the nodes.  Each call applies nu
+(``_weigher``) with the same elementwise products as a fresh build, run by
+run, so the weights are bitwise the same whatever the runs: each Gram leaf
+forms the weights of its own nodes, and no array of all N weights exists
+during a pass (``_weights`` assembles one, for inspection and the tests).
+The geometry holds no (N, r) node array: each Gram leaf takes its r
+contiguous columns of e^{i theta} from the geometry, the last axis by
+slicing and the outer axes repeated or gathered; only ``_points_weights``,
+for inspection, stacks the angle columns.
+
+Before any rule is built, ``build_rule`` bounds the node count from the
+points per axis n, n^r on the tensor branch and n^r r! on the nested one,
+and the cost of an n-point Gauss-Jacobi rule, n^2; past ``_NODE_BUDGET``
+either way it raises ParameterError.  Before any polynomial is built,
+``verify_orthogonality`` bounds the partition count P and the Gram work
+P^2 N, and refuses a max weight whose float body factors would pass the
+double range (``_check_work``).
 
 The Gram matrix is one pass over the leaves of numpy's pairwise-summation
 tree on the nodes (``_pairwise``), which halves n complex values at
@@ -55,6 +61,15 @@ use, with at most one leaf per available CPU and ``_IN_FLIGHT`` = 2 at once
 (numpy releases the GIL in its loops), and adds them in the tree's order once
 all are done, so the entries do not depend on the CPU count.  No BLAS is
 called, so reports are byte-identical whatever the BLAS thread count.
+
+A leaf writes its leaf-sized arrays (weights, columns, powers, orbit sums,
+values, conjugates, products) with ufunc out= into a scratch set
+(``_Scratch``) that it takes from a shared list and gives back, so there are
+as many sets as leaves ever ran at once, ``_IN_FLIGHT`` at most.  A set
+keeps the arrays its last leaf used, at most ``_KEEP`` of at most ``_LEAF``
+complex values, so at most 32 MiB stay between passes.  A warm pass then allocates nothing leaf-sized but
+np.repeat's outer columns, and takes no fresh pages from the OS whatever
+malloc's trim and mmap thresholds.
 
 The bits are those of the whole-array expressions ``prod * z_j**e`` and
 ``wv * np.conj(v_j)``, whose right operands are fresh temporaries.  numpy's
@@ -87,7 +102,7 @@ from .errors import ParameterError, SingularPointError
 from .mcj import _check_float_range, mcj_build
 from .params import ParamSet
 from .partitions import count_partitions, enumerate_partitions, format_partition
-from .sympoly import _mul, evaluate_points_many
+from .sympoly import _fresh, _mul, _power, evaluate_points_many
 
 TWO_PI = 2.0 * math.pi
 # nodes per leaf of the Gram pass; see the module docstring for the floor
@@ -101,6 +116,9 @@ _PARTITION_BUDGET = 400
 _GRAM_BUDGET = 1 << 30
 # most Gram leaves computed at once: each holds a few leaf-sized arrays
 _IN_FLIGHT = 2
+# leaf-sized arrays a scratch set keeps between leaves: with _IN_FLIGHT sets,
+# at most _IN_FLIGHT * _KEEP * _LEAF complex values, 32 MiB, stay
+_KEEP = 32
 
 
 def _axis_exponent(params: ParamSet) -> float:
@@ -315,35 +333,44 @@ class _Level:
     wpre: np.ndarray
 
 
+def _exp_i(t: np.ndarray) -> np.ndarray:
+    """np.exp(1j * t), bitwise for t in (0, 2 pi), built in place: no
+    temporary of twice its size."""
+    z = np.zeros(len(t), dtype=complex)
+    z.imag = t
+    return np.exp(z, out=z)
+
+
 @dataclass(frozen=True)
 class _Geometry:
     """The nu-free part of a node set: the per-axis angles (the rule's nodes,
     then for non-even d one level per further axis) and e^{i theta} on every
-    axis but a nested last one.  The (N, r) nodes are never stored; a run of
-    them is rebuilt on demand as r columns, bitwise the columns of the full
-    node array."""
+    axis.  The (N, r) nodes are never stored; a run of them is rebuilt on
+    demand as r columns, bitwise the columns of the full node array."""
 
     r: int
     axes: tuple  # per-axis angles; only the rule's nodes on the tensor branch
     levels: tuple  # nested axes 1..r-1; empty on the even-d tensor branch
-    z_axes: tuple  # e^{i theta} of every axis but a nested last one
+    z_axes: tuple  # e^{i theta} of each entry of axes
 
-    def exp_i(self, lo: int, hi: int) -> list:
+    @property
+    def size(self) -> int:
+        """N, the number of nodes."""
+        return len(self.axes[-1]) if self.levels else len(self.axes[0]) ** self.r
+
+    def exp_i(self, lo: int, hi: int, take) -> list:
         """The r columns of np.exp(1j * theta) at nodes lo..hi-1, each
-        contiguous, with the outer axes' exponentials taken from the geometry;
-        the map is elementwise, so the bits agree."""
-        last = np.exp(1j * self.levels[-1].t[lo:hi]) if self.levels else None
-        return self._columns(lo, hi, self.z_axes, last)
+        contiguous, taken from the geometry's exponentials into arrays from
+        take; the map is elementwise, so the bits agree."""
+        return self._columns(lo, hi, self.z_axes, take)
 
-    def _columns(self, lo, hi, axes, last):
-        cols = [None] * self.r
+    def _columns(self, lo, hi, axes, take=None):
+        take = take or _fresh(hi - lo)
         if not self.levels:  # tensor grid in "ij" order
-            idx = np.arange(lo, hi)
-            for j in range(self.r - 1, -1, -1):
-                idx, at = np.divmod(idx, len(axes[0]))
-                cols[j] = axes[0][at]
-            return cols
-        cols[-1] = last
+            return [np.take(axes[0], at, out=take(axes[0].dtype), mode="clip")
+                    for at in self._grid(lo, hi, take)]
+        cols = [None] * self.r
+        cols[-1] = axes[-1][lo:hi]
         # the parents' own parents map one for one
         run, counts = self._parents(lo, hi)
         for j in range(self.r - 2, -1, -1):
@@ -351,6 +378,18 @@ class _Geometry:
             if j:
                 run = np.searchsorted(self.levels[j - 1].end, run, side="right")
         return cols
+
+    def _grid(self, lo: int, hi: int, take) -> list:
+        """The per-axis indices of tensor-grid nodes lo..hi-1, "ij" order."""
+        idx = take(np.intp)
+        idx.fill(1)
+        idx[0] = lo
+        np.cumsum(idx, out=idx)
+        at = [None] * self.r
+        for j in range(self.r - 1, -1, -1):
+            at[j] = take(np.intp)
+            np.divmod(idx, len(self.axes[0]), out=(idx, at[j]))
+        return at
 
     def _parents(self, lo: int, hi: int) -> tuple:
         """The run of nodes on the axis before a nested last one whose new
@@ -373,7 +412,8 @@ def _axis_level(outer, n, two_s, d) -> _Level:
     whose end exponents are 2s at 0 or 2 pi and d per outer angle at a cut;
     the remaining nu-free factors of the weight are multiplied into the
     segment weights.  A row's new nodes stay together, in segment then node
-    order, and each group's segments are written straight into place.
+    order, and each group's segments are written straight into place, a run
+    of about ``_LEAF`` new nodes per segment at a time.
     """
     srt = np.sort(outer, axis=1)
     k = srt.shape[1]
@@ -391,42 +431,45 @@ def _axis_level(outer, n, two_s, d) -> _Level:
     start = end - size
     t_all = np.empty(end[-1])
     w_all = np.empty(end[-1])
+    chunk = max(1, _LEAF // n)  # rows per run: one segment is about a leaf
     for g, pattern in enumerate(patterns):
-        rows = np.flatnonzero(group == g)
-        a = srt[rows]
-        cuts = []  # (angles, exponent)
-        for j in range(k):
-            if pattern[j]:
-                prev, e = cuts[-1]
-                cuts[-1] = (0.5 * (prev + a[:, j]), e + d)
-            else:
-                cuts.append((a[:, j], d))
-        ends = [(np.zeros(len(rows)), two_s)] + cuts + [(np.full(len(rows), TWO_PI), two_s)]
-        last = len(cuts)
-        for i in range(last + 1):
-            (lo, e_lo), (hi, e_hi) = ends[i], ends[i + 1]
-            t, w = _segment(n, e_hi, e_lo, lo, hi)
-            lo, hi = lo[:, None], hi[:, None]
-            # the 0 / 2 pi factor, then the adjacent cuts: _sc keeps the
-            # smooth part of the power already folded into the segment rule
-            if i == 0:
-                w = w * _sc(t) ** two_s * _sc(hi - t) ** e_hi
-            elif i == last:
-                w = w * _sc(TWO_PI - t) ** two_s * _sc(t - lo) ** e_lo
-            else:
-                w = (
-                    w * (2.0 * np.sin(t / 2.0)) ** two_s
-                    * _sc(t - lo) ** e_lo
-                    * _sc(hi - t) ** e_hi
-                )
-            for j, (aj, e) in enumerate(cuts):
-                if j < i - 1:
-                    w = w * (2.0 * np.sin((t - aj[:, None]) / 2.0)) ** e
-                elif j > i:
-                    w = w * (2.0 * np.sin((aj[:, None] - t) / 2.0)) ** e
-            at = start[rows, None] + (i * n + np.arange(n))
-            t_all[at] = t
-            w_all[at] = w
+        members = np.flatnonzero(group == g)
+        for c in range(0, len(members), chunk):
+            rows = members[c : c + chunk]
+            a = srt[rows]
+            cuts = []  # (angles, exponent)
+            for j in range(k):
+                if pattern[j]:
+                    prev, e = cuts[-1]
+                    cuts[-1] = (0.5 * (prev + a[:, j]), e + d)
+                else:
+                    cuts.append((a[:, j], d))
+            ends = [(np.zeros(len(rows)), two_s)] + cuts + [(np.full(len(rows), TWO_PI), two_s)]
+            last = len(cuts)
+            for i in range(last + 1):
+                (lo, e_lo), (hi, e_hi) = ends[i], ends[i + 1]
+                t, w = _segment(n, e_hi, e_lo, lo, hi)
+                lo, hi = lo[:, None], hi[:, None]
+                # the 0 / 2 pi factor, then the adjacent cuts: _sc keeps the
+                # smooth part of the power already folded into the segment rule
+                if i == 0:
+                    w = w * _sc(t) ** two_s * _sc(hi - t) ** e_hi
+                elif i == last:
+                    w = w * _sc(TWO_PI - t) ** two_s * _sc(t - lo) ** e_lo
+                else:
+                    w = (
+                        w * (2.0 * np.sin(t / 2.0)) ** two_s
+                        * _sc(t - lo) ** e_lo
+                        * _sc(hi - t) ** e_hi
+                    )
+                for j, (aj, e) in enumerate(cuts):
+                    if j < i - 1:
+                        w = w * (2.0 * np.sin((t - aj[:, None]) / 2.0)) ** e
+                    elif j > i:
+                        w = w * (2.0 * np.sin((aj[:, None] - t) / 2.0)) ** e
+                at = start[rows, None] + (i * n + np.arange(n))
+                t_all[at] = t
+                w_all[at] = w
     return _Level(size, end, t_all, w_all)
 
 
@@ -444,18 +487,20 @@ def _geometry(r: int, d: Fraction, s: float, n: int, nodes: bytes) -> _Geometry:
             axes.append(level.t)
             if k < r - 1:
                 pts = np.column_stack([np.repeat(pts, level.size, axis=0), level.t])
-    gathered = axes[:-1] if levels else axes
-    return _Geometry(r, tuple(axes), tuple(levels), tuple(np.exp(1j * a) for a in gathered))
+    return _Geometry(r, tuple(axes), tuple(levels), tuple(_exp_i(a) for a in axes))
 
 
-def _weights(params: ParamSet, rule: QuadratureRule) -> tuple:
-    """(geometry, w): the cached nu-free geometry of the node set and the
-    total measure weights at its nodes.
+def _weigher(params: ParamSet, rule: QuadratureRule) -> tuple:
+    """(geometry, weigh): the cached nu-free geometry of the node set and
+    weigh(lo, hi, take), the total measure weights at nodes lo..hi-1, written
+    into the first array it takes from take.
 
     Weights include the per-axis singular factors, the e^{-nu (theta - pi)}
     factors and the pair coupling; the polynomials are the only thing left
-    for the integrand.  The node budget is checked before anything of node
-    size is allocated.
+    for the integrand.  weigh forms its run with the same elementwise
+    products as a whole-array build, so the bits do not depend on the run,
+    and refuses non-finite values.  The node budget is checked before
+    anything of node size is allocated.
     """
     s = _axis_exponent(params)
     if abs(rule.s - s) > 1e-12:
@@ -463,45 +508,58 @@ def _weights(params: ParamSet, rule: QuadratureRule) -> tuple:
     r = params.r
     if r > 3:
         raise ParameterError("quadrature supports r <= 3 (cost grows as n^r)")
-    even = _is_even_d(params.d)
     n = rule.points_per_axis
     _check_budget(n, params)
     geom = _geometry(r, params.d, s, n, rule.nodes.tobytes())
-    nu = float(params.nu)
+    nu, d = float(params.nu), float(params.d)
 
-    def nu_fac(th):
-        return np.exp(-nu * (th - math.pi))
+    def nu_fac(th, out=None):
+        out = np.subtract(th, math.pi, out=out)
+        return np.exp(np.multiply(-nu, out, out=out), out=out)
 
+    # per pass, one array per axis before a nested last one
     w = rule.weights * nu_fac(rule.nodes)
-    if even:
-        grids = np.meshgrid(*[rule.nodes] * r, indexing="ij")
-        wgrid = np.ones_like(grids[0])
-        for j in range(r):
-            shape = [1] * r
-            shape[j] = -1
-            wgrid = wgrid * w.reshape(shape)
-        d = float(params.d)
-        for p in range(r):
-            for q in range(p + 1, r):
-                wgrid = wgrid * (
-                    2.0 * np.abs(np.sin((grids[p] - grids[q]) / 2.0))
-                ) ** d
-        w = wgrid.ravel()
-    elif geom.levels:
-        # the same elementwise products as a per-prefix build, axis by axis;
-        # the last axis in _LEAF-sized runs of one array, so no temporary
-        # spans all the nodes
-        *outer, last = geom.levels
-        for level in outer:
-            w = np.repeat(w, level.size) * (level.wpre * nu_fac(level.t))
-        out = np.empty(len(last.t))
-        for lo in range(0, len(out), _LEAF):
-            hi = min(lo + _LEAF, len(out))
+    for level in geom.levels[:-1]:
+        w = np.repeat(w, level.size) * (level.wpre * nu_fac(level.t))
+
+    def weigh(lo, hi, take):
+        out = take(float)
+        if geom.levels:
+            last = geom.levels[-1]
             run, counts = geom._parents(lo, hi)
-            out[lo:hi] = np.repeat(w[run], counts) * (last.wpre[lo:hi] * nu_fac(last.t[lo:hi]))
-        w = out
-    if not np.all(np.isfinite(w)):
-        raise ParameterError("quadrature weight assembly produced non-finite values")
+            nu_fac(last.t[lo:hi], out)
+            np.multiply(last.wpre[lo:hi], out, out=out)
+            np.multiply(np.repeat(w[run], counts), out, out=out)
+        else:  # the product of the axes' weights, then the pair coupling
+            at = geom._grid(lo, hi, take)
+            x, tmp = geom.axes[0], take(float)
+            np.take(w, at[0], out=out, mode="clip")
+            for j in range(1, r):
+                np.multiply(out, np.take(w, at[j], out=tmp, mode="clip"), out=out)
+            pair = take(float)
+            for p in range(r):
+                for q in range(p + 1, r):
+                    np.take(x, at[p], out=pair, mode="clip")
+                    np.subtract(pair, np.take(x, at[q], out=tmp, mode="clip"), out=pair)
+                    np.sin(np.divide(pair, 2.0, out=pair), out=pair)
+                    np.multiply(2.0, np.abs(pair, out=pair), out=pair)
+                    np.multiply(out, _power(pair, d, pair), out=out)
+        if not np.all(np.isfinite(out)):
+            raise ParameterError("quadrature weight assembly produced non-finite values")
+        return out
+
+    return geom, weigh
+
+
+def _weights(params: ParamSet, rule: QuadratureRule) -> tuple:
+    """(geometry, w): the geometry and all N weights, for inspection and the
+    tests, assembled from ``_weigher``'s runs; the Gram pass never holds
+    them all."""
+    geom, weigh = _weigher(params, rule)
+    w = np.empty(geom.size)
+    for lo in range(0, len(w), _LEAF):
+        hi = min(lo + _LEAF, len(w))
+        w[lo:hi] = weigh(lo, hi, _fresh(hi - lo))
     return geom, w
 
 
@@ -510,8 +568,7 @@ def _points_weights(params: ParamSet, rule: QuadratureRule) -> tuple:
     pass never materializes the nodes.  Kept because perfbench/tracer.py
     wraps it by name; the tests use their own copy."""
     geom, w = _weights(params, rule)
-    last = geom.levels[-1].t if geom.levels else None
-    return np.column_stack(geom._columns(0, len(w), geom.axes, last)), w
+    return np.column_stack(geom._columns(0, len(w), geom.axes)), w
 
 
 def _prefactor(params: ParamSet) -> float:
@@ -636,32 +693,85 @@ def _pairwise(lo: int, hi: int, leaf):
     return _pairwise(lo, mid, leaf) + _pairwise(mid, hi, leaf)
 
 
+class _Scratch:
+    """Leaf-sized arrays that one leaf at a time writes with ufunc out=, kept
+    across leaves and passes, so a warm pass takes no fresh pages whatever
+    the allocator's thresholds.  take(dtype) hands out the next array in turn
+    as an n-long view of complex storage; winding ``used`` back hands out
+    again those a step is done with.  start(n, cap) begins a leaf of n nodes,
+    with storage grown to cap, the largest leaf of the pass; keep() ends it."""
+
+    def __init__(self):
+        self.arrays = []
+
+    def start(self, n: int, cap: int):
+        self.n, self.cap, self.used, self.most = n, cap, 0, 0
+        return self.take
+
+    def take(self, dtype=complex) -> np.ndarray:
+        if self.used == len(self.arrays):
+            self.arrays.append(np.empty(self.cap, dtype=complex))
+        elif len(self.arrays[self.used]) < self.cap:
+            self.arrays[self.used] = np.empty(self.cap, dtype=complex)
+        self.used += 1
+        self.most = max(self.most, self.used)
+        return self.arrays[self.used - 1].view(dtype)[: self.n]
+
+    def keep(self) -> None:
+        """Drop the arrays the leaf did not use, and all but _KEEP."""
+        del self.arrays[min(self.most, _KEEP) :]
+
+
+# idle scratch sets; a leaf takes one and gives it back with at most _KEEP
+# arrays, so there are as many as leaves ever ran at once (list.pop and
+# list.append hold no lock a forked child could inherit held)
+_SCRATCH = []
+
+
 def _gram(params: ParamSet, parts: list, rule: QuadratureRule) -> np.ndarray:
     """All P^2 entries pref * sum_k w_k phi_i(z_k) conj(phi_j(z_k)).
 
-    One pass over the leaves of the pairwise-summation tree: each leaf
-    evaluates the polynomials at its own nodes and reduces its P^2 sums, so
-    no array spans all the nodes.  numpy's pairwise summation, with no BLAS
-    call, so the result does not depend on the thread count; hermiticity
-    stays a measured diagnostic.
+    One pass over the leaves of the pairwise-summation tree: each leaf forms
+    the weights and the e^{i theta} columns of its own nodes, evaluates the
+    polynomials there and reduces its P^2 sums, so no array spans all the
+    nodes.  numpy's pairwise summation, with no BLAS call, so the result does
+    not depend on the thread count; hermiticity stays a measured diagnostic.
     """
-    geom, w = _weights(params, rule)
+    geom, weigh = _weigher(params, rule)
     bodies = [mcj_build(tuple(m), params).body for m in parts]
     P = len(parts)
+    spans = _pairwise(0, geom.size, lambda lo, hi: [(lo, hi)])
+    cap = max(hi - lo for lo, hi in spans)
 
     def leaf(lo, hi):
-        vals = evaluate_points_many(bodies, geom.exp_i(lo, hi))
-        conj = [np.conj(v) for v in vals]
-        S = np.empty((P, P), dtype=complex)
-        for i in range(P):
-            wv = w[lo:hi] * vals[i]
-            for j in range(P):
-                S[i, j] = np.sum(_mul(wv, conj[j]))
-        return S
+        try:
+            scratch = _SCRATCH.pop()
+        except IndexError:
+            scratch = _Scratch()
+        take = scratch.start(hi - lo, cap)
+        try:
+            # a step's result is the first array it takes, and the arrays it
+            # takes after that are free once it returns
+            w = weigh(lo, hi, take)
+            scratch.used = 1
+            cols = geom.exp_i(lo, hi, take)
+            mark = scratch.used
+            vals = evaluate_points_many(bodies, cols, take)
+            scratch.used = mark + P
+            conj = [np.conj(v, out=take()) for v in vals]
+            prod = take()
+            S = np.empty((P, P), dtype=complex)
+            for i, v in enumerate(vals):
+                wv = np.multiply(w, v, out=v)  # v is not needed again
+                for j in range(P):
+                    S[i, j] = np.add.reduce(_mul(wv, conj[j], prod))  # np.sum
+            return S
+        finally:
+            scratch.keep()
+            _SCRATCH.append(scratch)
 
-    spans = _pairwise(0, len(w), lambda lo, hi: [(lo, hi)])
     sums = dict(zip(spans, _map_leaves(leaf, spans)))
-    return _prefactor(params) * _pairwise(0, len(w), lambda lo, hi: sums[lo, hi])
+    return _prefactor(params) * _pairwise(0, geom.size, lambda lo, hi: sums[lo, hi])
 
 
 def verify_orthogonality(

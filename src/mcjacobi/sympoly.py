@@ -196,7 +196,7 @@ class SymPoly(_BasePoly):
     def to_complex(self) -> "CSymPoly":
         # a coefficient whose double rounds to 0.0 is dropped, as CSymPoly() drops it
         return CSymPoly._trusted(
-            self.arity, {k: c for k, v in self.terms.items() if (c := complex(v))}
+            self.arity, {k: c for k, v in self.terms.items() if (c := _as_complex(v))}
         )
 
     def eval_at_ones(self) -> Fraction:
@@ -237,15 +237,34 @@ AnyPoly = Union[SymPoly, CSymPoly]
 _ELIDE_BYTES = 1 << 18
 
 
-def _mul(named: np.ndarray, temp: np.ndarray) -> np.ndarray:
+def _mul(named: np.ndarray, temp: np.ndarray, out=None) -> np.ndarray:
     """named * temp in the operand order numpy uses when temp is a fresh
     temporary: temp first from 256 KiB on, named first below."""
     if temp.nbytes >= _ELIDE_BYTES:
-        return np.multiply(temp, named)
-    return np.multiply(named, temp)
+        return np.multiply(temp, named, out=out)
+    return np.multiply(named, temp, out=out)
 
 
-def evaluate_points_many(polys: Sequence[_BasePoly], cols: Sequence[np.ndarray]) -> list:
+def _power(x: np.ndarray, e, out=None) -> np.ndarray:
+    """x ** e as numpy computes it: np.square at e = 2, np.power otherwise."""
+    if e == 2:
+        return np.square(x, out=out)
+    return np.power(x, e, out=out)
+
+
+def _fresh(n: int):
+    """A source of new length-n arrays, for callers that keep nothing."""
+    return lambda dtype=complex: np.empty(n, dtype)
+
+
+def _as_complex(c) -> complex:
+    """complex(c) of an exact rational, without the Python-level
+    ``numbers.Real.__complex__``: the same correctly rounded double, and the
+    same OverflowError past the double range."""
+    return complex(c.numerator / c.denominator)
+
+
+def evaluate_points_many(polys: Sequence[_BasePoly], cols: Sequence[np.ndarray], take=None) -> list:
     """Values of every polynomial at N complex points given by columns:
     cols[j] holds coordinate j of every point, one length-N array per axis.
 
@@ -257,6 +276,11 @@ def evaluate_points_many(polys: Sequence[_BasePoly], cols: Sequence[np.ndarray])
     all-ones start, so the values are bitwise those of evaluating each term
     on its own.  Each polynomial still sums its own terms in its own order, so
     its values do not depend on which others share the pass.
+
+    Every array of length N is written whole by a ufunc with out= into an
+    array from take(), new ones by default; the Gram leaves pass arrays they
+    reuse, so a warm pass allocates none.  The values returned are the first
+    len(polys) arrays taken; the others are free once the call returns.
     """
     cols = [np.asarray(c, dtype=complex) for c in cols]
     for poly in polys:
@@ -264,24 +288,27 @@ def evaluate_points_many(polys: Sequence[_BasePoly], cols: Sequence[np.ndarray])
             raise ArityMismatchError(
                 f"points have {len(cols)} coordinates, arity is {poly.arity}"
             )
-    n = len(cols[0])
+    take = take or _fresh(len(cols[0]))
     powers = {}
-    totals = [np.zeros(n, dtype=complex) for _ in polys]
+    totals = [take() for _ in polys]
+    for total in totals:
+        total.fill(0)
+    s, work = take(), take()  # the orbit sum; one orbit product, then c * s
     for lam in sorted(set().union(*(poly.terms for poly in polys)), key=_sort_key):
-        s = np.zeros(n, dtype=complex)
+        s.fill(0)
         for perm in _orbit_cached(lam):
             prod = None
             for j, e in enumerate(perm):
                 if e:
                     zj_e = powers.get((j, e))
                     if zj_e is None:
-                        zj_e = powers[j, e] = cols[j] if e == 1 else cols[j] ** e
-                    prod = zj_e if prod is None else _mul(prod, zj_e)
+                        zj_e = powers[j, e] = cols[j] if e == 1 else _power(cols[j], e, take())
+                    prod = zj_e if prod is None else _mul(prod, zj_e, work)
             s += 1.0 if prod is None else prod  # lambda = 0: the empty product
         for total, poly in zip(totals, polys):
             c = poly.terms.get(lam)
             if c is not None:
-                total += complex(c) * s
+                total += np.multiply(complex(c), s, out=work)
     return totals
 
 

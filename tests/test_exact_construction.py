@@ -155,3 +155,40 @@ def test_warm_lookups_hash_no_fraction(monkeypatch):
     coeffs.gen_binom((2, 1), (1,), fresh)
     monkeypatch.undo()
     assert calls
+
+
+def _hex(z):
+    return float.hex(z.real), float.hex(z.imag)
+
+
+def test_exact_to_complex_is_complex_of_fraction():
+    # every exact value the exact-build job converts: the m- and k-tables and
+    # the spherical and shifted Phi terms of weight <= 8 at r = 3, two values of d
+    convert = sympoly._as_complex
+    for d in (Fraction(7, 3), Fraction(11, 7)):
+        p = ParamSet(r=3, d=d, alpha=5, nu=0)
+        parts = enumerate_partitions(8, 3)
+        values = []
+        for m in parts:
+            dim, nr_poch, row = mcj._m_table(m, d.numerator, d.denominator, 3, Fraction)
+            values += [dim, nr_poch] + [b for _, b in row]
+            values += list(sympoly.spherical_poly(m, d, 3).terms.values())
+            values += list(coeffs._phi_one_minus(m, d, 3).values())
+            values += list(mcj.mcj_build(m, p).body_exact.terms.values())
+            cdim, cpoch, crow = mcj._m_table(m, d.numerator, d.denominator, 3, complex)
+            assert _hex(cdim) == _hex(complex(dim)) and _hex(cpoch) == _hex(complex(nr_poch))
+            assert [_hex(b) for _, b in crow] == [_hex(complex(b)) for _, b in row]
+        assert len(values) > 2000
+        for c in values:
+            assert type(convert(c)) is complex and _hex(convert(c)) == _hex(complex(c))
+    huge = Fraction(3**2000 + 1, 7**1100)
+    tiny = Fraction(1, 10**400)
+    for c in (huge, -huge, tiny, -tiny, Fraction(0), Fraction(-3, 7), Fraction(2**60 + 1, 3)):
+        assert _hex(convert(c)) == _hex(complex(c))
+    assert convert(tiny) == 0 and not convert(tiny)  # what to_complex drops
+    for c in (Fraction(10**400, 3), Fraction(-(10**400), 3)):
+        with pytest.raises(OverflowError) as new:
+            convert(c)
+        with pytest.raises(OverflowError) as old:
+            complex(c)
+        assert str(new.value) == str(old.value)

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import math
 import os
+import platform
 import subprocess
 import sys
 import threading
@@ -562,25 +563,152 @@ def test_pairwise_leaf_sums_equal_np_sum_bitwise(n):
     assert np.complex128(tree).tobytes() == np.sum(a).tobytes()
 
 
-def test_gram_memory_bounded_on_orth_r3_input(monkeypatch):
-    # the benchmark's orth-r3 job: 651,456 nodes, 4 partitions; a whole-array
-    # pass peaks near 100 MB, the leaf pass at a few leaf-sized arrays per
-    # leaf in flight, here the most there can be
-    monkeypatch.setattr(orthog, "_cpu_count", lambda: orthog._IN_FLIGHT)
+def _traced_gram_peak(in_flight, monkeypatch):
+    """tracemalloc peak of one _gram on the benchmark's orth-r3 input (651,456
+    nodes, 4 partitions) with in_flight leaves at once, its scratch sets made
+    inside the traced call."""
+    monkeypatch.setattr(orthog, "_cpu_count", lambda: in_flight)
     p = ParamSet(r=3, d=1, alpha=3, nu=0.2)
     rule = build_rule(48, "auto", p)
     parts = enumerate_partitions(2, 3)
-    # the geometry and the bodies are cached before the traced call
-    _weights(p, rule)
-    for m in parts:
-        mcj_build(m, p)
+    # the geometry, the bodies and the pool are made before the traced call
+    _gram(p, parts, rule)
+    orthog._SCRATCH.clear()
     tracemalloc.start()
     try:
         _gram(p, parts, rule)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 16 * 2**20
+
+
+def test_gram_memory_bounded_on_orth_r3_input(monkeypatch):
+    # a whole-array pass peaks near 100 MB, the leaf pass at its scratch sets
+    # (10 arrays of ~20,400 complex values, 3.1 MiB a set) and the outer
+    # columns of each leaf in flight: 7.8 MiB with two leaves in flight
+    assert _traced_gram_peak(orthog._IN_FLIGHT, monkeypatch) <= 8.5 * 2**20
+
+
+def test_gram_memory_bounded_one_leaf_at_a_time(monkeypatch):
+    # one scratch set and one leaf's outer columns: 3.9 MiB
+    assert _traced_gram_peak(1, monkeypatch) <= 4.5 * 2**20
+
+
+def test_gram_scratch_kept_bounded(monkeypatch):
+    # 25 partitions, two leaves of 25,600 nodes: a leaf takes 52 arrays, more
+    # than a set keeps
+    monkeypatch.setattr(orthog, "_cpu_count", lambda: 2)
+    p = ParamSet(r=2, d=Fraction(5, 2), alpha=3, nu=0.3)
+    rule = build_rule(160, "auto", p)
+    parts = enumerate_partitions(8, 2)
+    most = []
+    real = orthog._Scratch.take
+
+    def counting_take(self, dtype=complex):
+        most.append(self.used + 1)
+        return real(self, dtype)
+
+    monkeypatch.setattr(orthog._Scratch, "take", counting_take)
+    _gram(p, parts, rule)
+    assert max(most) > orthog._KEEP
+    assert len(orthog._SCRATCH) <= orthog._IN_FLIGHT
+    kept = sum(a.nbytes for scratch in orthog._SCRATCH for a in scratch.arrays)
+    assert kept <= orthog._IN_FLIGHT * orthog._KEEP * orthog._LEAF * 16 == 32 * 2**20
+
+
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc",
+    reason="page-fault counts are those of Linux and glibc's malloc",
+)
+def test_warm_gram_passes_take_no_fresh_pages(child_env):
+    # warm passes at new nu values reuse the geometry, the e^{i theta} columns
+    # and the scratch sets: at 81,216 nodes a pass that allocated its leaf
+    # arrays faulted ~3,300 pages in, since glibc handed them back to the OS
+    script = """
+import resource
+from fractions import Fraction
+from mcjacobi import orthog
+from mcjacobi.mcj import mcj_build
+from mcjacobi.params import ParamSet
+from mcjacobi.partitions import enumerate_partitions
+orthog._cpu_count = lambda: 2
+for base, points in [(ParamSet(r=3, d=Fraction(5, 2), alpha=6), 24),
+                     (ParamSet(r=3, d=1, alpha=3), 48)]:
+    parts = enumerate_partitions(2, 3)
+    runs = []
+    for k in range(6):
+        p = base.with_(nu=0.1 + 0.05 * k)
+        for m in parts:
+            mcj_build(m, p)
+        runs.append((p, parts, orthog.build_rule(points, "auto", p)))
+    orthog._gram(*runs[0])
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for args in runs[1:]:
+        orthog._gram(*args)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    assert faults <= 5 * 64, (points, faults)
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=child_env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize(
+    "p,points",
+    [
+        (ParamSet(r=3, d=1, alpha=3, nu=0.2), 16),
+        (ParamSet(r=3, d=Fraction(5, 2), alpha=6, nu=0.3), 24),
+        (ParamSet(r=2, d=Fraction(1, 3), alpha=2, nu=-0.4), 40),
+        (ParamSet(r=3, d=2, alpha=5, nu=0.1), 12),
+        (ParamSet(r=1, d=Fraction(7, 3), alpha=3, nu=0.5), 32),
+    ],
+)
+def test_geometry_exponentials_are_np_exp_bitwise(p, points):
+    rule = build_rule(points, "auto", p)
+    geom, _ = _weights(p, rule)
+    assert len(geom.z_axes) == len(geom.axes)
+    for t, z in zip(geom.axes, geom.z_axes):
+        assert z.tobytes() == np.exp(1j * t).tobytes()
+    if geom.levels:
+        assert geom.z_axes[-1].tobytes() == np.exp(1j * geom.levels[-1].t).tobytes()
+
+
+@pytest.mark.parametrize(
+    "p,points",
+    [
+        (ParamSet(r=3, d=1, alpha=3, nu=0.2), 48),
+        (ParamSet(r=3, d=Fraction(5, 2), alpha=6, nu=0.3), 24),
+        (ParamSet(r=3, d=2, alpha=5, nu=0.1), 40),
+        (ParamSet(r=2, d=Fraction(1, 3), alpha=2, nu=-0.4), 200),
+    ],
+)
+def test_weights_equal_the_leaves_weights(p, points):
+    # the Gram leaves' edges fall off _weights' _LEAF-sized runs; odd runs too
+    rule = build_rule(points, "auto", p)
+    geom, weigh = orthog._weigher(p, rule)
+    _, w = _weights(p, rule)
+    spans = _pairwise(0, len(w), lambda lo, hi: [(lo, hi)])
+    assert len(spans) > 1 and any(lo % orthog._LEAF for lo, _ in spans)
+    spans += [(0, 1), (7, 8_200), (len(w) - 3, len(w))]
+    for lo, hi in spans:
+        scratch = orthog._Scratch()
+        assert weigh(lo, hi, scratch.start(hi - lo, hi - lo)).tobytes() == w[lo:hi].tobytes()
+        cols = geom.exp_i(lo, hi, scratch.take)
+        ref = np.exp(1j * coords(geom, lo, hi))
+        assert all(c.tobytes() == ref[:, j].tobytes() for j, c in enumerate(cols))
+
+
+def test_axis_level_does_not_depend_on_row_runs(monkeypatch):
+    # the nested axes are built a run of rows at a time; one row per run gives
+    # the same bits
+    rng = np.random.default_rng(3)
+    outer = np.sort(rng.uniform(0, TWO_PI, (40, 2)), axis=1)
+    outer[5, 1] = outer[5, 0] + 1e-13  # a merged cut
+    whole = orthog._axis_level(outer, 24, 1.3, 2.5)
+    monkeypatch.setattr(orthog, "_LEAF", 24)
+    runs = orthog._axis_level(outer, 24, 1.3, 2.5)
+    for a, b in zip(dataclasses.astuple(whole), dataclasses.astuple(runs)):
+        assert a.tobytes() == b.tobytes()
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork on this platform")
