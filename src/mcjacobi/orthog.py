@@ -36,8 +36,9 @@ forms the weights of its own nodes, and no array of all N weights exists
 during a pass (``_weights`` assembles one, for inspection and the tests).
 The geometry holds no (N, r) node array: each Gram leaf takes its r
 contiguous columns of e^{i theta} from the geometry, the last axis by
-slicing and the outer axes repeated or gathered; only ``_points_weights``,
-for inspection, stacks the angle columns.
+slicing and the outer axes repeated or gathered by the same node index as
+its weights (``_Geometry.index``); only ``_points_weights``, for
+inspection, stacks the angle columns.
 
 Before any rule is built, ``build_rule`` bounds the node count from the
 points per axis n, n^r on the tensor branch and n^r r! on the nested one,
@@ -62,14 +63,18 @@ use, with at most one leaf per available CPU and ``_IN_FLIGHT`` = 2 at once
 all are done, so the entries do not depend on the CPU count.  No BLAS is
 called, so reports are byte-identical whatever the BLAS thread count.
 
-A leaf writes its leaf-sized arrays (weights, columns, powers, orbit sums,
-values, conjugates, products) with ufunc out= into a scratch set
-(``_Scratch``) that it takes from a shared list and gives back, so there are
-as many sets as leaves ever ran at once, ``_IN_FLIGHT`` at most.  A set
-keeps the arrays its last leaf used, at most ``_KEEP`` of at most ``_LEAF``
-complex values, so at most 32 MiB stay between passes.  A warm pass then allocates nothing leaf-sized but
-np.repeat's outer columns, and takes no fresh pages from the OS whatever
-malloc's trim and mmap thresholds.
+A leaf writes its leaf-sized arrays (grid indices, weights, gathered
+columns, values, conjugates, products) with ufunc out= into a scratch set
+(``_Scratch``): it takes one from a shared list and gives it back.  A callee
+(the weights, ``sympoly.evaluate_points_many``) writes its results into
+arrays the leaf took before and takes only its temporaries, which the leaf
+hands out again once it returns (``_Scratch.frame``).  There are as many
+sets as leaves ever ran at once, ``_IN_FLIGHT`` at most, each keeping at
+most ``_KEEP`` arrays of at most ``_LEAF`` complex values, so at most 16 MiB
+stay between passes; building a new geometry drops them all, so they serve
+only the cached node sets.  A warm pass then allocates nothing leaf-sized
+but np.repeat's outer columns, so it takes no fresh pages from the OS
+whatever malloc's trim and mmap thresholds.
 
 The bits are those of the whole-array expressions ``prod * z_j**e`` and
 ``wv * np.conj(v_j)``, whose right operands are fresh temporaries.  numpy's
@@ -90,6 +95,7 @@ import math
 import os
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -102,7 +108,7 @@ from .errors import ParameterError, SingularPointError
 from .mcj import _check_float_range, mcj_build
 from .params import ParamSet
 from .partitions import count_partitions, enumerate_partitions, format_partition
-from .sympoly import _fresh, _mul, _power, evaluate_points_many
+from .sympoly import _mul, _power, evaluate_points_many
 
 TWO_PI = 2.0 * math.pi
 # nodes per leaf of the Gram pass; see the module docstring for the floor
@@ -117,8 +123,8 @@ _GRAM_BUDGET = 1 << 30
 # most Gram leaves computed at once: each holds a few leaf-sized arrays
 _IN_FLIGHT = 2
 # leaf-sized arrays a scratch set keeps between leaves: with _IN_FLIGHT sets,
-# at most _IN_FLIGHT * _KEEP * _LEAF complex values, 32 MiB, stay
-_KEEP = 32
+# at most _IN_FLIGHT * _KEEP * _LEAF complex values, 16 MiB, stay
+_KEEP = 16
 
 
 def _axis_exponent(params: ParamSet) -> float:
@@ -333,6 +339,55 @@ class _Level:
     wpre: np.ndarray
 
 
+def _fresh(n: int):
+    """take() for callers that keep nothing: a new length-n array each call."""
+    return lambda dtype=complex: np.empty(n, dtype)
+
+
+class _Scratch:
+    """Arrays that one Gram leaf at a time writes with ufunc out=, kept
+    across leaves and passes, so a warm pass takes no fresh pages whatever
+    the allocator's thresholds.  start(n, cap) begins a leaf of n nodes, with
+    the arrays grown to cap complex values, the largest leaf of the pass;
+    take(dtype) then hands out the next array as an n-long view.  The arrays
+    taken inside ``with frame():`` are handed out again once it closes, so a
+    callee there gets only its temporaries from take and writes its results
+    into arrays the caller took before."""
+
+    def __init__(self):
+        self.arrays = []
+
+    def start(self, n: int, cap: int):
+        self.n, self.cap, self.used = n, cap, 0
+        return self.take
+
+    def take(self, dtype=complex) -> np.ndarray:
+        if self.used == len(self.arrays):
+            self.arrays.append(np.empty(self.cap, dtype=complex))
+        elif len(self.arrays[self.used]) < self.cap:
+            self.arrays[self.used] = np.empty(self.cap, dtype=complex)
+        self.used += 1
+        return self.arrays[self.used - 1].view(dtype)[: self.n]
+
+    @contextmanager
+    def frame(self):
+        used = self.used
+        try:
+            yield
+        finally:
+            self.used = used
+
+    def keep(self) -> None:
+        """End a leaf, keeping at most _KEEP arrays."""
+        del self.arrays[_KEEP:]
+
+
+# idle scratch sets, as many as leaves ever ran at once (list.pop and
+# list.append hold no lock a forked child could inherit held); they serve
+# warm passes, so building a new geometry drops them
+_SCRATCH = []
+
+
 def _exp_i(t: np.ndarray) -> np.ndarray:
     """np.exp(1j * t), bitwise for t in (0, 2 pi), built in place: no
     temporary of twice its size."""
@@ -358,47 +413,47 @@ class _Geometry:
         """N, the number of nodes."""
         return len(self.axes[-1]) if self.levels else len(self.axes[0]) ** self.r
 
-    def exp_i(self, lo: int, hi: int, take) -> list:
-        """The r columns of np.exp(1j * theta) at nodes lo..hi-1, each
-        contiguous, taken from the geometry's exponentials into arrays from
-        take; the map is elementwise, so the bits agree."""
-        return self._columns(lo, hi, self.z_axes, take)
-
-    def _columns(self, lo, hi, axes, take=None):
-        take = take or _fresh(hi - lo)
-        if not self.levels:  # tensor grid in "ij" order
-            return [np.take(axes[0], at, out=take(axes[0].dtype), mode="clip")
-                    for at in self._grid(lo, hi, take)]
-        cols = [None] * self.r
-        cols[-1] = axes[-1][lo:hi]
-        # the parents' own parents map one for one
-        run, counts = self._parents(lo, hi)
-        for j in range(self.r - 2, -1, -1):
-            cols[j] = np.repeat(axes[j][run], counts)
-            if j:
-                run = np.searchsorted(self.levels[j - 1].end, run, side="right")
-        return cols
-
-    def _grid(self, lo: int, hi: int, take) -> list:
-        """The per-axis indices of tensor-grid nodes lo..hi-1, "ij" order."""
-        idx = take(np.intp)
-        idx.fill(1)
-        idx[0] = lo
-        np.cumsum(idx, out=idx)
-        at = [None] * self.r
-        for j in range(self.r - 1, -1, -1):
-            at[j] = take(np.intp)
-            np.divmod(idx, len(self.axes[0]), out=(idx, at[j]))
-        return at
-
-    def _parents(self, lo: int, hi: int) -> tuple:
-        """The run of nodes on the axis before a nested last one whose new
-        nodes include nodes lo..hi-1, and how many of those each one has."""
+    def index(self, lo: int, hi: int, take=None) -> tuple:
+        """Where nodes lo..hi-1 sit, for their weights and their columns: on
+        a tensor grid the per-axis indices in "ij" order, in arrays from
+        take; nested, the run of nodes on the axis before the last whose new
+        nodes include them, and how many of those each one has."""
+        if not self.levels:
+            take = take or _fresh(hi - lo)
+            at = [take(np.intp) for _ in range(self.r)]
+            idx = at[0]  # lo..hi-1, divided down to the first axis' index
+            idx.fill(1)
+            idx[0] = lo
+            np.cumsum(idx, out=idx)
+            for j in range(self.r - 1, 0, -1):
+                np.divmod(idx, len(self.axes[0]), out=(idx, at[j]))
+            return tuple(at)
         level = self.levels[-1]
         p0, p1 = np.searchsorted(level.end, [lo, hi - 1], side="right")
         run = np.arange(p0, p1 + 1)
         start = level.end[run] - level.size[run]
         return run, np.minimum(level.end[run], hi) - np.maximum(start, lo)
+
+    def exp_i(self, lo: int, hi: int, at: tuple, take=None) -> list:
+        """The r columns of np.exp(1j * theta) at nodes lo..hi-1 (at =
+        index(lo, hi)), each contiguous, from the geometry's exponentials;
+        the map is elementwise, so the bits agree.  A tensor grid's columns
+        are gathered into arrays from take."""
+        return self._columns(lo, hi, self.z_axes, at, take)
+
+    def _columns(self, lo, hi, axes, at, take=None):
+        if not self.levels:  # mode="clip" spares np.take a copy; at is in range
+            take = take or _fresh(hi - lo)
+            return [np.take(axes[0], a, out=take(axes[0].dtype), mode="clip") for a in at]
+        cols = [None] * self.r
+        cols[-1] = axes[-1][lo:hi]
+        # the parents' own parents map one for one
+        run, counts = at
+        for j in range(self.r - 2, -1, -1):
+            cols[j] = np.repeat(axes[j][run], counts)
+            if j:
+                run = np.searchsorted(self.levels[j - 1].end, run, side="right")
+        return cols
 
 
 def _axis_level(outer, n, two_s, d) -> _Level:
@@ -476,7 +531,10 @@ def _axis_level(outer, n, two_s, d) -> _Level:
 @lru_cache(maxsize=2)
 def _geometry(r: int, d: Fraction, s: float, n: int, nodes: bytes) -> _Geometry:
     """Nu-free geometry of the rule with these first-axis nodes; two entries
-    hold the coarse and fine rules of a sweep point across its nu values."""
+    hold the coarse and fine rules of a sweep point across its nu values.
+    A new node set makes the next pass a cold one: the scratch sets kept for
+    warm passes go, so none outlives the node sets it served."""
+    _SCRATCH.clear()
     axes = [np.frombuffer(nodes)]
     levels = []
     if not _is_even_d(d):
@@ -492,8 +550,9 @@ def _geometry(r: int, d: Fraction, s: float, n: int, nodes: bytes) -> _Geometry:
 
 def _weigher(params: ParamSet, rule: QuadratureRule) -> tuple:
     """(geometry, weigh): the cached nu-free geometry of the node set and
-    weigh(lo, hi, take), the total measure weights at nodes lo..hi-1, written
-    into the first array it takes from take.
+    weigh(lo, hi, at, out, take), which writes the total measure weights at
+    nodes lo..hi-1 (at = geometry.index(lo, hi)) into out, with its
+    temporaries from take.
 
     Weights include the per-axis singular factors, the e^{-nu (theta - pi)}
     factors and the pair coupling; the polynomials are the only thing left
@@ -522,21 +581,18 @@ def _weigher(params: ParamSet, rule: QuadratureRule) -> tuple:
     for level in geom.levels[:-1]:
         w = np.repeat(w, level.size) * (level.wpre * nu_fac(level.t))
 
-    def weigh(lo, hi, take):
-        out = take(float)
+    def weigh(lo, hi, at, out, take):
         if geom.levels:
             last = geom.levels[-1]
-            run, counts = geom._parents(lo, hi)
+            run, counts = at
             nu_fac(last.t[lo:hi], out)
             np.multiply(last.wpre[lo:hi], out, out=out)
             np.multiply(np.repeat(w[run], counts), out, out=out)
         else:  # the product of the axes' weights, then the pair coupling
-            at = geom._grid(lo, hi, take)
-            x, tmp = geom.axes[0], take(float)
+            x, tmp, pair = geom.axes[0], take(float), take(float)
             np.take(w, at[0], out=out, mode="clip")
             for j in range(1, r):
                 np.multiply(out, np.take(w, at[j], out=tmp, mode="clip"), out=out)
-            pair = take(float)
             for p in range(r):
                 for q in range(p + 1, r):
                     np.take(x, at[p], out=pair, mode="clip")
@@ -546,7 +602,6 @@ def _weigher(params: ParamSet, rule: QuadratureRule) -> tuple:
                     np.multiply(out, _power(pair, d, pair), out=out)
         if not np.all(np.isfinite(out)):
             raise ParameterError("quadrature weight assembly produced non-finite values")
-        return out
 
     return geom, weigh
 
@@ -559,7 +614,8 @@ def _weights(params: ParamSet, rule: QuadratureRule) -> tuple:
     w = np.empty(geom.size)
     for lo in range(0, len(w), _LEAF):
         hi = min(lo + _LEAF, len(w))
-        w[lo:hi] = weigh(lo, hi, _fresh(hi - lo))
+        take = _fresh(hi - lo)
+        weigh(lo, hi, geom.index(lo, hi, take), w[lo:hi], take)
     return geom, w
 
 
@@ -568,7 +624,7 @@ def _points_weights(params: ParamSet, rule: QuadratureRule) -> tuple:
     pass never materializes the nodes.  Kept because perfbench/tracer.py
     wraps it by name; the tests use their own copy."""
     geom, w = _weights(params, rule)
-    return np.column_stack(geom._columns(0, len(w), geom.axes)), w
+    return np.column_stack(geom._columns(0, len(w), geom.axes, geom.index(0, len(w)))), w
 
 
 def _prefactor(params: ParamSet) -> float:
@@ -693,41 +749,6 @@ def _pairwise(lo: int, hi: int, leaf):
     return _pairwise(lo, mid, leaf) + _pairwise(mid, hi, leaf)
 
 
-class _Scratch:
-    """Leaf-sized arrays that one leaf at a time writes with ufunc out=, kept
-    across leaves and passes, so a warm pass takes no fresh pages whatever
-    the allocator's thresholds.  take(dtype) hands out the next array in turn
-    as an n-long view of complex storage; winding ``used`` back hands out
-    again those a step is done with.  start(n, cap) begins a leaf of n nodes,
-    with storage grown to cap, the largest leaf of the pass; keep() ends it."""
-
-    def __init__(self):
-        self.arrays = []
-
-    def start(self, n: int, cap: int):
-        self.n, self.cap, self.used, self.most = n, cap, 0, 0
-        return self.take
-
-    def take(self, dtype=complex) -> np.ndarray:
-        if self.used == len(self.arrays):
-            self.arrays.append(np.empty(self.cap, dtype=complex))
-        elif len(self.arrays[self.used]) < self.cap:
-            self.arrays[self.used] = np.empty(self.cap, dtype=complex)
-        self.used += 1
-        self.most = max(self.most, self.used)
-        return self.arrays[self.used - 1].view(dtype)[: self.n]
-
-    def keep(self) -> None:
-        """Drop the arrays the leaf did not use, and all but _KEEP."""
-        del self.arrays[min(self.most, _KEEP) :]
-
-
-# idle scratch sets; a leaf takes one and gives it back with at most _KEEP
-# arrays, so there are as many as leaves ever ran at once (list.pop and
-# list.append hold no lock a forked child could inherit held)
-_SCRATCH = []
-
-
 def _gram(params: ParamSet, parts: list, rule: QuadratureRule) -> np.ndarray:
     """All P^2 entries pref * sum_k w_k phi_i(z_k) conj(phi_j(z_k)).
 
@@ -750,14 +771,14 @@ def _gram(params: ParamSet, parts: list, rule: QuadratureRule) -> np.ndarray:
             scratch = _Scratch()
         take = scratch.start(hi - lo, cap)
         try:
-            # a step's result is the first array it takes, and the arrays it
-            # takes after that are free once it returns
-            w = weigh(lo, hi, take)
-            scratch.used = 1
-            cols = geom.exp_i(lo, hi, take)
-            mark = scratch.used
-            vals = evaluate_points_many(bodies, cols, take)
-            scratch.used = mark + P
+            at = geom.index(lo, hi, take)
+            w = take(float)
+            with scratch.frame():
+                weigh(lo, hi, at, w, take)
+            cols = geom.exp_i(lo, hi, at, take)
+            vals = [take() for _ in bodies]
+            with scratch.frame():
+                evaluate_points_many(bodies, cols, vals, take)
             conj = [np.conj(v, out=take()) for v in vals]
             prod = take()
             S = np.empty((P, P), dtype=complex)

@@ -252,11 +252,6 @@ def _power(x: np.ndarray, e, out=None) -> np.ndarray:
     return np.power(x, e, out=out)
 
 
-def _fresh(n: int):
-    """A source of new length-n arrays, for callers that keep nothing."""
-    return lambda dtype=complex: np.empty(n, dtype)
-
-
 def _as_complex(c) -> complex:
     """complex(c) of an exact rational, without the Python-level
     ``numbers.Real.__complex__``: the same correctly rounded double, and the
@@ -264,7 +259,9 @@ def _as_complex(c) -> complex:
     return complex(c.numerator / c.denominator)
 
 
-def evaluate_points_many(polys: Sequence[_BasePoly], cols: Sequence[np.ndarray], take=None) -> list:
+def evaluate_points_many(
+    polys: Sequence[_BasePoly], cols: Sequence[np.ndarray], out=None, take=None
+) -> list:
     """Values of every polynomial at N complex points given by columns:
     cols[j] holds coordinate j of every point, one length-N array per axis.
 
@@ -277,10 +274,10 @@ def evaluate_points_many(polys: Sequence[_BasePoly], cols: Sequence[np.ndarray],
     on its own.  Each polynomial still sums its own terms in its own order, so
     its values do not depend on which others share the pass.
 
-    Every array of length N is written whole by a ufunc with out= into an
-    array from take(), new ones by default; the Gram leaves pass arrays they
-    reuse, so a warm pass allocates none.  The values returned are the first
-    len(polys) arrays taken; the others are free once the call returns.
+    The values go into out, one length-N complex array per polynomial, new
+    ones by default.  The powers, orbit sums and products go into arrays from
+    take(), new ones by default; they are not used once the call returns, so
+    a caller that reuses its arrays may hand them out again.
     """
     cols = [np.asarray(c, dtype=complex) for c in cols]
     for poly in polys:
@@ -288,11 +285,12 @@ def evaluate_points_many(polys: Sequence[_BasePoly], cols: Sequence[np.ndarray],
             raise ArityMismatchError(
                 f"points have {len(cols)} coordinates, arity is {poly.arity}"
             )
-    take = take or _fresh(len(cols[0]))
-    powers = {}
-    totals = [take() for _ in polys]
+    n = len(cols[0])
+    take = take or (lambda: np.empty(n, dtype=complex))
+    totals = out if out is not None else [np.empty(n, dtype=complex) for _ in polys]
     for total in totals:
         total.fill(0)
+    powers = {}
     s, work = take(), take()  # the orbit sum; one orbit product, then c * s
     for lam in sorted(set().union(*(poly.terms for poly in polys)), key=_sort_key):
         s.fill(0)

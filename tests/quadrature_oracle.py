@@ -17,7 +17,7 @@ from mcjacobi.orthog import _weights
 
 def coords(geom, lo: int, hi: int) -> np.ndarray:
     """(hi - lo, r) angles of nodes lo..hi-1 of a geometry."""
-    return np.column_stack(geom._columns(lo, hi, geom.axes))
+    return np.column_stack(geom._columns(lo, hi, geom.axes, geom.index(lo, hi)))
 
 
 def points_weights(params, rule) -> tuple:

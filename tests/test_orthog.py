@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import itertools
 import math
 import os
@@ -7,6 +8,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -611,9 +613,78 @@ def test_gram_scratch_kept_bounded(monkeypatch):
     monkeypatch.setattr(orthog._Scratch, "take", counting_take)
     _gram(p, parts, rule)
     assert max(most) > orthog._KEEP
-    assert len(orthog._SCRATCH) <= orthog._IN_FLIGHT
-    kept = sum(a.nbytes for scratch in orthog._SCRATCH for a in scratch.arrays)
-    assert kept <= orthog._IN_FLIGHT * orthog._KEEP * orthog._LEAF * 16 == 32 * 2**20
+    idle = orthog._SCRATCH
+    assert 1 <= len(idle) <= orthog._IN_FLIGHT
+    kept = sum(a.nbytes for scratch in idle for a in scratch.arrays)
+    assert kept <= orthog._IN_FLIGHT * orthog._KEEP * orthog._LEAF * 16 == 16 * 2**20
+
+
+def test_gram_scratch_kept_for_warm_passes_only():
+    # warm passes reuse the sets; a new node set drops them
+    orthog._geometry.cache_clear()
+    p = ParamSet(r=2, d=Fraction(5, 2), alpha=3, nu=0.3)
+    rule = build_rule(160, "auto", p)
+    parts = enumerate_partitions(2, 2)
+    _gram(p, parts, rule)
+    sets = weakref.WeakSet(orthog._SCRATCH)
+    assert len(sets) >= 1
+    _gram(p.with_(nu=-0.2), parts, build_rule(160, "auto", p.with_(nu=-0.2)))
+    assert set(orthog._SCRATCH) <= set(sets)
+    _weights(p, build_rule(24, "auto", p))
+    gc.collect()
+    assert not orthog._SCRATCH and len(sets) == 0
+
+
+def test_scratch_sets_never_shared_under_thread_stress(monkeypatch):
+    # two callers at once on the two-thread pool, with a short switch
+    # interval: a set handed to two leaves at once would corrupt a Gram
+    monkeypatch.setattr(orthog, "_cpu_count", lambda: 2)
+    base = ParamSet(r=3, d=Fraction(5, 2), alpha=6)
+    parts = enumerate_partitions(2, 3)
+    runs = []
+    for nu in (0.1, 0.2, 0.3, 0.4):
+        p = base.with_(nu=nu)
+        for m in parts:
+            mcj_build(m, p)
+        runs.append((p, build_rule(24, "auto", p)))
+    ref = {p.nu: _gram(p, parts, rule).tobytes() for p, rule in runs}
+    same, errors = [], []
+
+    def caller(k):
+        try:
+            for p, rule in runs[k::2] * 3:
+                same.append(_gram(p, parts, rule).tobytes() == ref[p.nu])
+        except BaseException as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        callers = [threading.Thread(target=caller, args=(k,)) for k in range(2)]
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in callers) and not errors
+    assert len(same) == 12 and all(same)
+    assert len(orthog._SCRATCH) <= orthog._IN_FLIGHT  # the pool runs two leaves at once
+
+
+def test_scratch_frame_hands_out_again_only_what_it_took():
+    scratch = orthog._Scratch()
+    take = scratch.start(5, 8)
+    kept = take()
+    with scratch.frame():
+        inner = [take(), take(float)]
+    again = take()
+    assert len(kept) == len(again) == 5 and inner[1].dtype == float
+    assert not np.shares_memory(kept, again) and np.shares_memory(again, inner[0])
+    for _ in range(orthog._KEEP + 3):
+        take()
+    scratch.keep()
+    assert len(scratch.arrays) == orthog._KEEP
 
 
 @pytest.mark.skipif(
@@ -623,7 +694,8 @@ def test_gram_scratch_kept_bounded(monkeypatch):
 def test_warm_gram_passes_take_no_fresh_pages(child_env):
     # warm passes at new nu values reuse the geometry, the e^{i theta} columns
     # and the scratch sets: at 81,216 nodes a pass that allocated its leaf
-    # arrays faulted ~3,300 pages in, since glibc handed them back to the OS
+    # arrays faulted ~3,300 pages in, since glibc handed them back to the OS,
+    # and at 651,456 nodes ~39,000 once no whole weight array was freed
     script = """
 import resource
 from fractions import Fraction
@@ -691,9 +763,18 @@ def test_weights_equal_the_leaves_weights(p, points):
     assert len(spans) > 1 and any(lo % orthog._LEAF for lo, _ in spans)
     spans += [(0, 1), (7, 8_200), (len(w) - 3, len(w))]
     for lo, hi in spans:
+        # a scratch set as a leaf uses it, its arrays dirty from an earlier leaf
         scratch = orthog._Scratch()
-        assert weigh(lo, hi, scratch.start(hi - lo, hi - lo)).tobytes() == w[lo:hi].tobytes()
-        cols = geom.exp_i(lo, hi, scratch.take)
+        take = scratch.start(hi - lo, hi - lo)
+        for _ in range(8):
+            take().fill(np.nan)
+        take = scratch.start(hi - lo, hi - lo)
+        at = geom.index(lo, hi, take)
+        out = take(float)
+        with scratch.frame():
+            weigh(lo, hi, at, out, take)
+        assert out.tobytes() == w[lo:hi].tobytes()
+        cols = geom.exp_i(lo, hi, at, take)
         ref = np.exp(1j * coords(geom, lo, hi))
         assert all(c.tobytes() == ref[:, j].tobytes() for j, c in enumerate(cols))
 
