@@ -153,6 +153,7 @@ def _load_config_defaults(argv: list) -> tuple:
 def _cmd_print_poly(args) -> int:
     params = _params(args)
     m = parse_partition(args.m)
+    mcj.check_family_work(params, m=m)
     if args.family == "mcj":
         poly = mcj.mcj_build(m, params)
         body = poly.body if poly.body_exact is None else poly.body_exact
@@ -165,6 +166,7 @@ def _cmd_print_poly(args) -> int:
 def _cmd_eval(args) -> int:
     params = _params(args)
     m = parse_partition(args.m)
+    mcj.check_family_work(params, m=m, evaluations=1)
     if args.family == "psi":
         t = _floats(args.t)
         value = mcj.psi_eval(m, params, t)
@@ -198,6 +200,8 @@ def _cmd_verify_det(args) -> int:
     if args.trials < 1:
         print("verify-det needs --trials >= 1", file=sys.stderr)
         return 2
+    # a trial evaluates the member and Psi, and r^2 rank-1 entries of each determinant
+    mcj.check_family_work(params, args.max_weight, evaluations=args.trials * (2 + 2 * params.r**2))
     rng = np.random.Generator(np.random.Philox(key=args.seed))
     worst = 0.0
     checked = 0

@@ -19,9 +19,13 @@ from typing import Optional, Sequence, Union
 from .errors import GammaPoleError, InvariantError, ParameterError
 from .params import ParamSet
 from .partitions import enumerate_partitions, pad, weight
-from .sympoly import SymPoly, _int_sum, spherical_poly
+from .sympoly import SymPoly, _int_sum, _spherical_cached, spherical_poly
 
 TWO_PI = 2.0 * math.pi
+
+# the one-box recursion of ``_binom_row`` is |m| levels deep, about three frames
+# each, so rows stop well short of the interpreter's 1000-frame recursion limit
+_ROW_WEIGHT = 200
 
 
 def _rising_num(n: int, q: int, k: int) -> int:
@@ -32,15 +36,10 @@ def _rising_num(n: int, q: int, k: int) -> int:
     return out
 
 
-def rising(x, k: int):
-    """Rising factorial x (x+1) ... (x+k-1); exact for exact x = n/q, as one
+def rising(x, k: int) -> Fraction:
+    """Rising factorial x (x+1) ... (x+k-1) of an exact x = n/q, as one
     Fraction of the integer product n (n + q) ... (n + (k-1) q) over q^k."""
-    if isinstance(x, (int, Fraction)):
-        return Fraction(_rising_num(x.numerator, x.denominator, k), x.denominator**k)
-    out = x * 0 + 1
-    for t in range(k):
-        out = out * (x + t)
-    return out
+    return Fraction(_rising_num(x.numerator, x.denominator, k), x.denominator**k)
 
 
 def _broadcast(s, r: int) -> list:
@@ -54,11 +53,12 @@ def _broadcast(s, r: int) -> list:
 def gen_pochhammer(s, m: Sequence[int], params: ParamSet):
     """Generalized shifted factorial (s)_m = prod_j (s_j - (d/2)(j-1))_{m_j}.
 
-    Scalar s broadcasts to (s, ..., s).  Exact when every input is rational.
+    Scalar s broadcasts to (s, ..., s).  Exact when every input is rational,
+    a complex double (``_poch_complex``) otherwise.
     """
-    mm = pad(m, params.r)
     sv = _broadcast(s, params.r)
     if all(isinstance(x, (int, Fraction)) for x in sv):
+        mm = pad(m, params.r)
         # s_j - (d/2) j = (s_n 2 d_q - s_q d_n j) / (s_q 2 d_q): one integer
         # numerator and one integer denominator across every factor
         d_n, d_q = params.d.numerator, 2 * params.d.denominator
@@ -69,10 +69,7 @@ def gen_pochhammer(s, m: Sequence[int], params: ParamSet):
             num *= _rising_num(s_n * d_q - s_q * d_n * j, q, mm[j])
             den *= q ** mm[j]
         return Fraction(num, den)
-    out = 1.0 + 0j
-    for j in range(params.r):
-        out = out * rising(sv[j] - float(params.d / 2 * j), mm[j])
-    return out
+    return _poch_complex(sv, m, params)
 
 
 def gamma_omega_log(s, params: ParamSet) -> complex:
@@ -154,7 +151,7 @@ def c0_tilde(params: ParamSet) -> C0Tilde:
 # ---------------------------------------------------------------------------
 
 
-def _one_box(m: tuple, d: Fraction, r: int) -> list:
+def _one_box(m: tuple, d_num: int, d_den: int, r: int) -> list:
     """The one-box binomials binom(m, m - e_i), as [(m - e_i, value), ...];
     uncached, since its one caller ``_binom_row`` is cached per (m, d, r).
 
@@ -167,7 +164,7 @@ def _one_box(m: tuple, d: Fraction, r: int) -> list:
     ``_int_sum`` and divided once.  At x = 1 the identity reads
     sum_i binom(m, m - e_i) = |m|, which is checked.
     """
-    phi = spherical_poly(m, d, r).terms
+    phi = _spherical_cached(m, d_num, d_den, r).terms
     peeled: list = []
     for i in range(r - 1, -1, -1):  # the partitions m - e_i, lex-largest first
         if m[i] == (m[i + 1] if i + 1 < r else 0):
@@ -181,16 +178,25 @@ def _one_box(m: tuple, d: Fraction, r: int) -> list:
             if c:
                 parts.append(((kappa[j] + 1) * c.numerator, c.denominator))
         for prev, b in peeled:
-            c = spherical_poly(prev, d, r).terms.get(kappa)
+            c = _spherical_cached(prev, d_num, d_den, r).terms.get(kappa)
             if c:
                 parts.append((-b.numerator * c.numerator, b.denominator * c.denominator))
         num, den = _int_sum(parts)
-        lead = spherical_poly(kappa, d, r).terms[kappa]
+        lead = _spherical_cached(kappa, d_num, d_den, r).terms[kappa]
         peeled.append((kappa, Fraction(num * lead.denominator, den * lead.numerator)))
     num, den = _int_sum([(b.numerator, b.denominator) for _, b in peeled])
     if num != weight(m) * den:
         raise InvariantError("one-box binomials do not sum to |m|")
     return peeled
+
+
+def check_row_weight(w: int) -> None:
+    """Refuse binomial rows past weight ``_ROW_WEIGHT``."""
+    if w > _ROW_WEIGHT:
+        raise ParameterError(
+            f"binomial rows at weight {w} recurse {w} levels deep, over the budget of "
+            f"{_ROW_WEIGHT}; use a smaller weight"
+        )
 
 
 def _sum_products(steps: list) -> tuple:
@@ -208,32 +214,36 @@ def _sum_products(steps: list) -> tuple:
 
 
 @lru_cache(maxsize=1024)
-def _binom_row(m: tuple, d: Fraction, r: int) -> dict:
-    """Coefficients of Phi_k in the expansion of Phi_m(1 + x), all k.
+def _binom_row(m: tuple, d_num: int, d_den: int, r: int) -> dict:
+    """Coefficients of Phi_k in the expansion of Phi_m(1 + x), all k, at
+    d = d_num/d_den in lowest terms.
 
     One-box recursion (Lassalle 1990; Dumitriu, Edelman & Shuman 2007):
         (|m| - |k|) binom(m,k) = sum_i binom(m, m - e_i) binom(m - e_i, k),
     with binom(m, m) = 1.  The right-hand side is summed by ``_sum_products``.
     """
-    den, acc = _sum_products([(b, _binom_row(kappa, d, r)) for kappa, b in _one_box(m, d, r)])
+    check_row_weight(weight(m))
+    steps = [(b, _binom_row(kappa, d_num, d_den, r)) for kappa, b in _one_box(m, d_num, d_den, r)]
+    den, acc = _sum_products(steps)
     w = weight(m)
     row = {m: Fraction(1)}
     row.update((k, Fraction(v, den * (w - weight(k)))) for k, v in acc.items() if v)
     return row
 
 
-@lru_cache(maxsize=1024)
-def _phi_one_plus(m: tuple, d: Fraction, r: int) -> SymPoly:
+def _phi_one_plus(m: tuple, d_num: int, d_den: int, r: int) -> SymPoly:
     """Phi_m(1 + x) = sum_k binom(m,k) Phi_k(x), exact; shared by the
     circular-Jacobi family through ``_phi_one_minus``; summed by
-    ``_sum_products``."""
-    den, terms = _sum_products(
-        [(b, spherical_poly(k, d, r).terms) for k, b in _binom_row(m, d, r).items()]
-    )
+    ``_sum_products``; uncached, since its one production reader
+    ``mcj._phi_table`` is cached."""
+    den, terms = _sum_products([
+        (b, _spherical_cached(k, d_num, d_den, r).terms)
+        for k, b in _binom_row(m, d_num, d_den, r).items()
+    ])
     return SymPoly._trusted(r, {lam: Fraction(v, den) for lam, v in terms.items() if v})
 
 
-def _phi_one_minus(m: tuple, d: Fraction, r: int) -> dict:
+def _phi_one_minus(m: tuple, d_num: int, d_den: int, r: int) -> dict:
     """Monomial terms of Phi_m(1 - x); uncached, since its one caller
     ``mcj._phi_table`` is cached.
 
@@ -242,16 +252,8 @@ def _phi_one_minus(m: tuple, d: Fraction, r: int) -> dict:
     """
     return {
         lam: -c if weight(lam) % 2 else c
-        for lam, c in _phi_one_plus(m, d, r).terms.items()
+        for lam, c in _phi_one_plus(m, d_num, d_den, r).terms.items()
     }
-
-
-@lru_cache(maxsize=1024)
-def _binom_row_by_ratio(m: tuple, d_num: int, d_den: int, r: int) -> dict:
-    """``_binom_row`` at d = d_num/d_den, keyed by the two integers, which
-    hash in C where a Fraction key runs ``Fraction.__hash__`` on every lookup;
-    the table that ``gen_binom`` and ``mcj._m_table`` read."""
-    return _binom_row(m, Fraction(d_num, d_den), r)
 
 
 _ZERO = Fraction(0)
@@ -264,8 +266,7 @@ def gen_binom(m: Sequence[int], k: Sequence[int], params: ParamSet) -> Fraction:
     the k contained in m.
     """
     r, d = params.r, params.d
-    row = _binom_row_by_ratio(pad(m, r), d.numerator, d.denominator, r)
-    return row.get(pad(k, r), _ZERO)
+    return _binom_row(pad(m, r), d.numerator, d.denominator, r).get(pad(k, r), _ZERO)
 
 
 def gamma_k_partition(k: Sequence[int], x: Sequence[int], params: ParamSet) -> Fraction:
@@ -403,11 +404,14 @@ def spherical_taylor_residual(
     return abs(lhs - rhs)
 
 
-def _poch_complex(s: complex, m: Sequence[int], params: ParamSet) -> complex:
+def _poch_complex(s, m: Sequence[int], params: ParamSet) -> complex:
+    """The generalized Pochhammer symbol (s)_m in complex doubles; a vector
+    s as in ``gen_pochhammer``."""
     mm = pad(m, params.r)
+    sv = _broadcast(s, params.r)
     out = 1.0 + 0j
     for j in range(params.r):
-        base = complex(s) - float(params.d) / 2 * j
+        base = complex(sv[j]) - float(params.d) / 2 * j
         for t in range(mm[j]):
             out *= base + t
     return out

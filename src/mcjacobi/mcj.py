@@ -25,7 +25,7 @@ import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, lcm
+from math import comb, factorial, isqrt, lcm
 from typing import Optional, Sequence
 
 import numpy as np
@@ -35,14 +35,68 @@ from .coeffs import delta_factorial, dim_dm, gen_pochhammer
 from .errors import ParameterError, VandermondeZeroError
 from .params import ParamSet
 from .partitions import (
-    Partition, count_partitions, enumerate_partitions, format_partition, pad, weight,
+    Partition, count_contained, count_partitions, enumerate_partitions, format_partition, pad,
+    weight,
 )
-from .sympoly import CSymPoly, SymPoly, _as_complex, _sort_key, spherical_poly
+from .sympoly import CSymPoly, SymPoly, _as_complex, _sort_key, _spherical_cached, spherical_poly
 
 # work budgets, checked before any work, each ~10 s of the worst case measured on a
-# 2-core x86 machine: exact operator units, and partitions a genfun truncation sums
+# 2-core x86 machine: exact operator units, partitions a genfun truncation sums, exact
+# units of the family builds, permutations ``sympoly._orbit_cached`` walks, and
+# monomial units of the float evaluations (``check_family_work``)
 _OPERATOR_BUDGET = 1 << 22
 _GENFUN_BUDGET = 400
+_BUILD_BUDGET = 1 << 20
+_ORBIT_BUDGET = 1 << 25
+_EVAL_BUDGET = 1 << 24
+
+
+def check_family_work(params: ParamSet, max_weight: int = 0, m=None, evaluations: int = 0) -> None:
+    """Refuse, before any work, building the family members of weight <= max_weight
+    (only m, when given) and ``evaluations`` float evaluations of each:
+
+    * the binomial rows recurse |m| levels deep (``coeffs.check_row_weight``);
+    * each of the P monomials of weight <= |m| walks r! permutations once
+      (``sympoly._orbit_cached``);
+    * the exact build costs K P units, for the K partitions contained in m (K = P
+      without m), times max(1, b/20)^1.2 for the bit length b of d's, or an exact
+      alpha's, numerator times denominator;
+    * an evaluation runs over at most C(|m| + r, r) monomials, plus 64 units of
+      overhead.
+    """
+    r = params.r
+    w = max_weight if m is None else weight(m)
+    coeffs.check_row_weight(w)
+    perms = 1
+    for j in range(2, r + 1):
+        perms *= j
+        if perms > _ORBIT_BUDGET:
+            break
+    if m is None:
+        K = P = count_partitions(w, r, isqrt(_BUILD_BUDGET) + 1)
+    else:
+        K = count_contained(pad(m, r))
+        P = count_partitions(w, r, _BUILD_BUDGET // K + 1)
+    if perms * P > _ORBIT_BUDGET:
+        raise ParameterError(
+            f"rank r = {r} walks r! permutations for each of the {P} monomials of weight "
+            f"<= {w}, over the budget of {_ORBIT_BUDGET:,}; use a smaller r"
+        )
+    exact = [params.d] + ([Fraction(params.alpha)] if params.alpha_is_exact else [])
+    bits = max(abs(x.numerator) * x.denominator for x in exact).bit_length()
+    units = K * P * max(1.0, bits / 20) ** 1.2
+    if units > _BUILD_BUDGET:
+        raise ParameterError(
+            f"the exact family builds at weight <= {w} and r = {r} need ~{units:.3g} units "
+            f"of work, over the budget of {_BUILD_BUDGET:,}; use a smaller weight"
+        )
+    units = evaluations * (1 if m is not None else P) * (comb(w + r, r) + 64)
+    if units > _EVAL_BUDGET:
+        raise ParameterError(
+            f"{evaluations:,} evaluations of each family member at weight <= {w} and r = {r} "
+            f"need ~{units:.3g} units of work, over the budget of {_EVAL_BUDGET:,}; "
+            f"use fewer evaluations or a smaller weight"
+        )
 
 
 def _check_poch_nonzero(m: Sequence[int], params: ParamSet) -> None:
@@ -80,7 +134,7 @@ def _m_table(m: tuple, d_num: int, d_den: int, r: int, scalar: type) -> tuple:
         dim, nr_poch, row = _m_table(m, d_num, d_den, r, Fraction)
         return _as_complex(dim), _as_complex(nr_poch), tuple((k, _as_complex(b)) for k, b in row)
     p = ParamSet(r=r, d=Fraction(d_num, d_den))
-    row = coeffs._binom_row_by_ratio(m, d_num, d_den, r)
+    row = coeffs._binom_row(m, d_num, d_den, r)
     return (
         dim_dm(m, p),
         gen_pochhammer(p.n_over_r, m, p),
@@ -93,14 +147,12 @@ def _k_table(k: tuple, params: ParamSet, scalar: type) -> tuple:
     """The factors of ``_family_body`` that depend only on k and the
     parameters: ((-1)^{|k|}, (beta)_k, (alpha)_k) in the scalar type."""
     if scalar is Fraction:
-        poch = gen_pochhammer
         alpha = Fraction(params.alpha)
         beta_arg = (alpha + params.n_over_r) / 2
     else:
-        poch = coeffs._poch_complex
         alpha = complex(float(params.alpha))
         beta_arg = 0.5 * (alpha + float(params.n_over_r)) + 1j * float(params.nu)
-    return (-1) ** weight(k), poch(beta_arg, k, params), poch(alpha, k, params)
+    return (-1) ** weight(k), gen_pochhammer(beta_arg, k, params), gen_pochhammer(alpha, k, params)
 
 
 @lru_cache(maxsize=4096)
@@ -108,11 +160,15 @@ def _phi_table(k: tuple, d_num: int, d_den: int, r: int, shifted: bool, scalar: 
     """The monomial terms of Phi_k(1 - sigma) when ``shifted``, of Phi_k
     otherwise, at d = d_num/d_den, as (den, ((lambda, value), ...)): exact
     terms are integer numerators over their lcm den, complex terms are the
-    values over den = 1."""
-    d = Fraction(d_num, d_den)
-    phi = coeffs._phi_one_minus(k, d, r) if shifted else spherical_poly(k, d, r).terms
+    values over den = 1, each ``num / den`` of the exact table, which rounds
+    correctly, as complex(Fraction) does."""
     if scalar is complex:
-        return 1, tuple((lam, _as_complex(c)) for lam, c in phi.items())
+        den, terms = _phi_table(k, d_num, d_den, r, shifted, Fraction)
+        return 1, tuple((lam, complex(num / den)) for lam, num in terms)
+    if shifted:
+        phi = coeffs._phi_one_minus(k, d_num, d_den, r)
+    else:
+        phi = _spherical_cached(k, d_num, d_den, r).terms
     den = lcm(*(c.denominator for c in phi.values()))
     return den, tuple((lam, c.numerator * (den // c.denominator)) for lam, c in phi.items())
 
@@ -243,8 +299,8 @@ def _rank1_series(m: int, b, c, one) -> list:
 
         (c)_m / m! sum_k (-1)^k C(m,k) (b)_k / (c)_k x^k
 
-    behind ``cj1_eval`` and ``mp1_eval``; each caller supplies its own
-    prefactor and powers (the exact operator checks use ``_rank1_coeffs``).
+    behind ``cj1_eval`` and ``mp1_eval``, which sum it by ``_rank1_eval`` (the
+    exact operator checks use ``_rank1_coeffs``).
     ``one`` fixes the scalar type (complex or Fraction) and ``b = None`` drops
     the numerator.  A term is ``(-1)**k * comb(m, k) * num / den`` in that
     order, which the float callers' rounding depends on.
@@ -310,22 +366,26 @@ def _max_abs(values, den: int) -> float:
     return max((abs(complex(x / den, y / den)) for x, y in values), default=0.0)
 
 
+def _rank1_eval(m: int, b, c, x, pref) -> complex:
+    """pref (c)_m / m! sum_k (-1)^k C(m,k) (b)_k / (c)_k x^k in complex doubles:
+    pref times each (c + t) / (t + 1) in turn, then the terms of
+    ``_rank1_series`` times the powers of x, added k by k."""
+    for t in range(m):
+        pref *= (c + t) / (t + 1)
+    total = 0j
+    power = 1.0 + 0j
+    for term in _rank1_series(m, b, c, 1.0 + 0j):
+        total += term * power
+        power *= x
+    return pref * total
+
+
 def cj1_eval(m: int, alpha: float, nu: float, sigma: complex) -> complex:
     """One-variable circular Jacobi value, as the terminating sum
 
         (alpha)_m / m! sum_k (-1)^k C(m,k) ((alpha+1)/2 + i nu)_k / (alpha)_k (1-sigma)^k.
     """
-    terms = _rank1_series(m, 0.5 * (alpha + 1) + 1j * nu, alpha, 1.0 + 0j)
-    pref = 1.0
-    for t in range(m):
-        pref *= (alpha + t) / (t + 1)
-    total = 0j
-    one_minus = 1 - sigma
-    power = 1.0 + 0j
-    for term in terms:
-        total += term * power
-        power *= one_minus
-    return pref * total
+    return _rank1_eval(m, 0.5 * (alpha + 1) + 1j * nu, alpha, 1 - sigma, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -782,6 +842,7 @@ def _check_genfun_domain(params: ParamSet, z: Sequence[complex], N: int, beta: b
             f"a truncation at N = {N} sums over more than {_GENFUN_BUDGET} partitions at "
             f"r = {params.r}, over the budget (the work grows as their square); use a smaller N"
         )
+    check_family_work(params, N, evaluations=4)  # the member and Phi_m, on both sides
     _check_float_range(params, N, f"a truncation at N = {N}", "N", beta)
 
 
@@ -902,13 +963,5 @@ def mp1_eval(m: int, lam: float, s: complex, phi_angle: float) -> complex:
         e^{i m phi} (2 lam)_m / m! sum_k (-1)^k C(m,k)
             (lam + i s)_k / (2 lam)_k (1 - e^{-2 i phi})^k.
     """
-    pref = cmath.exp(1j * m * phi_angle)
-    for t in range(m):
-        pref *= (2 * lam + t) / (t + 1)
     x = 1 - cmath.exp(-2j * phi_angle)
-    total = 0j
-    power = 1.0 + 0j
-    for term in _rank1_series(m, lam + 1j * s, 2 * lam, 1.0 + 0j):
-        total += term * power
-        power *= x
-    return pref * total
+    return _rank1_eval(m, lam + 1j * s, 2 * lam, x, cmath.exp(1j * m * phi_angle))

@@ -61,7 +61,7 @@ class ParamSet:
         if isinstance(self.alpha, Fraction) and self.alpha.denominator == 1:
             object.__setattr__(self, "alpha", int(self.alpha))
         # hashed once: the factor tables look a ParamSet up per k, and hashing
-        # its Fraction d each time costs as much as the lookup
+        # its key each time costs as much as the lookup
         object.__setattr__(self, "_hash", hash(self._key()))
 
     @property
@@ -82,8 +82,11 @@ class ParamSet:
 
     def _key(self) -> tuple:
         # an exact alpha builds an exact body where an equal float alpha does
-        # not, so the two must not share an mcj_build cache entry
-        return (self.r, self.d, self.alpha, self.alpha_is_exact, self.nu)
+        # not, so the two must not share an mcj_build cache entry; d enters as
+        # its numerator and denominator, which hash in C where a Fraction
+        # hashes in Python
+        d = self.d
+        return (self.r, d.numerator, d.denominator, self.alpha, self.alpha_is_exact, self.nu)
 
     def __eq__(self, other):
         if not isinstance(other, ParamSet):

@@ -7,7 +7,7 @@ at module boundaries partitions are zero-padded to the ambient arity r.
 
 from __future__ import annotations
 
-from itertools import islice
+from itertools import accumulate, islice
 from typing import Iterator, Sequence
 
 from .errors import WeightMismatchError
@@ -86,6 +86,15 @@ def count_partitions(max_weight: int, r: int, stop: int) -> int:
     counted lazily up to ``stop``: a larger count returns ``stop``."""
     parts = (p for w in range(max_weight + 1) for p in _parts_desc(w, w, r))
     return sum(1 for _ in islice(parts, stop))
+
+
+def count_contained(m: Sequence[int]) -> int:
+    """The number of partitions k contained in the partition m (k_j <= m_j),
+    one part at a time: ways[v] counts the choices of k_1 .. k_j with k_j = v."""
+    ways = [1] * (m[0] + 1) if m else [1]
+    for mj in m[1:]:
+        ways = list(accumulate(reversed(ways)))[::-1][: mj + 1]
+    return sum(ways)
 
 
 def contains(m: Sequence[int], k: Sequence[int]) -> bool:

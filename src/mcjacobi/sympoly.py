@@ -418,8 +418,9 @@ def _lb_parts(lam: tuple, r: int) -> tuple:
 
 
 @lru_cache(maxsize=1024)
-def _jack_terms(m: tuple, alpha: Fraction, r: int) -> tuple:
-    """Monomial expansion of P_m^(alpha) as ((lambda, coef), ...).
+def _jack_terms(m: tuple, d_num: int, d_den: int, r: int) -> tuple:
+    """Monomial expansion of P_m^(alpha), alpha = 2/d at d = d_num/d_den in
+    lowest terms, as ((lambda, coef), ...).
 
     The alpha-deformed Laplace-Beltrami operator
         D = (alpha/2) sum_i x_i^2 d_i^2 + sum_{i<j} (x_i^2 d_i - x_j^2 d_j)/(x_i - x_j)
@@ -433,14 +434,13 @@ def _jack_terms(m: tuple, alpha: Fraction, r: int) -> tuple:
     where every nu dominates mu, so it comes earlier in the order and its
     coefficient (0 if unset) is already known.
 
-    With alpha/2 = p/q, e_m - e_mu = (p (A_m - A_mu) + q (B_m - B_mu)) / q in
-    the integers of ``_lb_parts``, and the right-hand side is summed as
+    With alpha/2 = 1/d = p/q, e_m - e_mu = (p (A_m - A_mu) + q (B_m - B_mu)) / q
+    in the integers of ``_lb_parts``, and the right-hand side is summed as
     integer numerators over the lcm of the c_nu denominators, so each
     coefficient is one division.
     """
     w = weight(m)
-    half = alpha / 2
-    p, q = half.numerator, half.denominator
+    p, q = d_den, d_num
     a_m, b_m = _lb_parts(m, r)
     coefs = {m: Fraction(1)}
     order = (pad(lam, r) for lam in _parts_desc(w, w, r))
@@ -466,16 +466,23 @@ def _jack_terms(m: tuple, alpha: Fraction, r: int) -> tuple:
     return tuple(sorted(coefs.items(), key=lambda kv: _sort_key(kv[0])))
 
 
+def _ratio(d) -> tuple:
+    """The key (numerator, denominator) of d > 0 in lowest terms, under which
+    every exact table is cached: two ints hash in C, where a Fraction key runs
+    the Python-level ``Fraction.__hash__`` on every lookup."""
+    if not isinstance(d, Fraction):
+        d = Fraction(d)
+    if d.numerator <= 0:
+        raise ValueError("multiplicity d must be > 0")
+    return d.numerator, d.denominator
+
+
 def jack_mono(m: Sequence[int], d, r: int) -> SymPoly:
     """Jack polynomial P_m with parameter alpha = 2/d, monic in m_m.
 
     Exact; the support is contained in {lambda : lambda dominated by m}.
     """
-    d = Fraction(d)
-    if d <= 0:
-        raise ValueError("multiplicity d must be > 0")
-    mm = pad(m, r)
-    return SymPoly._trusted(r, dict(_jack_terms(mm, Fraction(2, 1) / d, r)))
+    return SymPoly._trusted(r, dict(_jack_terms(pad(m, r), *_ratio(d), r)))
 
 
 # ---------------------------------------------------------------------------
@@ -540,10 +547,9 @@ def schur(m: Sequence[int], r: int) -> SymPoly:
 
 @lru_cache(maxsize=1024)
 def _spherical_cached(m: tuple, d_num: int, d_den: int, r: int) -> SymPoly:
-    """Phi_m at d = d_num/d_den, keyed by the two integers, which hash in C
-    where a Fraction key would run ``Fraction.__hash__`` on every lookup.
-    Each coefficient c of P_m becomes c / P_m(1) as one Fraction of integers."""
-    p = jack_mono(m, Fraction(d_num, d_den), r)
+    """Phi_m at d = d_num/d_den.  Each coefficient c of P_m becomes
+    c / P_m(1) as one Fraction of integers."""
+    p = SymPoly._trusted(r, dict(_jack_terms(m, d_num, d_den, r)))
     at_ones = p.eval_at_ones()
     a, b = at_ones.numerator, at_ones.denominator
     return SymPoly._trusted(
@@ -553,6 +559,4 @@ def _spherical_cached(m: tuple, d_num: int, d_den: int, r: int) -> SymPoly:
 
 def spherical_poly(m: Sequence[int], d, r: int) -> SymPoly:
     """Spherical polynomial: Jack rescaled so the value at (1,...,1) is 1."""
-    if not isinstance(d, Fraction):
-        d = Fraction(d)
-    return _spherical_cached(pad(m, r), d.numerator, d.denominator, r)
+    return _spherical_cached(pad(m, r), *_ratio(d), r)

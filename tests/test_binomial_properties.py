@@ -31,7 +31,7 @@ PROPERTY_SETTINGS = settings(max_examples=60, deadline=None)
 def test_row_sums_to_two_to_the_weight(case):
     # Phi_m(1 + 1) = 2^{|m|}
     p, m = case
-    assert sum(_binom_row(m, p.d, p.r).values()) == 2 ** weight(m)
+    assert sum(_binom_row(m, p.d.numerator, p.d.denominator, p.r).values()) == 2 ** weight(m)
 
 
 @PROPERTY_SETTINGS
@@ -39,7 +39,7 @@ def test_row_sums_to_two_to_the_weight(case):
 def test_one_box_binomials_sum_to_weight(case):
     # d/dt Phi_m(1 + t 1) at t = 0 is |m|, and E Phi_m = sum_i binom(m, m - e_i) Phi_{m - e_i}
     p, m = case
-    row = _binom_row(m, p.d, p.r)
+    row = _binom_row(m, p.d.numerator, p.d.denominator, p.r)
     assert sum(b for k, b in row.items() if weight(k) == weight(m) - 1) == weight(m)
 
 
@@ -48,7 +48,7 @@ def test_one_box_binomials_sum_to_weight(case):
 def test_binom_vanishes_exactly_off_containment(case):
     # binom(m, k) = 0 unless k is contained in m, and is positive when it is
     p, m = case
-    row = _binom_row(m, p.d, p.r)
+    row = _binom_row(m, p.d.numerator, p.d.denominator, p.r)
     for k in enumerate_partitions(weight(m) + 1, p.r):
         b = row.get(k, 0)
         assert (b > 0) if contains(m, k) else (b == 0)

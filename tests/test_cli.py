@@ -306,6 +306,17 @@ OVER_BUDGET = [
      "--points", "100000"],
     ["verify-orth", "--r", "2", "--max-weight", "100000"],
     ["conjecture-sweep", "--max-weight", "100000"],
+    ["print-poly", "--r", "1", "--d", "2", "--alpha", "3", "--nu", "0", "--m", "340"],
+    ["eval", "--r", "2", "--d", "2", "--alpha", "3", "--nu", "0.3", "--m", "200,180",
+     "--theta", "0.5,1.5"],
+    ["verify-det", "--r", "2", "--d", "2", "--alpha", "3", "--nu", "0", "--max-weight", "100000"],
+    ["print-poly", "--r", "20", "--d", "2", "--alpha", "30", "--nu", "0", "--m", "1"],
+    ["verify-genfun", "--r", "12", "--d", "2", "--alpha", "12", "--nu", "0", "--N", "1",
+     "--z", ",".join(["0.1"] * 12), "--theta", "0.1,0.3,0.5,0.7,0.9,1.1,1.3,1.5,1.7,1.9,2.1,2.3",
+     "--t", "0.1,0.3,0.5,0.7,0.9,1.1,1.3,1.5,1.7,1.9,2.1,2.3"],
+    ["print-poly", "--r", "2", "--d", "7/3", "--alpha", "3", "--nu", "0", "--m", "50,40"],
+    ["verify-det", "--r", "2", "--d", "2", "--alpha", "3", "--nu", "0", "--max-weight", "1",
+     "--trials", "100000000"],
 ]
 # commands that README or CI show being refused because a float factor would
 # pass the double range
@@ -321,15 +332,31 @@ def _documented_commands():
         (root / name).read_text() for name in ("README.md", ".github/workflows/tests.yml")
     ).replace("\\\n", " ")
     pattern = re.compile(
-        r"mcjacobi(?:\.cli)? (verify-ode|verify-genfun|verify-orth|conjecture-sweep)\b([^;|&>\n]*)"
+        r"mcjacobi(?:\.cli)? (verify-ode|verify-genfun|verify-orth|conjecture-sweep|print-poly|eval"
+        r"|verify-det)\b([^;|&>\n]*)"
     )
     return [[cmd] + shlex.split(rest) for cmd, rest in pattern.findall(text)]
+
+
+class _Reached(Exception):
+    """A command got past its work-budget checks to its first family build."""
+
+
+def _reached(*args, **kwargs):
+    raise _Reached
 
 
 def _check_budget(argv):
     """Run the work-budget checks of one command without doing its work."""
     args = build_parser().parse_args(argv)
-    if args.command == "verify-ode":
+    if args.command in ("print-poly", "eval", "verify-det"):
+        # these check their budget in the command itself, then build
+        with pytest.MonkeyPatch.context() as mp:
+            for name in ("mcj_build", "laguerre_build", "psi_eval"):
+                mp.setattr(mcj, name, _reached)
+            with pytest.raises(_Reached):
+                args.fn(args)
+    elif args.command == "verify-ode":
         mcj._check_operator_grid(_floats(args.alpha_grid), _floats(args.nu_grid), args.m_max)
     elif args.command == "verify-genfun":
         z = [complex(x) for x in _floats(args.z)]
@@ -347,7 +374,8 @@ def test_documented_commands_within_work_budget():
     commands = _documented_commands()
     assert ["verify-ode", "--m-max", "30"] in commands
     assert {argv[0] for argv in commands} == {
-        "verify-ode", "verify-genfun", "verify-orth", "conjecture-sweep"
+        "verify-ode", "verify-genfun", "verify-orth", "conjecture-sweep", "print-poly", "eval",
+        "verify-det",
     }
     assert all(argv in commands for argv in OVER_BUDGET + PAST_FLOAT_RANGE)
     for argv in commands:

@@ -12,7 +12,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from mcjacobi import mcj  # noqa: E402
+from mcjacobi import coeffs, mcj  # noqa: E402
 from mcjacobi.cli import run  # noqa: E402
 from mcjacobi.params import PARAM_LIMIT  # noqa: E402
 
@@ -126,3 +126,64 @@ def test_huge_max_weight_exits_2(command, r, max_weight):
         argv += [f"{k}={v}" for k, v in VALID.items()]
     code, err = _exit_code(argv)
     assert code == 2 and "budget" in err and "Traceback" not in err, (argv, code, err)
+
+
+@PROPERTY_SETTINGS
+@given(st.sampled_from(["print-poly", "eval"]), st.integers(min_value=1, max_value=3), st.data())
+def test_deep_binomial_rows_exit_2(command, r, data):
+    # the one-box recursion is |m| levels deep: past the row weight bound, refused unbuilt
+    top = data.draw(st.integers(min_value=coeffs._ROW_WEIGHT + 1, max_value=10**6))
+    rest = data.draw(st.lists(st.integers(0, 5), min_size=r - 1, max_size=r - 1))
+    m = ",".join(map(str, [top] + sorted(rest, reverse=True)))
+    extra = ["--theta", ",".join(str(0.5 + j) for j in range(r))] if command == "eval" else []
+    code, err = _exit_code([command, "--r", str(r), "--m", m] + extra)
+    assert code == 2 and "weight" in err and "Traceback" not in err, (m, code, err)
+
+
+@PROPERTY_SETTINGS
+@given(
+    st.sampled_from(["print-poly", "eval", "verify-det", "verify-genfun"]),
+    st.integers(min_value=12, max_value=2000),
+)
+def test_high_rank_exits_2(command, r):
+    # sympoly._orbit_cached walks r! permutations for each monomial, past the budget at r >= 12
+    argv = [command, "--r", str(r), "--d", "2", "--alpha", str(r + 2), "--nu", "0"]
+    z, angles = ",".join(["0.01"] * r), ",".join(str(0.1 * j) for j in range(r))
+    argv += {
+        "print-poly": ["--m", "1"],
+        "eval": ["--m", "1", "--theta", angles],
+        "verify-det": ["--max-weight", "1", "--trials", "1"],
+        "verify-genfun": ["--N", "1", "--z", z, "--theta", angles, "--t", angles],
+    }[command]
+    code, err = _exit_code(argv)
+    assert code == 2 and "budget" in err and "Traceback" not in err, (command, r, code, err)
+
+
+@PROPERTY_SETTINGS
+@given(
+    st.sampled_from(["print-poly", "eval"]),
+    st.integers(min_value=45, max_value=100),
+    st.data(),
+)
+def test_exact_build_over_budget_exits_2(command, top, data):
+    # m = (top, second) contains over 1,000 partitions of the over 1,600 of weight <= |m|
+    second = data.draw(st.integers(min_value=35, max_value=min(top, 200 - top)))
+    code, err = _exit_code(
+        [command, "--r", "2", "--d", "7/3", "--alpha", "3", "--m", f"{top},{second}"]
+    )
+    assert code == 2 and "budget" in err and "Traceback" not in err, (top, second, code, err)
+
+
+@PROPERTY_SETTINGS
+@given(
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=0, max_value=3),
+    st.integers(min_value=10**5, max_value=10**30),
+)
+def test_verify_det_trials_over_budget_exits_2(r, max_weight, trials):
+    # every trial evaluates each member at least 4 times, over 64 units each
+    code, err = _exit_code(
+        ["verify-det", "--r", str(r), "--d", "2", "--alpha", "5", "--max-weight", str(max_weight),
+         "--trials", str(trials)]
+    )
+    assert code == 2 and "budget" in err and "Traceback" not in err, (r, trials, code, err)

@@ -168,7 +168,7 @@ def test_phi_one_minus_matches_affine_substitute(r, d):
     # the sign-flipped cached Phi_k(1 + x) against the direct substitution x -> 1 - x
     for k in enumerate_partitions(6, r):
         oracle = affine_substitute(spherical_poly(k, d, r), 1, -1)
-        assert _phi_one_minus(k, d, r) == oracle.terms
+        assert _phi_one_minus(k, d.numerator, d.denominator, r) == oracle.terms
 
 
 def _row_from_substitution(m, d, r):
@@ -198,29 +198,39 @@ def _row_from_substitution(m, d, r):
 def test_binom_row_and_phi_one_plus_match_substitution(r, max_w, d):
     # the one-box recursion against the direct substitution x -> 1 + x, exactly
     for m in enumerate_partitions(max_w, r):
-        assert coeffs._binom_row(m, d, r) == _row_from_substitution(m, d, r)
+        assert coeffs._binom_row(m, d.numerator, d.denominator, r) == _row_from_substitution(m, d, r)
         oracle = affine_substitute(spherical_poly(m, d, r), 1, 1)
-        assert coeffs._phi_one_plus(m, d, r) == oracle
+        assert coeffs._phi_one_plus(m, d.numerator, d.denominator, r) == oracle
+
+
+def test_binom_row_weight_bound_refuses_before_recursing():
+    # the one-box recursion is |m| levels deep; rows up to the bound build even
+    # under the test runner's own stack, and a deeper one is refused on its miss path
+    p = ParamSet(r=1, d=Fraction(7, 3))
+    w = coeffs._ROW_WEIGHT
+    assert gen_binom((w,), (0,), p) == 1 and gen_binom((w,), (w - 1,), p) == w
+    with pytest.raises(ParameterError, match="weight"):
+        gen_binom((w + 1,), (0,), p)
+    with pytest.raises(ParameterError, match="weight"):
+        gen_binom((w // 2 + 1, w // 2), (1,), ParamSet(r=2, d=2))
 
 
 def test_exact_caches_bounded_and_rebuild_equal():
     # past the bound the first (m, d, r) entry of every exact cache is
     # evicted and rebuilds to an equal value
-    caches = (coeffs._binom_row, coeffs._binom_row_by_ratio, coeffs._phi_one_plus,
-              sympoly._jack_terms, sympoly._spherical_cached)
+    caches = (coeffs._binom_row, sympoly._jack_terms, sympoly._spherical_cached)
     assert all(f.cache_info().maxsize is not None for f in caches)
     bound = max(f.cache_info().maxsize for f in caches)
-    m, d, r = (2, 1, 0), Fraction(7, 5), 3
+    m, r = (2, 1, 0), 3
 
     def build():
-        return (coeffs._binom_row(m, d, r), coeffs._binom_row_by_ratio(m, 7, 5, r),
-                coeffs._phi_one_plus(m, d, r), sympoly._jack_terms(m, Fraction(2) / d, r),
-                sympoly._spherical_cached(m, 7, 5, r))
+        return (coeffs._binom_row(m, 7, 5, r), coeffs._phi_one_plus(m, 7, 5, r),
+                sympoly._jack_terms(m, 7, 5, r), sympoly._spherical_cached(m, 7, 5, r))
 
     first = build()
     for i in range(bound + 5):  # one entry in each cache per fresh d at least
         d_i = Fraction(3 + 2 * i, 2)
-        coeffs._phi_one_plus((1,), d_i, 1)
+        coeffs._phi_one_plus((1,), d_i.numerator, d_i.denominator, 1)
         coeffs.gen_binom((1,), (0,), ParamSet(r=1, d=d_i))
     assert all(f.cache_info().currsize <= f.cache_info().maxsize for f in caches)
     misses = [f.cache_info().misses for f in caches]
@@ -231,28 +241,27 @@ def test_exact_caches_bounded_and_rebuild_equal():
 
 
 def _double_phi_of_weight(w):
-    # a spherical polynomial off by a factor 2 at one weight only
-    real = coeffs.spherical_poly
-    return lambda k, d, r: real(k, d, r).scale(2 if weight(k) == w else 1)
+    # the spherical table that _one_box reads, off by a factor 2 at one weight only
+    real = coeffs._spherical_cached
+    return lambda k, d_num, d_den, r: real(k, d_num, d_den, r).scale(2 if weight(k) == w else 1)
 
 
 def test_binom_row_residual_raises(monkeypatch):
     # a wrong normalization of Phi_m breaks sum_i binom(m, m - e_i) = |m|
-    monkeypatch.setattr(coeffs, "spherical_poly", _double_phi_of_weight(3))
+    monkeypatch.setattr(coeffs, "_spherical_cached", _double_phi_of_weight(3))
     with pytest.raises(InvariantError):
-        coeffs._binom_row.__wrapped__((2, 1, 0), Fraction(5, 2), 3)
+        coeffs._binom_row.__wrapped__((2, 1, 0), 5, 2, 3)
 
 
 def test_binom_row_residual_raises_under_optimize(child_env):
     # python -O strips assert statements; the invariant check must survive it
     code = (
-        "from fractions import Fraction\n"
         "import mcjacobi.coeffs as coeffs\n"
         "from mcjacobi.errors import InvariantError\n"
-        "real = coeffs.spherical_poly\n"
-        "coeffs.spherical_poly = lambda k, d, r: real(k, d, r).scale(2 if sum(k) == 3 else 1)\n"
+        "real = coeffs._spherical_cached\n"
+        "coeffs._spherical_cached = lambda k, n, q, r: real(k, n, q, r).scale(2 if sum(k) == 3 else 1)\n"
         "try:\n"
-        "    coeffs._binom_row((2, 1, 0), Fraction(5, 2), 3)\n"
+        "    coeffs._binom_row((2, 1, 0), 5, 2, 3)\n"
         "except InvariantError:\n"
         "    print('raised')\n"
     )

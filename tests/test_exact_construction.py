@@ -45,7 +45,7 @@ def test_kernel_built_polynomials_equal_validated_copies(r, d, alpha, w):
         built = [
             sympoly.jack_mono(m, d, r),
             sympoly.spherical_poly(m, d, r),
-            coeffs._phi_one_plus(m, d, r),
+            coeffs._phi_one_plus(m, d.numerator, d.denominator, r),
             mcj.mcj_build(m, pe).body_exact,
             mcj.mcj_build(m, pe).body,
             mcj.mcj_build(m, pc).body,
@@ -147,14 +147,22 @@ def test_warm_lookups_hash_no_fraction(monkeypatch):
 
     monkeypatch.setattr(Fraction, "__hash__", counting_hash)
     job()
+    # cold lookups at fresh values of d, which no other test uses: every exact
+    # table is keyed by d's numerator and denominator, down to its recursions
+    coeffs.gen_binom((2, 1), (1,), ParamSet(r=r, d=Fraction(1031, 997)))
+    sympoly.spherical_poly((3, 1), Fraction(1033, 997), r)
+    sympoly.jack_mono((2, 2), Fraction(1039, 997), r)
+    cold = ParamSet(r=r, d=Fraction(1049, 997), alpha=5, nu=0)
+    mcj.mcj_build((2, 1), cold)
+    mcj.mcj_build((2, 1), cold.with_(nu=0.3))
+    mcj.laguerre_build((2, 1), cold.with_(nu=0.3))
     monkeypatch.undo()
     assert len(calls) == 0
-    # the count sees a cold lookup: a fresh d hashes in the Fraction-keyed kernels
-    fresh = ParamSet(r=r, d=Fraction(13, 7))
+    # the count sees a Fraction hash
     monkeypatch.setattr(Fraction, "__hash__", counting_hash)
-    coeffs.gen_binom((2, 1), (1,), fresh)
+    hash(Fraction(13, 7))
     monkeypatch.undo()
-    assert calls
+    assert len(calls) == 1
 
 
 def _hex(z):
@@ -173,7 +181,7 @@ def test_exact_to_complex_is_complex_of_fraction():
             dim, nr_poch, row = mcj._m_table(m, d.numerator, d.denominator, 3, Fraction)
             values += [dim, nr_poch] + [b for _, b in row]
             values += list(sympoly.spherical_poly(m, d, 3).terms.values())
-            values += list(coeffs._phi_one_minus(m, d, 3).values())
+            values += list(coeffs._phi_one_minus(m, d.numerator, d.denominator, 3).values())
             values += list(mcj.mcj_build(m, p).body_exact.terms.values())
             cdim, cpoch, crow = mcj._m_table(m, d.numerator, d.denominator, 3, complex)
             assert _hex(cdim) == _hex(complex(dim)) and _hex(cpoch) == _hex(complex(nr_poch))
@@ -192,3 +200,39 @@ def test_exact_to_complex_is_complex_of_fraction():
         with pytest.raises(OverflowError) as old:
             complex(c)
         assert str(new.value) == str(old.value)
+
+
+def test_complex_phi_table_is_complex_of_fraction(monkeypatch):
+    # the complex table is the exact one converted entry by entry, bitwise complex(Fraction)
+    for d in (Fraction(7, 3), Fraction(11, 7)):
+        for m in enumerate_partitions(6, 3):
+            for shifted in (True, False):
+                if shifted:
+                    phi = coeffs._phi_one_minus(m, d.numerator, d.denominator, 3)
+                else:
+                    phi = sympoly.spherical_poly(m, d, 3).terms
+                one, terms = mcj._phi_table(m, d.numerator, d.denominator, 3, shifted, complex)
+                assert one == 1
+                assert [(lam, _hex(c)) for lam, c in terms] == [
+                    (lam, _hex(complex(c))) for lam, c in phi.items()
+                ]
+    # values no spherical polynomial reaches, from a stand-in table at an unused d
+    huge, tiny = Fraction(3**2000 + 1, 7**1100), Fraction(1, 10**400)
+    stand_in = {
+        (2, 0): {(2, 0): huge, (1, 1): -tiny, (0, 0): Fraction(-3, 7)},
+        (1, 0): {(1, 0): Fraction(10**400, 3), (0, 0): Fraction(1)},
+    }
+    monkeypatch.setattr(mcj, "_spherical_cached", lambda k, n, q, r: SymPoly(r, stand_in[k]))
+    try:
+        one, terms = mcj._phi_table((2, 0), 1051, 997, 2, False, complex)
+        assert [(lam, _hex(c)) for lam, c in terms] == [
+            (lam, _hex(complex(c))) for lam, c in stand_in[(2, 0)].items()
+        ]
+        assert terms[1][1] == 0
+        with pytest.raises(OverflowError) as new:
+            mcj._phi_table((1, 0), 1051, 997, 2, False, complex)
+        with pytest.raises(OverflowError) as old:
+            complex(stand_in[(1, 0)][(1, 0)])
+        assert str(new.value) == str(old.value)
+    finally:
+        mcj._phi_table.cache_clear()  # drop the stand-in's exact entries

@@ -4,6 +4,7 @@ from mcjacobi.errors import WeightMismatchError
 from mcjacobi.partitions import (
     check_partition,
     contains,
+    count_contained,
     count_partitions,
     dominance_leq,
     enumerate_partitions,
@@ -29,6 +30,15 @@ def test_count_partitions_stops_at_the_bound():
             assert count_partitions(w, r, max(1, total - 2)) == max(1, total - 2)
     # lazy: the count stops at the bound however large the weight
     assert count_partitions(10**12, 10**6, 401) == 401
+
+
+def test_count_contained_matches_enumeration():
+    for r in (1, 2, 3, 4):
+        for m in enumerate_partitions(7, r):
+            expect = sum(contains(m, k) for k in enumerate_partitions(weight(m), r))
+            assert count_contained(m) == expect
+    assert count_contained(()) == 1
+    assert count_contained((40, 30)) == 806
 
 
 def test_enumerate_order_is_weight_then_revlex():

@@ -234,6 +234,15 @@ def test_spherical_normalization():
     assert spherical_poly((2, 1), 2, 2) == SymPoly(2, {(2, 1): Fraction(1, 2)})
 
 
+@pytest.mark.parametrize("d", [0, -1, Fraction(-1, 3), 0.0])
+@pytest.mark.parametrize("build", [spherical_poly, jack_mono])
+def test_nonpositive_multiplicity_raises(build, d):
+    # the public builders check d > 0 before they reach the exact tables
+    for m in ((1, 0), (3, 1)):
+        with pytest.raises(ValueError, match="must be > 0"):
+            build(m, d, 2)
+
+
 def _hyp2f1_terminating(neg_m: int, b: float, c: float, x: complex) -> complex:
     total = 0j
     poch_a = poch_b = poch_c = fact = 1.0
