@@ -42,7 +42,7 @@ from .sympoly import CSymPoly, SymPoly, _as_complex, _sort_key, _spherical_cache
 
 # work budgets, checked before any work, each ~10 s of the worst case measured on a
 # 2-core x86 machine: exact operator units, partitions a genfun truncation sums, exact
-# units of the family builds, permutations ``sympoly._orbit_cached`` walks, and
+# units of the family builds, orbit permutations counted at r! each, and
 # monomial units of the float evaluations (``check_family_work``)
 _OPERATOR_BUDGET = 1 << 22
 _GENFUN_BUDGET = 400
@@ -56,8 +56,9 @@ def check_family_work(params: ParamSet, max_weight: int = 0, m=None, evaluations
     (only m, when given) and ``evaluations`` float evaluations of each:
 
     * the binomial rows recurse |m| levels deep (``coeffs.check_row_weight``);
-    * each of the P monomials of weight <= |m| walks r! permutations once
-      (``sympoly._orbit_cached``);
+    * each of the P monomials of weight <= |m| has at most r! permutations in
+      its orbit (``sympoly._orbit_cached`` makes only the distinct ones; the
+      bound counts r! each);
     * the exact build costs K P units, for the K partitions contained in m (K = P
       without m), times max(1, b/20)^1.2 for the bit length b of d's, or an exact
       alpha's, numerator times denominator;
@@ -79,7 +80,7 @@ def check_family_work(params: ParamSet, max_weight: int = 0, m=None, evaluations
         P = count_partitions(w, r, _BUILD_BUDGET // K + 1)
     if perms * P > _ORBIT_BUDGET:
         raise ParameterError(
-            f"rank r = {r} walks r! permutations for each of the {P} monomials of weight "
+            f"rank r = {r} counts r! permutations for each of the {P} monomials of weight "
             f"<= {w}, over the budget of {_ORBIT_BUDGET:,}; use a smaller r"
         )
     exact = [params.d] + ([Fraction(params.alpha)] if params.alpha_is_exact else [])

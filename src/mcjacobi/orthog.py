@@ -51,17 +51,21 @@ double range (``_check_work``).
 The Gram matrix is one pass over the leaves of numpy's pairwise-summation
 tree on the nodes (``_pairwise``), which halves n complex values at
 (n - n % 8) // 2 as np.sum does, down to leaves of at most ``_LEAF`` = 32768
-nodes.  Each leaf takes the r columns of z = e^{i theta} for its own nodes,
-evaluates the polynomials there in one shared pass over their monomials
-(``sympoly.evaluate_points_many``, each power z_j^e computed once) and reduces
-its P^2 sums against the conjugates, formed once per leaf; adding the leaf
+nodes.  Each leaf forms its weights (widened to complex once), takes the r
+columns of z = e^{i theta} for its own nodes, evaluates the polynomials there
+in one shared pass over their monomials (``sympoly.evaluate_points_many`` on
+a plan the pass built once, each power z_j^e computed once) and reduces its
+P^2 sums against the conjugates, formed once per leaf; adding the leaf
 matrices in the tree's order makes every entry np.sum over all nodes, bit for
-bit, with only a few leaf-sized arrays in memory.  The leaves are independent:
-a pass of more than one leaf computes them on a thread pool, made on first
-use, with at most one leaf per available CPU and ``_IN_FLIGHT`` = 2 at once
-(numpy releases the GIL in its loops), and adds them in the tree's order once
-all are done, so the entries do not depend on the CPU count.  No BLAS is
-called, so reports are byte-identical whatever the BLAS thread count.
+bit, with only a few leaf-sized arrays in memory.  A non-finite weight makes
+some sum non-finite, so a leaf scans its weights only then.  The leaves are
+independent: a pass of more than one leaf computes them on a thread pool,
+made on first use, with at most one leaf per available CPU and
+``_IN_FLIGHT`` = 2 at once (numpy releases the GIL in its loops), as
+``_IN_FLIGHT`` tasks pulling leaves from one iterator, and adds them in the
+tree's order once all are done, so the entries do not depend on the CPU
+count.  No BLAS is called, so reports are byte-identical whatever the BLAS
+thread count.
 
 A leaf writes its leaf-sized arrays (grid indices, weights, gathered
 columns, values, conjugates, products) with ufunc out= into a scratch set
@@ -108,7 +112,7 @@ from .errors import ParameterError, SingularPointError
 from .mcj import _check_float_range, mcj_build
 from .params import ParamSet
 from .partitions import count_partitions, enumerate_partitions, format_partition
-from .sympoly import _mul, _power, evaluate_points_many
+from .sympoly import _mul, _plan_evaluation, _power, evaluate_points_many
 
 TWO_PI = 2.0 * math.pi
 # nodes per leaf of the Gram pass; see the module docstring for the floor
@@ -557,9 +561,9 @@ def _weigher(params: ParamSet, rule: QuadratureRule) -> tuple:
     Weights include the per-axis singular factors, the e^{-nu (theta - pi)}
     factors and the pair coupling; the polynomials are the only thing left
     for the integrand.  weigh forms its run with the same elementwise
-    products as a whole-array build, so the bits do not depend on the run,
-    and refuses non-finite values.  The node budget is checked before
-    anything of node size is allocated.
+    products as a whole-array build, so the bits do not depend on the run;
+    its callers refuse non-finite values (``_check_finite``).  The node
+    budget is checked before anything of node size is allocated.
     """
     s = _axis_exponent(params)
     if abs(rule.s - s) > 1e-12:
@@ -600,10 +604,13 @@ def _weigher(params: ParamSet, rule: QuadratureRule) -> tuple:
                     np.sin(np.divide(pair, 2.0, out=pair), out=pair)
                     np.multiply(2.0, np.abs(pair, out=pair), out=pair)
                     np.multiply(out, _power(pair, d, pair), out=out)
-        if not np.all(np.isfinite(out)):
-            raise ParameterError("quadrature weight assembly produced non-finite values")
 
     return geom, weigh
+
+
+def _check_finite(w: np.ndarray) -> None:
+    if not np.all(np.isfinite(w)):
+        raise ParameterError("quadrature weight assembly produced non-finite values")
 
 
 def _weights(params: ParamSet, rule: QuadratureRule) -> tuple:
@@ -616,6 +623,7 @@ def _weights(params: ParamSet, rule: QuadratureRule) -> tuple:
         hi = min(lo + _LEAF, len(w))
         take = _fresh(hi - lo)
         weigh(lo, hi, geom.index(lo, hi, take), w[lo:hi], take)
+    _check_finite(w)
     return geom, w
 
 
@@ -730,10 +738,29 @@ def _pool(pid: int):
 
 def _map_leaves(leaf, spans: list) -> list:
     """[leaf(lo, hi) for (lo, hi) in spans], at most one leaf per CPU and
-    _IN_FLIGHT leaves in flight; numpy releases the GIL in its loops."""
+    _IN_FLIGHT leaves in flight; numpy releases the GIL in its loops.  A pool
+    task pulls leaves until none is left or one has raised; the caller's
+    thread runs none, so two callers still have _IN_FLIGHT in flight."""
     if min(len(spans), _cpu_count()) < 2:
         return [leaf(lo, hi) for lo, hi in spans]
-    return list(_pool(os.getpid()).map(lambda span: leaf(*span), spans))
+    out, failed = [None] * len(spans), []
+    todo = iter(range(len(spans)))  # its next() runs under the GIL
+
+    def task():
+        for k in todo:
+            if failed:
+                return
+            try:
+                out[k] = leaf(*spans[k])
+            except BaseException as exc:
+                failed.append((k, exc))
+
+    tasks = [_pool(os.getpid()).submit(task) for _ in range(_IN_FLIGHT)]
+    for t in tasks:
+        t.result()
+    if failed:
+        raise min(failed)[1]  # the leaf indices differ
+    return out
 
 
 def _pairwise(lo: int, hi: int, leaf):
@@ -759,7 +786,7 @@ def _gram(params: ParamSet, parts: list, rule: QuadratureRule) -> np.ndarray:
     not depend on the thread count; hermiticity stays a measured diagnostic.
     """
     geom, weigh = _weigher(params, rule)
-    bodies = [mcj_build(tuple(m), params).body for m in parts]
+    plan = _plan_evaluation([mcj_build(tuple(m), params).body for m in parts], params.r)
     P = len(parts)
     spans = _pairwise(0, geom.size, lambda lo, hi: [(lo, hi)])
     cap = max(hi - lo for lo, hi in spans)
@@ -772,13 +799,15 @@ def _gram(params: ParamSet, parts: list, rule: QuadratureRule) -> np.ndarray:
         take = scratch.start(hi - lo, cap)
         try:
             at = geom.index(lo, hi, take)
-            w = take(float)
+            w = take()  # the weights, widened once, not cast in each product
             with scratch.frame():
-                weigh(lo, hi, at, w, take)
+                real = take(float)
+                weigh(lo, hi, at, real, take)
+                np.copyto(w, real)
             cols = geom.exp_i(lo, hi, at, take)
-            vals = [take() for _ in bodies]
+            vals = [take() for _ in parts]
             with scratch.frame():
-                evaluate_points_many(bodies, cols, vals, take)
+                evaluate_points_many(plan, cols, vals, take)
             conj = [np.conj(v, out=take()) for v in vals]
             prod = take()
             S = np.empty((P, P), dtype=complex)
@@ -786,6 +815,10 @@ def _gram(params: ParamSet, parts: list, rule: QuadratureRule) -> np.ndarray:
                 wv = np.multiply(w, v, out=v)  # v is not needed again
                 for j in range(P):
                     S[i, j] = np.add.reduce(_mul(wv, conj[j], prod))  # np.sum
+            # a non-finite weight makes some sum non-finite, so w, still
+            # intact, is scanned only then
+            if not np.isfinite(S).all():
+                _check_finite(w)
             return S
         finally:
             scratch.keep()

@@ -26,7 +26,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
 from math import comb, lcm
-from typing import Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -38,8 +38,22 @@ AnyCoef = Union[int, Fraction, float, complex]
 
 @lru_cache(maxsize=None)
 def _orbit_cached(lam: tuple) -> tuple:
-    """Distinct permutations of the exponent vector, in lexicographic order."""
-    return tuple(sorted(set(permutations(lam))))
+    """Distinct permutations of the exponent vector, in lexicographic order,
+    by the multiset next-permutation step, at the orbit's size, not r!."""
+    a = sorted(lam)
+    orbit = [tuple(a)]
+    while True:
+        i = len(a) - 2
+        while i >= 0 and a[i] >= a[i + 1]:
+            i -= 1
+        if i < 0:
+            return tuple(orbit)
+        j = len(a) - 1
+        while a[j] <= a[i]:
+            j -= 1
+        a[i], a[j] = a[j], a[i]
+        a[i + 1 :] = a[:i:-1]
+        orbit.append(tuple(a))
 
 
 def _int_sum(parts: list) -> tuple:
@@ -259,11 +273,40 @@ def _as_complex(c) -> complex:
     return complex(c.numerator / c.denominator)
 
 
-def evaluate_points_many(
-    polys: Sequence[_BasePoly], cols: Sequence[np.ndarray], out=None, take=None
-) -> list:
+class _Plan(NamedTuple):
+    count: int  # polynomials
+    fills: list  # (i, k): polynomial i starts as k everywhere
+    terms: list  # (orbit, [(i, complex(c), first term of i?), ...]) in term order
+
+
+def _plan_evaluation(polys: Sequence[_BasePoly], arity: int) -> _Plan:
+    """The union of the monomials in the fixed term order, with orbits and
+    coefficients.  A finite constant c is a fill with 0 + c (1 + 0j), made by
+    the node pass's ufuncs on one element: each step is exact, so FMA or not
+    the bits agree."""
+    for poly in polys:
+        if poly.arity != arity:
+            raise ArityMismatchError(f"points have {arity} coordinates, arity is {poly.arity}")
+    zero, fills, terms, started = (0,) * arity, [], [], set()
+    for lam in sorted(set().union(*(poly.terms for poly in polys)), key=_sort_key):
+        pairs = [(i, complex(p.terms[lam])) for i, p in enumerate(polys) if lam in p.terms]
+        if lam == zero:
+            with np.errstate(all="ignore"):  # the node pass warns for a non-finite c
+                ks = [np.add(np.multiply(c, np.ones(1, dtype=complex)), 0.0)[0] for _, c in pairs]
+            fills = [(i, k) for (i, _), k in zip(pairs, ks) if np.isfinite(k)]
+            pairs = [pair for pair, k in zip(pairs, ks) if not np.isfinite(k)]
+            started.update(i for i, _ in fills)
+        if pairs:
+            terms.append((_orbit_cached(lam), [(i, c, i not in started) for i, c in pairs]))
+            started.update(i for i, _ in pairs)
+    fills += [(i, 0j) for i, poly in enumerate(polys) if not poly.terms]
+    return _Plan(len(polys), fills, terms)
+
+
+def evaluate_points_many(polys, cols: Sequence[np.ndarray], out=None, take=None) -> list:
     """Values of every polynomial at N complex points given by columns:
     cols[j] holds coordinate j of every point, one length-N array per axis.
+    polys may be their ``_plan_evaluation``, built once for many node sets.
 
     The union of the monomials is walked in the fixed term order and each
     m_lambda is evaluated once, then added, times its coefficient, into every
@@ -271,8 +314,9 @@ def evaluate_points_many(
     e = 1 factor is the column itself) and each orbit product starts from its
     first power; the products keep the operand order of the product over an
     all-ones start, so the values are bitwise those of evaluating each term
-    on its own.  Each polynomial still sums its own terms in its own order, so
-    its values do not depend on which others share the pass.
+    on its own and summing onto zeros; no array is zero-filled, since x + 0.0
+    is 0 + x bitwise.  Each polynomial still sums its own terms in its own
+    order, so its values do not depend on which others share the pass.
 
     The values go into out, one length-N complex array per polynomial, new
     ones by default.  The powers, orbit sums and products go into arrays from
@@ -280,21 +324,16 @@ def evaluate_points_many(
     a caller that reuses its arrays may hand them out again.
     """
     cols = [np.asarray(c, dtype=complex) for c in cols]
-    for poly in polys:
-        if len(cols) != poly.arity:
-            raise ArityMismatchError(
-                f"points have {len(cols)} coordinates, arity is {poly.arity}"
-            )
+    plan = polys if isinstance(polys, _Plan) else _plan_evaluation(polys, len(cols))
     n = len(cols[0])
     take = take or (lambda: np.empty(n, dtype=complex))
-    totals = out if out is not None else [np.empty(n, dtype=complex) for _ in polys]
-    for total in totals:
-        total.fill(0)
+    totals = out if out is not None else [np.empty(n, dtype=complex) for _ in range(plan.count)]
+    for i, k in plan.fills:
+        totals[i].fill(k)
     powers = {}
     s, work = take(), take()  # the orbit sum; one orbit product, then c * s
-    for lam in sorted(set().union(*(poly.terms for poly in polys)), key=_sort_key):
-        s.fill(0)
-        for perm in _orbit_cached(lam):
+    for orbit, pairs in plan.terms:
+        for t, perm in enumerate(orbit):
             prod = None
             for j, e in enumerate(perm):
                 if e:
@@ -302,11 +341,16 @@ def evaluate_points_many(
                     if zj_e is None:
                         zj_e = powers[j, e] = cols[j] if e == 1 else _power(cols[j], e, take())
                     prod = zj_e if prod is None else _mul(prod, zj_e, work)
-            s += 1.0 if prod is None else prod  # lambda = 0: the empty product
-        for total, poly in zip(totals, polys):
-            c = poly.terms.get(lam)
-            if c is not None:
-                total += np.multiply(complex(c), s, out=work)
+            term = 1.0 if prod is None else prod  # lambda = 0: the empty product
+            if t:
+                s += term
+            else:
+                np.add(term, 0.0, out=s)
+        for i, c, first in pairs:
+            if first:
+                np.add(np.multiply(c, s, out=work), 0.0, out=totals[i])
+            else:
+                totals[i] += np.multiply(c, s, out=work)
     return totals
 
 

@@ -146,7 +146,7 @@ def test_deep_binomial_rows_exit_2(command, r, data):
     st.integers(min_value=12, max_value=2000),
 )
 def test_high_rank_exits_2(command, r):
-    # sympoly._orbit_cached walks r! permutations for each monomial, past the budget at r >= 12
+    # the orbit budget counts r! permutations for each monomial, past it at r >= 12
     argv = [command, "--r", str(r), "--d", "2", "--alpha", str(r + 2), "--nu", "0"]
     z, angles = ",".join(["0.01"] * r), ",".join(str(0.1 * j) for j in range(r))
     argv += {

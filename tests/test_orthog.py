@@ -426,6 +426,92 @@ def test_non_finite_weight_refused_in_multi_leaf_pass(monkeypatch):
         _gram(p, enumerate_partitions(2, 3), bad)
 
 
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_non_finite_weight_refused_with_the_same_message_after_the_sums(cpus, monkeypatch):
+    # the leaf scans its weights only when its sums are not all finite; a NaN
+    # weight in one leaf (the tensor branch, four leaves) still raises, and
+    # so does the whole-weight assembly for inspection
+    monkeypatch.setattr(orthog, "_cpu_count", lambda: cpus)
+    p = ParamSet(r=3, d=Fraction(5, 2), alpha=6, nu=0.3)
+    rule = build_rule(24, "auto", p)
+    weights = rule.weights.copy()
+    weights[3] = math.nan
+    bad = dataclasses.replace(rule, weights=weights)
+    message = "^quadrature weight assembly produced non-finite values$"
+    with pytest.raises(ParameterError, match=message):
+        _gram(p, enumerate_partitions(1, 3), bad)
+    with pytest.raises(ParameterError, match=message):
+        _weights(p, bad)
+
+
+def test_non_finite_sums_from_finite_weights_raise_nothing(monkeypatch):
+    # bodies of 1e200 overflow |phi|^2 w on finite weights: the sums are inf
+    # or NaN and nothing is refused, as before the scan was deferred; a pass
+    # of finite sums never scans its weights
+    scans = []
+    real_check = orthog._check_finite
+    monkeypatch.setattr(orthog, "_check_finite", lambda w: scans.append(len(w)) or real_check(w))
+    p = ParamSet(r=3, d=1, alpha=3, nu=0.2)
+    rule = build_rule(16, "auto", p)
+    parts = enumerate_partitions(1, 3)
+    G = _gram(p, parts, rule)
+    assert np.isfinite(G).all() and not scans
+    huge = {m: dataclasses.replace(mcj_build(m, p), body=mcj_build(m, p).body.scale(1e200))
+            for m in parts}
+    monkeypatch.setattr(orthog, "mcj_build", lambda m, params: huge[m])
+    with np.errstate(over="ignore", invalid="ignore"):
+        G = _gram(p, parts, rule)
+    assert not np.isfinite(G).all() and scans
+
+
+def test_one_evaluation_plan_per_gram_pass(monkeypatch):
+    # the 32 leaves of the orth-r3 input run one plan, on one CPU or two
+    import mcjacobi.sympoly as sympoly_mod
+
+    plans, real = [], sympoly_mod._plan_evaluation
+
+    def spy(polys, arity):
+        plans.append(arity)
+        return real(polys, arity)
+
+    monkeypatch.setattr(sympoly_mod, "_plan_evaluation", spy)
+    monkeypatch.setattr(orthog, "_plan_evaluation", spy)
+    p = ParamSet(r=3, d=1, alpha=3, nu=0.2)
+    rule = build_rule(48, "auto", p)
+    parts = enumerate_partitions(2, 3)
+    for cpus in (1, 2):
+        monkeypatch.setattr(orthog, "_cpu_count", lambda: cpus)
+        plans.clear()
+        _gram(p, parts, rule)
+        assert plans == [3]
+
+
+def test_leaf_error_stops_both_pull_loop_tasks(monkeypatch):
+    # two tasks pull from one iterator; once a leaf raises, neither pulls
+    # another, both have stopped when the error is raised, and it is the
+    # error of the first failed leaf
+    monkeypatch.setattr(orthog, "_cpu_count", lambda: 2)
+    spans = [(k, k + 1) for k in range(32)]
+    started, ended, threads = [], [], set()
+
+    def leaf(lo, hi):
+        started.append(lo)
+        threads.add(threading.current_thread().name)
+        try:
+            if lo in (1, 2):
+                raise ParameterError(f"leaf {lo}")
+            threading.Event().wait(0.02)
+            return lo
+        finally:
+            ended.append(lo)
+
+    with pytest.raises(ParameterError, match="^leaf 1$"):
+        orthog._map_leaves(leaf, spans)
+    assert sorted(started) == sorted(ended) and len(started) <= 4
+    assert all(name.startswith("mcjacobi-gram") for name in threads)
+    assert orthog._map_leaves(lambda lo, hi: lo, spans) == list(range(32))
+
+
 def test_import_and_single_leaf_pass_start_no_threads(child_env):
     # scipy.special imports concurrent.futures itself, so the single-leaf
     # command is checked for the pool and its threads instead

@@ -5,6 +5,7 @@ from math import prod
 import numpy as np
 import pytest
 
+import evaluator_oracle
 from mcjacobi.errors import ArityMismatchError
 from mcjacobi.mcj import mcj_build
 from mcjacobi.params import ParamSet
@@ -13,6 +14,8 @@ from mcjacobi.sympoly import (
     CSymPoly,
     SymPoly,
     _mul,
+    _orbit_cached,
+    _plan_evaluation,
     affine_substitute,
     evaluate_points_many,
     jack_mono,
@@ -155,6 +158,73 @@ def test_mul_keeps_numpys_order_for_a_fresh_temporary(n):
     # outside the assert: pytest's rewriting would hold a reference to it
     fresh = a * b.copy()
     assert _mul(a, b).tobytes() == fresh.tobytes()
+
+
+def test_orbits_equal_sorted_set_of_all_permutations():
+    # generated one distinct permutation at a time, in the same order
+    for r in range(1, 8):
+        for m in enumerate_partitions(8, r):
+            lam = tuple(m) + (0,) * (r - len(m))
+            assert _orbit_cached.__wrapped__(lam) == tuple(sorted(set(permutations(lam))))
+
+
+def _oracle_cases(n, seed):
+    """Columns at n points in 3 coordinates, the first 1,000 rows of every
+    kind of +-1, +-i, +-0 component, the rest on the unit circle but for
+    some exact zeros; and
+    polynomials: family bodies, a constant-only one, one with no constant
+    term, constants with zero or non-finite parts, a non-finite term and
+    an empty one."""
+    pts = _points_with_signed_zeros(n, 3, seed)
+    rng = np.random.default_rng(seed)
+    pts[1_000:] = np.exp(1j * rng.uniform(0, 2 * np.pi, (n - 1_000, 3)))
+    pts[1_000:1_100, 0] = 0
+    pts[1_050:1_150, 2] = complex(0.0, -0.0)
+    params = ParamSet(r=3, d=Fraction(5, 2), alpha=6, nu=0.3)
+    polys = [mcj_build(m, params).body for m in enumerate_partitions(3, 3)]
+    polys += [
+        CSymPoly(3, {(0, 0, 0): 2.5 - 1j}),
+        CSymPoly(3, {(0, 0, 0): complex(-0.0, -1)}),  # 0 + c (1 + 0j) is +0.0 + ...
+        CSymPoly(3, {(1, 0, 0): -1}),  # -1 * (+0) is -0.0, 0 + that +0.0
+        CSymPoly(3, {(1, 0, 0): -0.5j, (1, 1, 0): 3}),
+        CSymPoly(3, {(0, 0, 0): complex(-0.0, 2), (2, 1, 0): 1}),
+        CSymPoly(3, {(0, 0, 0): complex(1e-310, -0.0), (1, 0, 0): 1}),
+        CSymPoly(3, {(0, 0, 0): complex("inf"), (1, 0, 0): 2}),
+        CSymPoly(3, {(0, 0, 0): complex(1, float("nan")), (2, 0, 0): -1}),
+        CSymPoly(3, {(0, 0, 0): 1, (2, 1, 0): complex("nan"),
+                     (1, 1, 1): complex(0, float("-inf"))}),
+        CSymPoly(3, {}),
+    ]
+    return np.ascontiguousarray(pts.T), polys
+
+
+@pytest.mark.parametrize("n", [1_200, 20_000])
+def test_evaluator_bitwise_equals_frozen_copy(n):
+    # below and above numpy's 16,384-value elision size; fills of 0 replaced
+    # by first terms plus 0.0 and constants by one value must keep every bit,
+    # NaN payloads and signs of zeros included
+    cols, polys = _oracle_cases(n, seed=n)
+    with np.errstate(all="ignore"):
+        ref = evaluator_oracle.evaluate_points_many(polys, cols)
+        out = [np.full(n, np.nan + 0j) for _ in polys]  # no value may survive
+        many = evaluate_points_many(polys, cols, out)
+        planned = _plan_evaluation(polys, 3)
+        again = [evaluate_points_many(planned, cols)[i] for i in range(2)]
+    assert many is out
+    for vals, want in zip(many, ref):
+        assert vals.tobytes() == want.tobytes()
+    assert [v.tobytes() for v in again] == [v.tobytes() for v in ref[:2]]
+
+
+def test_plan_checks_arity_and_holds_finite_constants_as_fills():
+    polys = [CSymPoly(2, {(0, 0): 3j, (1, 0): 1}), CSymPoly(2, {(0, 0): complex("inf")})]
+    plan = _plan_evaluation(polys, 2)
+    assert [i for i, _ in plan.fills] == [0] and plan.count == 2
+    assert [[(i, first) for i, _, first in pairs] for _, pairs in plan.terms] == [
+        [(1, True)], [(0, False)]
+    ]
+    with pytest.raises(ArityMismatchError):
+        _plan_evaluation(polys, 3)
 
 
 def test_jack_degree_one_and_weight_two():
