@@ -24,8 +24,10 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
+from itertools import combinations
 from math import comb, factorial, isqrt, lcm
+from operator import mul
 from typing import Optional, Sequence
 
 import numpy as np
@@ -42,12 +44,13 @@ from .sympoly import CSymPoly, SymPoly, _as_complex, _sort_key, _spherical_cache
 
 # work budgets, checked before any work, each ~10 s of the worst case measured on a
 # 2-core x86 machine: exact operator units, partitions a genfun truncation sums, exact
-# units of the family builds, orbit permutations counted at r! each, and
-# monomial units of the float evaluations (``check_family_work``)
+# units of the family builds and monomial units of the float evaluations
+# (``check_family_work``); the orbit exponents, kept in a cache without bound, are
+# sized by memory instead: 2^24 of them take ~170 MB and ~1.3 s to build
 _OPERATOR_BUDGET = 1 << 22
 _GENFUN_BUDGET = 400
 _BUILD_BUDGET = 1 << 20
-_ORBIT_BUDGET = 1 << 25
+_ORBIT_BUDGET = 1 << 24
 _EVAL_BUDGET = 1 << 24
 
 
@@ -56,9 +59,9 @@ def check_family_work(params: ParamSet, max_weight: int = 0, m=None, evaluations
     (only m, when given) and ``evaluations`` float evaluations of each:
 
     * the binomial rows recurse |m| levels deep (``coeffs.check_row_weight``);
-    * each of the P monomials of weight <= |m| has at most r! permutations in
-      its orbit (``sympoly._orbit_cached`` makes only the distinct ones; the
-      bound counts r! each);
+    * the orbits of the P monomials of weight <= |m| have C(|m| + r, r)
+      elements in all, each a tuple of r exponents, which
+      ``sympoly._orbit_cached`` builds and keeps: the bound counts the exponents;
     * the exact build costs K P units, for the K partitions contained in m (K = P
       without m), times max(1, b/20)^1.2 for the bit length b of d's, or an exact
       alpha's, numerator times denominator;
@@ -68,21 +71,18 @@ def check_family_work(params: ParamSet, max_weight: int = 0, m=None, evaluations
     r = params.r
     w = max_weight if m is None else weight(m)
     coeffs.check_row_weight(w)
-    perms = 1
-    for j in range(2, r + 1):
-        perms *= j
-        if perms > _ORBIT_BUDGET:
-            break
+    orbits = comb(w + r, r)
+    if r * orbits > _ORBIT_BUDGET:
+        raise ParameterError(
+            f"rank r = {r} has {orbits:,} monomial orbit elements of weight <= {w}, each of "
+            f"r exponents, over the budget of {_ORBIT_BUDGET:,} exponents; use a smaller r "
+            f"or weight"
+        )
     if m is None:
         K = P = count_partitions(w, r, isqrt(_BUILD_BUDGET) + 1)
     else:
         K = count_contained(pad(m, r))
         P = count_partitions(w, r, _BUILD_BUDGET // K + 1)
-    if perms * P > _ORBIT_BUDGET:
-        raise ParameterError(
-            f"rank r = {r} counts r! permutations for each of the {P} monomials of weight "
-            f"<= {w}, over the budget of {_ORBIT_BUDGET:,}; use a smaller r"
-        )
     exact = [params.d] + ([Fraction(params.alpha)] if params.alpha_is_exact else [])
     bits = max(abs(x.numerator) * x.denominator for x in exact).bit_length()
     units = K * P * max(1.0, bits / 20) ** 1.2
@@ -91,7 +91,7 @@ def check_family_work(params: ParamSet, max_weight: int = 0, m=None, evaluations
             f"the exact family builds at weight <= {w} and r = {r} need ~{units:.3g} units "
             f"of work, over the budget of {_BUILD_BUDGET:,}; use a smaller weight"
         )
-    units = evaluations * (1 if m is not None else P) * (comb(w + r, r) + 64)
+    units = evaluations * (1 if m is not None else P) * (orbits + 64)
     if units > _EVAL_BUDGET:
         raise ParameterError(
             f"{evaluations:,} evaluations of each family member at weight <= {w} and r = {r} "
@@ -294,29 +294,6 @@ def _check_series_den(m: int, c) -> None:
             )
 
 
-def _rank1_series(m: int, b, c, one) -> list:
-    """The terms (-1)^k C(m,k) (b)_k / (c)_k, k = 0..m, of the one-variable
-    terminating series
-
-        (c)_m / m! sum_k (-1)^k C(m,k) (b)_k / (c)_k x^k
-
-    behind ``cj1_eval`` and ``mp1_eval``, which sum it by ``_rank1_eval`` (the
-    exact operator checks use ``_rank1_coeffs``).
-    ``one`` fixes the scalar type (complex or Fraction) and ``b = None`` drops
-    the numerator.  A term is ``(-1)**k * comb(m, k) * num / den`` in that
-    order, which the float callers' rounding depends on.
-    """
-    _check_series_den(m, c)
-    terms = []
-    num = den = one
-    for k in range(m + 1):
-        terms.append((-1) ** k * comb(m, k) * num / den)
-        if b is not None:
-            num *= b + k
-        den *= c + k
-    return terms
-
-
 def _lift(alpha, nu) -> tuple:
     """(q, A, B_re, N): alpha = A/q, beta = (alpha + 1)/2 + i nu = (B_re + i N)/q
     over one q, a power of two for floats, which lift to their exact binary values."""
@@ -368,15 +345,19 @@ def _max_abs(values, den: int) -> float:
 
 
 def _rank1_eval(m: int, b, c, x, pref) -> complex:
-    """pref (c)_m / m! sum_k (-1)^k C(m,k) (b)_k / (c)_k x^k in complex doubles:
-    pref times each (c + t) / (t + 1) in turn, then the terms of
-    ``_rank1_series`` times the powers of x, added k by k."""
+    """pref (c)_m / m! sum_k (-1)^k C(m,k) (b)_k / (c)_k x^k, the series behind
+    ``cj1_eval`` and ``mp1_eval``, in complex doubles (``_rank1_coeffs`` is the exact
+    one): pref times each (c + t) / (t + 1) in turn, then the terms, on which the
+    callers' rounding depends, ``(-1)**k * comb(m, k) * (b)_k / (c)_k * x**k`` added k by k."""
+    _check_series_den(m, c)
     for t in range(m):
         pref *= (c + t) / (t + 1)
     total = 0j
-    power = 1.0 + 0j
-    for term in _rank1_series(m, b, c, 1.0 + 0j):
-        total += term * power
+    num = den = power = 1.0 + 0j
+    for k in range(m + 1):
+        total += (-1) ** k * comb(m, k) * num / den * power
+        num *= b + k
+        den *= c + k
         power *= x
     return pref * total
 
@@ -524,14 +505,14 @@ def rank1_operator_residuals(m: int, alpha: float, nu: float):
     # c pot / (gamma - 1) is C P conj(g) / (4 q |g|^2 den) for
     # pot = P / (4 q^2); every other term is over q den, so all of them
     # share the denominator 4 L q den, with L the lcm of the norms |g|^2
-    psi = PsiFunction.build(m, alpha, nu)
+    psi_den, psi = _rank1_coeffs(m, q, A, (b_re, N), 2)
     P = (A - q) ** 2 + 4 * N * N
     norms = [(b_re + (k - 1) * q) ** 2 + N * N for k in range(m + 1)]
     if P and 0 in norms:
         raise ParameterError("antiderivative undefined: exponent gamma = 1")
     L = lcm(*norms) if P else 1
     out = [[0, 0] for _ in range(m + 2)]  # the exponent k - 1 at out[k]
-    for k, c in psi.coeffs.items():
+    for k, c in enumerate(psi):
         gx, gy = b_re + k * q, N  # gamma = (gx + i gy) / q
         # -i (1+t^2) d_t : gamma (2 (.)^{-g} - (.)^{-g+1}); (2 nu - i) t, which
         # is (1 + 2 nu i) ((.)^{-g+1} - (.)^{-g}); -alpha; the eigenvalue -2m
@@ -541,7 +522,7 @@ def rank1_operator_residuals(m: int, alpha: float, nu: float):
             s = P * (L // norms[k])
             _apply(out, [c], k, (s * (gx - q), -s * gy))
 
-    return _max_abs(res, q * den), _max_abs(out, 4 * L * q * psi.den)
+    return _max_abs(res, q * den), _max_abs(out, 4 * L * q * psi_den)
 
 
 def ode_residual_onevar(m: int, alpha: float, nu: float) -> float:
@@ -642,46 +623,64 @@ def _require_d2(params: ParamSet):
 
 def _vandermonde(v: Sequence[complex]) -> complex:
     out = 1.0 + 0j
-    n = len(v)
-    for p in range(n):
-        for q in range(p + 1, n):
-            out *= v[p] - v[q]
+    for p, q in combinations(range(len(v)), 2):
+        out *= v[p] - v[q]
     return out
 
 
-def _check_distinct(v: Sequence[complex], what: str, tol: float = 1e-12):
-    n = len(v)
-    for p in range(n):
-        for q in range(p + 1, n):
-            if abs(v[p] - v[q]) < tol:
-                raise VandermondeZeroError(f"coincident {what} values: {v[p]} ~ {v[q]}")
+def _coincident(v: Sequence[complex]) -> Optional[tuple]:
+    """The first pair (p, q), p < q, with |v_p - v_q| < 1e-12, or None."""
+    pairs = combinations(range(len(v)), 2)
+    return next(((p, q) for p, q in pairs if abs(v[p] - v[q]) < 1e-12), None)
+
+
+def _check_distinct(v: Sequence[complex], what: str):
+    pair = _coincident(v)
+    if pair:
+        raise VandermondeZeroError(f"coincident {what} values: {v[pair[0]]} ~ {v[pair[1]]}")
 
 
 def _schur_at_ones(m: Sequence[int], r: int) -> int:
     val = Fraction(1)
     mm = pad(m, r)
-    for p in range(r):
-        for q in range(p + 1, r):
-            val *= Fraction(mm[p] - mm[q] + q - p, q - p)
+    for p, q in combinations(range(r), 2):
+        val *= Fraction(mm[p] - mm[q] + q - p, q - p)
     return int(val)
 
 
-def _div_poch_product(pref: complex, x: complex, r: int) -> complex:
-    """pref * prod_{j=1..r} (x)_{j-1}^{-1}, one division per j."""
+def _div_poch_product(pref: complex, x: complex, r: int, name: str) -> complex:
+    """pref * prod_{j=1..r} (x)_{j-1}^{-1}, one division per j; a vanishing
+    (x)_{j-1} is refused, naming x as ``name``."""
     for j in range(1, r + 1):
         acc = 1.0 + 0j
         for t in range(j - 1):
             acc *= x + t
+        if acc == 0:
+            raise ParameterError(
+                f"the determinant prefactor divides by ({name})_{j - 1}, which is 0 at "
+                f"{name} = {x:g}"
+            )
         pref /= acc
     return pref
 
 
 def _det_prefactor(m, params: ParamSet) -> complex:
     r = params.r
-    alpha = float(params.alpha)
-    nu = float(params.nu)
-    base = 0.5 * (alpha - r) + 1j * nu + 1
-    return _div_poch_product(complex(_schur_at_ones(m, r) * delta_factorial(r)), base, r)
+    base = 0.5 * (float(params.alpha) - r) + 1j * float(params.nu) + 1
+    return _div_poch_product(
+        complex(_schur_at_ones(m, r) * delta_factorial(r)), base, r, "(alpha - r)/2 + i nu + 1"
+    )
+
+
+def _det_formula(r: int, entry, pref, *vectors) -> complex:
+    """pref() det[entry(p, q)]_{p,q < r} / (V(v_1) V(v_2) ...), the assembly of
+    every determinant formula at d = 2.  The matrix is filled entry by entry
+    before ``pref`` is called, so an entry's error wins over the prefactor's."""
+    mat = np.empty((r, r), dtype=complex)
+    for p in range(r):
+        for q in range(r):
+            mat[p, q] = entry(p, q)
+    return pref() * complex(np.linalg.det(mat)) / reduce(mul, map(_vandermonde, vectors))
 
 
 def det_eval_phi(m: Sequence[int], params: ParamSet, sigma: Sequence[complex]) -> complex:
@@ -694,13 +693,13 @@ def det_eval_phi(m: Sequence[int], params: ParamSet, sigma: Sequence[complex]) -
     mm = pad(m, params.r)
     r = params.r
     _check_distinct(sigma, "sigma")
-    a1 = float(params.alpha) - r + 1
-    mat = np.empty((r, r), dtype=complex)
-    for p in range(r):
-        deg = mm[p] + r - (p + 1)
-        for q in range(r):
-            mat[p, q] = cj1_eval(deg, a1, float(params.nu), sigma[q])
-    return _det_prefactor(mm, params) * complex(np.linalg.det(mat)) / _vandermonde(sigma)
+    a1, nu = float(params.alpha) - r + 1, float(params.nu)
+    return _det_formula(
+        r,
+        lambda p, q: cj1_eval(mm[p] + r - (p + 1), a1, nu, sigma[q]),
+        lambda: _det_prefactor(mm, params),
+        sigma,
+    )
 
 
 def det_eval_psi(m: Sequence[int], params: ParamSet, t: Sequence[float]) -> complex:
@@ -708,15 +707,15 @@ def det_eval_psi(m: Sequence[int], params: ParamSet, t: Sequence[float]) -> comp
     _require_d2(params)
     mm = pad(m, params.r)
     r = params.r
-    _check_distinct([complex(x) for x in t], "t")
-    a1 = float(params.alpha) - r + 1
-    mat = np.empty((r, r), dtype=complex)
-    for p in range(r):
-        deg = mm[p] + r - (p + 1)
-        for q in range(r):
-            mat[p, q] = psi1_eval(deg, a1, float(params.nu), t[q])
-    pref = _det_prefactor(mm, params) / (-2j) ** (r * (r - 1) // 2)
-    return pref * complex(np.linalg.det(mat)) / _vandermonde([complex(x) for x in t])
+    tc = [complex(x) for x in t]
+    _check_distinct(tc, "t")
+    a1, nu = float(params.alpha) - r + 1, float(params.nu)
+    return _det_formula(
+        r,
+        lambda p, q: psi1_eval(mm[p] + r - (p + 1), a1, nu, t[q]),
+        lambda: _det_prefactor(mm, params) / (-2j) ** (r * (r - 1) // 2),
+        tc,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -724,23 +723,28 @@ def det_eval_psi(m: Sequence[int], params: ParamSet, t: Sequence[float]) -> comp
 # ---------------------------------------------------------------------------
 
 
+def _phi_sum(c, params: ParamSet, z: Sequence[complex], N: int) -> complex:
+    """The truncated sum sum_{|m| <= N} c(m) Phi_m(z), added term by term in
+    ``enumerate_partitions`` order."""
+    total = 0j
+    for m in enumerate_partitions(N, params.r):
+        total += c(m) * spherical_poly(m, params.d, params.r).evaluate(z)
+    return total
+
+
 def cauchy_kernel_series(
     w: Sequence[complex], z: Sequence[complex], beta: complex, d, N: int
 ) -> complex:
     """Truncated spherical expansion sum_m d_m (beta)_m/(n/r)_m Phi_m(w) Phi_m(z)."""
-    r = len(w)
-    p = ParamSet(r=r, d=d)
-    total = 0j
-    for m in enumerate_partitions(N, r):
-        coef = complex(dim_dm(m, p)) * coeffs._poch_complex(complex(beta), m, p) / complex(
+    p = ParamSet(r=len(w), d=d)
+
+    def coef(m):
+        c = complex(dim_dm(m, p)) * coeffs._poch_complex(complex(beta), m, p) / complex(
             gen_pochhammer(p.n_over_r, m, p)
         )
-        total += (
-            coef
-            * spherical_poly(m, p.d, r).evaluate(w)
-            * spherical_poly(m, p.d, r).evaluate(z)
-        )
-    return total
+        return c * spherical_poly(m, p.d, p.r).evaluate(w)
+
+    return _phi_sum(coef, p, z, N)
 
 
 def cauchy_kernel_det(
@@ -751,8 +755,9 @@ def cauchy_kernel_det(
         delta! prod_j (beta - r + 1)_{j-1}^{-1}
             det((1 - w_p z_q)^{-(beta - r + 1)}) / (V(w) V(z)).
 
-    Falls back to the truncated series when entries coincide (for example in
-    the z -> 0 limit), provided both spectral norms are below 1.
+    Falls back to the series truncated at weight 30 when entries coincide (for
+    example in the z -> 0 limit), provided both spectral norms are below 1 and
+    the series is within the truncation budget (at r <= 2).
     """
     if len(w) != len(z):
         raise ParameterError("w and z must have the same length")
@@ -761,26 +766,23 @@ def cauchy_kernel_det(
     z = [complex(x) for x in z]
     if all(x == 0 for x in w) or all(x == 0 for x in z):
         return 1.0 + 0j  # only the constant term of the expansion survives
-    coincident = False
-    for v in (w, z):
-        for p in range(r):
-            for q in range(p + 1, r):
-                if abs(v[p] - v[q]) < 1e-12:
-                    coincident = True
-    if coincident:
+    if _coincident(w) or _coincident(z):
         if max(abs(x) for x in w) < 1 and max(abs(x) for x in z) < 1:
+            _check_truncation(30, r, "coincident entries need it, so use distinct ones")
             return cauchy_kernel_series(w, z, beta, 2, 30)
         raise VandermondeZeroError("coincident entries outside the series domain")
     expo = complex(beta) - r + 1
-    mat = np.empty((r, r), dtype=complex)
-    for p in range(r):
-        for q in range(r):
-            base = 1 - w[p] * z[q]
-            if base == 0:
-                raise ParameterError("branch pole: 1 - w_p z_q = 0")
-            mat[p, q] = base ** (-expo)
-    pref = _div_poch_product(complex(delta_factorial(r)), expo, r)
-    return pref * complex(np.linalg.det(mat)) / (_vandermonde(w) * _vandermonde(z))
+
+    def entry(p, q):
+        base = 1 - w[p] * z[q]
+        if base == 0:
+            raise ParameterError("branch pole: 1 - w_p z_q = 0")
+        return base ** (-expo)
+
+    return _det_formula(
+        r, entry, lambda: _div_poch_product(complex(delta_factorial(r)), expo, r, "beta - r + 1"),
+        w, z,
+    )
 
 
 def hciz_det(x: Sequence[complex], y: Sequence[complex]) -> complex:
@@ -793,14 +795,8 @@ def hciz_det(x: Sequence[complex], y: Sequence[complex]) -> complex:
     r = len(x)
     if r == 1:
         return cmath.exp(x[0] * y[0])
-    mat = np.empty((r, r), dtype=complex)
-    for p in range(r):
-        for q in range(r):
-            mat[p, q] = cmath.exp(x[p] * y[q])
-    return (
-        complex(delta_factorial(r))
-        * complex(np.linalg.det(mat))
-        / (_vandermonde(list(x)) * _vandermonde(list(y)))
+    return _det_formula(
+        r, lambda p, q: cmath.exp(x[p] * y[q]), lambda: complex(delta_factorial(r)), x, y
     )
 
 
@@ -829,6 +825,15 @@ def _check_float_range(params: ParamSet, N: int, what: str, knob: str, beta: boo
                 )
 
 
+def _check_truncation(N: int, r: int, remedy: str):
+    """Refuse a truncated sum over more than ``_GENFUN_BUDGET`` partitions."""
+    if count_partitions(N, r, _GENFUN_BUDGET + 1) > _GENFUN_BUDGET:
+        raise ParameterError(
+            f"a truncation at N = {N} sums over more than {_GENFUN_BUDGET} partitions at "
+            f"r = {r}, over the budget (the work grows as their square); {remedy}"
+        )
+
+
 def _check_genfun_domain(params: ParamSet, z: Sequence[complex], N: int, beta: bool = True):
     """Refuse a truncation at N outside the closed forms' domain, over the
     partition budget, or past the float range (``_check_float_range``)."""
@@ -838,13 +843,21 @@ def _check_genfun_domain(params: ParamSet, z: Sequence[complex], N: int, beta: b
         raise ParameterError("spectral bound violated: need max |z_j| < 1/3")
     if params.r != 1 and params.d != 2:
         raise ParameterError("closed generating forms need r = 1 or d = 2")
-    if count_partitions(N, params.r, _GENFUN_BUDGET + 1) > _GENFUN_BUDGET:
-        raise ParameterError(
-            f"a truncation at N = {N} sums over more than {_GENFUN_BUDGET} partitions at "
-            f"r = {params.r}, over the budget (the work grows as their square); use a smaller N"
-        )
+    _check_truncation(N, params.r, "use a smaller N")
     check_family_work(params, N, evaluations=4)  # the member and Phi_m, on both sides
     _check_float_range(params, N, f"a truncation at N = {N}", "N", beta)
+
+
+def _genfun_residual(params: ParamSet, z, N: int, member, closed, has_beta=True) -> float:
+    """|sum_{|m| <= N} member(m) Phi_m(z) - closed(z, alpha, beta)|, the truncation
+    residual of a generating function at complex z, with beta = (alpha + n/r)/2 + i nu,
+    inside ``_check_genfun_domain`` (``has_beta``: the member has a beta numerator)."""
+    _check_genfun_domain(params, z, N, has_beta)
+    z = [complex(x) for x in z]
+    alpha = float(params.alpha)
+    beta = 0.5 * (alpha + float(params.n_over_r)) + 1j * float(params.nu)
+    lhs = _phi_sum(member, params, z, N)
+    return abs(lhs - closed(z, alpha, beta))
 
 
 def genfun_residual_phi(
@@ -856,28 +869,17 @@ def genfun_residual_phi(
     d = 2:  prod_j (1-z_j)^{-alpha} times the determinant Cauchy kernel at
             (w, z') = (1 - sigma, -z/(1-z)).
     """
-    _check_genfun_domain(params, z, N)
-    r = params.r
-    z = [complex(x) for x in z]
     sigma = [complex(x) for x in sigma]
-    alpha = float(params.alpha)
-    beta = 0.5 * (alpha + float(params.n_over_r)) + 1j * float(params.nu)
 
-    lhs = 0j
-    for m in enumerate_partitions(N, r):
-        lhs += mcj_build(m, params).evaluate(sigma) * spherical_poly(
-            m, params.d, r
-        ).evaluate(z)
-
-    if r == 1:
-        rhs = (1 - z[0]) ** (beta - alpha) * (1 - sigma[0] * z[0]) ** (-beta)
-    else:
-        w = [1 - s for s in sigma]
-        zp = [-x / (1 - x) for x in z]
-        rhs = cauchy_kernel_det(w, zp, beta)
+    def closed(z, alpha, beta):
+        if params.r == 1:
+            return (1 - z[0]) ** (beta - alpha) * (1 - sigma[0] * z[0]) ** (-beta)
+        rhs = cauchy_kernel_det([1 - s for s in sigma], [-x / (1 - x) for x in z], beta)
         for x in z:
             rhs *= (1 - x) ** (-alpha)
-    return abs(lhs - rhs)
+        return rhs
+
+    return _genfun_residual(params, z, N, lambda m: mcj_build(m, params).evaluate(sigma), closed)
 
 
 def genfun_residual_psi(
@@ -889,38 +891,28 @@ def genfun_residual_psi(
     d = 2: the determinant assembly with one-variable factors
            (1-z_p)^{-(alpha-r+1)} ((1+z_p)/(1-z_p) - i t_q)^{-((alpha-r)/2 + 1 + i nu)}.
     """
-    _check_genfun_domain(params, z, N)
-    r = params.r
-    z = [complex(x) for x in z]
-    alpha = float(params.alpha)
-    nu = float(params.nu)
-    beta = 0.5 * (alpha + float(params.n_over_r)) + 1j * nu
 
-    lhs = 0j
-    for m in enumerate_partitions(N, r):
-        lhs += psi_eval(m, params, t) * spherical_poly(m, params.d, r).evaluate(z)
-
-    if r == 1:
-        rhs = (1 - z[0]) ** (-alpha) * ((1 + z[0]) / (1 - z[0]) - 1j * t[0]) ** (-beta)
-    else:
+    def closed(z, alpha, beta):
+        r = params.r
+        if r == 1:
+            return (1 - z[0]) ** (-alpha) * ((1 + z[0]) / (1 - z[0]) - 1j * t[0]) ** (-beta)
         _check_distinct(z, "z")
-        _check_distinct([complex(x) for x in t], "t")
-        expo = 0.5 * (alpha - r) + 1 + 1j * nu
-        mat = np.empty((r, r), dtype=complex)
-        for p in range(r):
-            for q in range(r):
-                mat[p, q] = (1 - z[p]) ** (-(alpha - r + 1)) * (
-                    (1 + z[p]) / (1 - z[p]) - 1j * t[q]
-                ) ** (-expo)
-        pref = _div_poch_product(
-            complex(delta_factorial(r)) / (-2j) ** (r * (r - 1) // 2), expo, r
+        tc = [complex(x) for x in t]
+        _check_distinct(tc, "t")
+        expo = 0.5 * (alpha - r) + 1 + 1j * float(params.nu)
+        return _det_formula(
+            r,
+            lambda p, q: (1 - z[p]) ** (-(alpha - r + 1))
+            * ((1 + z[p]) / (1 - z[p]) - 1j * t[q]) ** (-expo),
+            lambda: _div_poch_product(
+                complex(delta_factorial(r)) / (-2j) ** (r * (r - 1) // 2), expo, r,
+                "(alpha - r)/2 + 1 + i nu",
+            ),
+            z,
+            tc,
         )
-        rhs = (
-            pref
-            * complex(np.linalg.det(mat))
-            / (_vandermonde(z) * _vandermonde([complex(x) for x in t]))
-        )
-    return abs(lhs - rhs)
+
+    return _genfun_residual(params, z, N, lambda m: psi_eval(m, params, t), closed)
 
 
 def laguerre_genfun_residual(
@@ -931,26 +923,19 @@ def laguerre_genfun_residual(
     r = 1: (1-z)^{-alpha} exp(-u z/(1-z));  d = 2: the exponential-kernel
     determinant with arguments (-u, z/(1-z)).
     """
-    _check_genfun_domain(params, z, N, False)  # no beta numerator
-    r = params.r
-    z = [complex(x) for x in z]
-    alpha = float(params.alpha)
 
-    lhs = 0j
-    for m in enumerate_partitions(N, r):
-        lhs += laguerre_build(m, params).eval_poly(u) * spherical_poly(
-            m, params.d, r
-        ).evaluate(z)
-
-    pref = 1.0 + 0j
-    for x in z:
-        pref *= (1 - x) ** (-alpha)
-    if r == 1:
-        rhs = pref * cmath.exp(-u[0] * z[0] / (1 - z[0]))
-    else:
+    def closed(z, alpha, beta):
+        pref = 1.0 + 0j
+        for x in z:
+            pref *= (1 - x) ** (-alpha)
+        if params.r == 1:
+            return pref * cmath.exp(-u[0] * z[0] / (1 - z[0]))
         y = [x / (1 - x) for x in z]
-        rhs = pref * hciz_det([-complex(v) for v in u], y)
-    return abs(lhs - rhs)
+        return pref * hciz_det([-complex(v) for v in u], y)
+
+    return _genfun_residual(
+        params, z, N, lambda m: laguerre_build(m, params).eval_poly(u), closed, has_beta=False
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -310,8 +310,8 @@ OVER_BUDGET = [
     ["eval", "--r", "2", "--d", "2", "--alpha", "3", "--nu", "0.3", "--m", "200,180",
      "--theta", "0.5,1.5"],
     ["verify-det", "--r", "2", "--d", "2", "--alpha", "3", "--nu", "0", "--max-weight", "100000"],
-    ["print-poly", "--r", "20", "--d", "2", "--alpha", "30", "--nu", "0", "--m", "1"],
-    ["verify-genfun", "--r", "12", "--d", "2", "--alpha", "12", "--nu", "0", "--N", "1",
+    ["print-poly", "--r", "20", "--d", "2", "--alpha", "30", "--nu", "0", "--m", "8"],
+    ["verify-genfun", "--r", "12", "--d", "2", "--alpha", "14", "--nu", "0", "--N", "12",
      "--z", ",".join(["0.1"] * 12), "--theta", "0.1,0.3,0.5,0.7,0.9,1.1,1.3,1.5,1.7,1.9,2.1,2.3",
      "--t", "0.1,0.3,0.5,0.7,0.9,1.1,1.3,1.5,1.7,1.9,2.1,2.3"],
     ["print-poly", "--r", "2", "--d", "7/3", "--alpha", "3", "--nu", "0", "--m", "50,40"],
@@ -386,6 +386,29 @@ def test_documented_commands_within_work_budget():
             assert ("double range" in str(exc)) == (argv in PAST_FLOAT_RANGE), (argv, exc)
         else:
             assert argv not in OVER_BUDGET + PAST_FLOAT_RANGE, argv
+
+
+# commands that CI shows being refused past their budget checks, with a
+# message: a vanishing determinant prefactor and a series fallback over the
+# truncation budget
+REFUSED_LATE = [
+    (["verify-det", "--r", "2", "--d", "2", "--alpha", "0", "--nu", "0", "--max-weight", "0"],
+     "divides by ((alpha - r)/2 + i nu + 1)_1, which is 0"),
+    (["verify-genfun", "--r", "3", "--d", "2", "--alpha", "1", "--nu", "0", "--N", "1",
+      "--z", "0.1,0.05,0.02", "--theta", "0.3,1,2", "--t", "0.1,0.2,0.4"],
+     "divides by (beta - r + 1)_1, which is 0"),
+    (["verify-genfun", "--r", "4", "--d", "2", "--alpha", "4", "--nu", "0", "--N", "2",
+      "--z", "0.1,0.05,0.02,0.01", "--theta", "0.2,0.2,0.2,0.2", "--t", "0.1,0.3,0.5,0.7"],
+     "N = 30 sums over more than 400 partitions at r = 4"),
+]
+
+
+@pytest.mark.parametrize("argv, message", REFUSED_LATE)
+def test_refused_past_budget_checks_exits_2(argv, message, capsys):
+    assert argv in _documented_commands()
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("parameter error: ") and message in err, err
 
 
 def test_selftest_within_work_budget(monkeypatch):

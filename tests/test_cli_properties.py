@@ -6,6 +6,8 @@ exit code 2 fails the test with that exception.
 
 import contextlib
 import io
+from itertools import count
+from math import comb
 
 import pytest
 
@@ -146,17 +148,21 @@ def test_deep_binomial_rows_exit_2(command, r, data):
     st.integers(min_value=12, max_value=2000),
 )
 def test_high_rank_exits_2(command, r):
-    # the orbit budget counts r! permutations for each monomial, past it at r >= 12
+    # the orbit budget counts the r exponents of each of the C(w + r, r) orbit
+    # elements of weight <= w; w is the first weight past it
+    w = next(w for w in count(1) if r * comb(w + r, r) > mcj._ORBIT_BUDGET)
     argv = [command, "--r", str(r), "--d", "2", "--alpha", str(r + 2), "--nu", "0"]
     z, angles = ",".join(["0.01"] * r), ",".join(str(0.1 * j) for j in range(r))
     argv += {
-        "print-poly": ["--m", "1"],
-        "eval": ["--m", "1", "--theta", angles],
-        "verify-det": ["--max-weight", "1", "--trials", "1"],
-        "verify-genfun": ["--N", "1", "--z", z, "--theta", angles, "--t", angles],
+        "print-poly": ["--m", str(w)],
+        "eval": ["--m", str(w), "--theta", angles],
+        "verify-det": ["--max-weight", str(w), "--trials", "1"],
+        "verify-genfun": ["--N", str(w), "--z", z, "--theta", angles, "--t", angles],
     }[command]
     code, err = _exit_code(argv)
-    assert code == 2 and "budget" in err and "Traceback" not in err, (command, r, code, err)
+    assert code == 2 and "orbit" in err and "budget" in err and "Traceback" not in err, (
+        command, r, code, err
+    )
 
 
 @PROPERTY_SETTINGS

@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 from fractions import Fraction
 from math import comb
 
@@ -8,6 +9,7 @@ import pytest
 from scipy.special import eval_genlaguerre, roots_genlaguerre
 
 import fraction_oracle as oracle
+import identity_oracle
 import qcomplex_oracle as qc
 import mcjacobi.coeffs as coeffs
 import mcjacobi.mcj as mcj
@@ -447,6 +449,113 @@ def test_genfun_spectral_bound_enforced():
         genfun_residual_phi(ParamSet(r=2, d=1, alpha=3, nu=0), [0.1, 0.1], [1j, -1j], 5)
 
 
+@pytest.mark.parametrize(
+    "call, symbol",
+    [
+        (lambda: det_eval_phi((0, 0), ParamSet(r=2, d=2, alpha=0, nu=0), [1j, -1j]),
+         "((alpha - r)/2 + i nu + 1)_1"),
+        (lambda: cauchy_kernel_det([0.3, 0.1], [0.2, -0.25], 1), "(beta - r + 1)_1"),
+        (lambda: genfun_residual_psi(ParamSet(r=3, d=2, alpha=1, nu=0), [0.1, 0.05, 0.02],
+                                     [0.1, 0.2, 0.4], 1), "((alpha - r)/2 + 1 + i nu)_1"),
+    ],
+)
+def test_vanishing_det_prefactor_refused(call, symbol):
+    with pytest.raises(ParameterError, match=re.escape(f"divides by {symbol}, which is 0")):
+        call()
+
+
+# ---------------------------------------------------------------- frozen assemblies
+#
+# ``identity_oracle`` holds the determinant formulas, kernels and generating-
+# function residuals as five hand-rolled determinant assemblies and three
+# hand-rolled truncated sums.  The live ones must agree bit for bit and raise
+# the same exceptions with the same messages, except that they refuse, on
+# purpose, a prefactor these divide by zero in and the r >= 3 series fallback.
+
+
+def _outcome(fn, *args):
+    try:
+        return np.complex128(fn(*args)).tobytes()
+    except Exception as exc:  # the comparison covers every exception
+        return type(exc), str(exc)
+
+
+def _identity_cases():
+    rng = np.random.Generator(np.random.Philox(key=20))
+
+    def circle(r):
+        return [cmath.exp(1j * float(x)) for x in np.sort(rng.uniform(0.2, 6.0, size=r))]
+
+    def small(r, scale):
+        return [complex(*rng.uniform(-scale, scale, size=2)) for _ in range(r)]
+
+    for r in (1, 2, 3):
+        for d, alpha, nu in [(2, r - 2, 0), (2, r - 1, 0), (2, r - 1, 0.3), (2, r + 0.5, 0.3),
+                             (2, 3.3, 0), (2, 1, 0), (3, 4, 0.3)]:
+            p = ParamSet(r=r, d=d, alpha=alpha, nu=nu)
+            for coincide in (False, True):
+                for m in enumerate_partitions(2, r):
+                    sigma, t = circle(r), [float(x) for x in np.sort(rng.uniform(-2, 2, size=r))]
+                    if coincide and r > 1:
+                        sigma[1], t[1] = sigma[0], t[0]
+                    yield "det_eval_phi", (m, p, sigma)
+                    yield "det_eval_psi", (m, p, t)
+                for N in (0, 1, 3):
+                    z, sigma = small(r, 0.25), circle(r)
+                    t = [float(x) for x in np.sort(rng.uniform(-2, 2, size=r))]
+                    u = [float(x) for x in rng.uniform(0, 2, size=r)]
+                    if coincide and r > 1:
+                        z[1], sigma[1], t[1], u[1] = z[0], sigma[0], t[0], u[0]
+                    yield "genfun_residual_phi", (p, z, sigma, N)
+                    yield "genfun_residual_psi", (p, z, t, N)
+                    yield "laguerre_genfun_residual", (p, z, u, N)
+        for beta in (r - 1, r - 1.5, 2.5 + 0.4j, 0):
+            for case in range(6):
+                w, z = small(r, 0.6), small(r, 0.6)
+                if case == 1:
+                    z = [0j] * r  # the constant term alone
+                elif case == 2 and r > 1:
+                    w[1] = w[0]  # the series fallback inside its domain
+                elif case == 3 and r > 1:
+                    w[0] = w[1] = 2.0  # coincident outside it
+                elif case == 4:
+                    w[0], z[0] = 2.0, 0.5  # a branch pole
+                elif case == 5:
+                    yield "cauchy_kernel_series", (w, z, beta, 2, 5)
+                    yield "cauchy_kernel_series", (w, z, beta, 3, 3)
+                yield "cauchy_kernel_det", (w, z, beta)
+        for case in range(3):
+            x, y = small(r, 1.5), small(r, 1.5)
+            if case == 1 and r > 1:
+                x[1] = x[0]
+            elif case == 2:
+                y = [0j] * r
+            yield "hciz_det", (x, y)
+
+
+def test_identities_bitwise_equal_frozen_assemblies():
+    counts = {"value": 0, "error": 0, "refused prefactor": 0, "refused fallback": 0}
+    for name, args in _identity_cases():
+        live = _outcome(getattr(mcj, name), *args)
+        if isinstance(live, tuple) and "N = 30 sums over more than" in live[1]:
+            # the r >= 3 fallback, which the frozen copy sums for seconds
+            r = len(args[0]) if name == "cauchy_kernel_det" else args[0].r
+            assert live[0] is ParameterError and r >= 3
+            counts["refused fallback"] += 1
+            continue
+        frozen = _outcome(getattr(identity_oracle, name), *args)
+        if isinstance(frozen, tuple) and frozen[0] is ZeroDivisionError and (
+            isinstance(live, tuple) and "determinant prefactor divides by" in live[1]
+        ):
+            assert live[0] is ParameterError
+            counts["refused prefactor"] += 1
+            continue
+        assert live == frozen, (name, args)
+        counts["error" if isinstance(live, tuple) else "value"] += 1
+    # the grid reaches every branch
+    assert all(n >= 5 for n in counts.values()), counts
+
+
 # ---------------------------------------------------------------- operators
 
 
@@ -505,7 +614,7 @@ def test_mp1_circular_jacobi_bridge():
 
 # ---------------------------------------------------------------- rank-1 series
 #
-# Frozen copies of the hand-rolled loops that ``mcj._rank1_series`` replaced:
+# Frozen copies of the hand-rolled loops that ``mcj._rank1_eval`` replaced:
 # the oracles of its float bits.  The exact coefficient loops are in
 # ``qcomplex_oracle``, now the oracles of ``mcj._rank1_coeffs``.
 
@@ -600,6 +709,8 @@ def test_exact_rank1_coefficients_equal_loops(alpha, nu):
 def test_rank1_series_vanishing_denominator():
     # each of these divided by zero before the shared guard
     with pytest.raises(ParameterError):
+        cj1_eval(3, -2.0, 0.3, 1j)
+    with pytest.raises(ParameterError):
         mp1_eval(2, 0.0, 0.3, 0.4)
     with pytest.raises(ParameterError):
         PsiFunction.build(1, 0.0, 0.2)
@@ -607,6 +718,8 @@ def test_rank1_series_vanishing_denominator():
         ode_residual_onevar(3, -2.0, 0.0)
     with pytest.raises(ParameterError):
         rank1_operator_residuals(1, 0.0, 0.0)
-    # (c)_k with k < m never reaches c + m, and m = 0 has no denominator
-    assert mcj._rank1_series(2, None, -2, Fraction(1)) == [1, 1, Fraction(1, 2)]
+    # (c)_k with k < m never reaches c + m, and m = 0 has no denominator; at
+    # x = 0 only (c)_m / m! = (-2)(-1)/2 = 1 is left
+    assert cj1_eval(2, -2.0, 0.0, 1.0) == 1
+    assert mp1_eval(2, -1.0, 0.0, 0.0) == 1
     assert ode_residual_onevar(0, 0.0, 0.0) == 0.0
