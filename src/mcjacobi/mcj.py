@@ -43,12 +43,13 @@ from .partitions import (
 from .sympoly import CSymPoly, SymPoly, _as_complex, _sort_key, _spherical_cached, spherical_poly
 
 # work budgets, checked before any work, each ~10 s of the worst case measured on a
-# 2-core x86 machine: exact operator units, partitions a genfun truncation sums, exact
-# units of the family builds and monomial units of the float evaluations
-# (``check_family_work``); the orbit exponents, kept in a cache without bound, are
-# sized by memory instead: 2^24 of them take ~170 MB and ~1.3 s to build
+# 2-core x86 machine: exact operator units, partitions a genfun truncation sums, bits
+# of the factors of d_m, exact units of the family builds and monomial units of the
+# float evaluations (``check_family_work``); the orbit exponents, kept in a cache
+# without bound, are sized by memory instead: 2^24 of them take ~170 MB and ~1.3 s
 _OPERATOR_BUDGET = 1 << 22
 _GENFUN_BUDGET = 400
+_DIM_BUDGET = 1 << 20
 _BUILD_BUDGET = 1 << 20
 _ORBIT_BUDGET = 1 << 24
 _EVAL_BUDGET = 1 << 24
@@ -62,6 +63,11 @@ def check_family_work(params: ParamSet, max_weight: int = 0, m=None, evaluations
     * the orbits of the P monomials of weight <= |m| have C(|m| + r, r)
       elements in all, each a tuple of r exponents, which
       ``sympoly._orbit_cached`` builds and keeps: the bound counts the exponents;
+    * d_m (``coeffs.dim_dm``) multiplies r(r-1)/2 pair factors and at most (r-1)|m|
+      rising-factorial ones, each of at most c + bit_length(r + |m|) bits for the bit
+      length c of d's numerator times denominator; products and gcd take time as the
+      square of the bits, which the bound counts (at 2^20, ``print-poly`` at r = 436,
+      |m| = 1 takes ~3.5 s and ``verify-genfun`` at r = 300, N = 2 ~5 s);
     * the exact build costs K P units, for the K partitions contained in m (K = P
       without m), times max(1, b/20)^1.2 for the bit length b of d's, or an exact
       alpha's, numerator times denominator;
@@ -77,6 +83,13 @@ def check_family_work(params: ParamSet, max_weight: int = 0, m=None, evaluations
             f"rank r = {r} has {orbits:,} monomial orbit elements of weight <= {w}, each of "
             f"r exponents, over the budget of {_ORBIT_BUDGET:,} exponents; use a smaller r "
             f"or weight"
+        )
+    c = (params.d.numerator * params.d.denominator).bit_length()
+    dim_bits = (r * (r - 1) // 2 + (r - 1) * w) * (c + (r + w).bit_length())
+    if dim_bits > _DIM_BUDGET:
+        raise ParameterError(
+            f"rank r = {r} at weight <= {w} multiplies d_m out of ~{dim_bits:,} bits of "
+            f"factors, over the budget of {_DIM_BUDGET:,}; use a smaller r or weight"
         )
     if m is None:
         K = P = count_partitions(w, r, isqrt(_BUILD_BUDGET) + 1)
@@ -869,12 +882,12 @@ def genfun_residual_phi(
     d = 2:  prod_j (1-z_j)^{-alpha} times the determinant Cauchy kernel at
             (w, z') = (1 - sigma, -z/(1-z)).
     """
-    sigma = [complex(x) for x in sigma]
 
     def closed(z, alpha, beta):
+        s = [complex(x) for x in sigma]
         if params.r == 1:
-            return (1 - z[0]) ** (beta - alpha) * (1 - sigma[0] * z[0]) ** (-beta)
-        rhs = cauchy_kernel_det([1 - s for s in sigma], [-x / (1 - x) for x in z], beta)
+            return (1 - z[0]) ** (beta - alpha) * (1 - s[0] * z[0]) ** (-beta)
+        rhs = cauchy_kernel_det([1 - x for x in s], [-x / (1 - x) for x in z], beta)
         for x in z:
             rhs *= (1 - x) ** (-alpha)
         return rhs

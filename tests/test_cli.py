@@ -311,6 +311,9 @@ OVER_BUDGET = [
      "--theta", "0.5,1.5"],
     ["verify-det", "--r", "2", "--d", "2", "--alpha", "3", "--nu", "0", "--max-weight", "100000"],
     ["print-poly", "--r", "20", "--d", "2", "--alpha", "30", "--nu", "0", "--m", "8"],
+    ["print-poly", "--r", "3000", "--m", "0", "--d", "2", "--alpha", "30", "--nu", "0"],
+    ["print-poly", "--r", "3000", "--m", "1", "--d", "2", "--alpha", "30", "--nu", "0"],
+    ["print-poly", "--r", "1000000", "--m", "0", "--d", "2", "--alpha", "30", "--nu", "0"],
     ["verify-genfun", "--r", "12", "--d", "2", "--alpha", "14", "--nu", "0", "--N", "12",
      "--z", ",".join(["0.1"] * 12), "--theta", "0.1,0.3,0.5,0.7,0.9,1.1,1.3,1.5,1.7,1.9,2.1,2.3",
      "--t", "0.1,0.3,0.5,0.7,0.9,1.1,1.3,1.5,1.7,1.9,2.1,2.3"],

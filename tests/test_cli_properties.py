@@ -145,23 +145,34 @@ def test_deep_binomial_rows_exit_2(command, r, data):
 @PROPERTY_SETTINGS
 @given(
     st.sampled_from(["print-poly", "eval", "verify-det", "verify-genfun"]),
-    st.integers(min_value=12, max_value=2000),
+    st.booleans(),
+    st.data(),
 )
-def test_high_rank_exits_2(command, r):
+def test_high_rank_exits_2(command, small_weight, data):
     # the orbit budget counts the r exponents of each of the C(w + r, r) orbit
-    # elements of weight <= w; w is the first weight past it
-    w = next(w for w in count(1) if r * comb(w + r, r) > mcj._ORBIT_BUDGET)
-    argv = [command, "--r", str(r), "--d", "2", "--alpha", str(r + 2), "--nu", "0"]
-    z, angles = ",".join(["0.01"] * r), ",".join(str(0.1 * j) for j in range(r))
-    argv += {
-        "print-poly": ["--m", str(w)],
-        "eval": ["--m", str(w), "--theta", angles],
-        "verify-det": ["--max-weight", str(w), "--trials", "1"],
-        "verify-genfun": ["--N", str(w), "--z", z, "--theta", angles, "--t", angles],
-    }[command]
+    # elements of weight <= w; at weight 0 or 1 the orbits fit it up to r = 4095,
+    # but the r(r-1)/2 pair factors of d_m pass their budget from r = 438 at d = 2
+    if small_weight:
+        # print-poly takes no list of r values, so it tries ranks up to 10^7
+        r = data.draw(st.integers(438, 10**7 if command == "print-poly" else 3000))
+        w = data.draw(st.integers(0, 1))
+    else:
+        r = data.draw(st.integers(12, 2000))
+        w = next(w for w in count(1) if r * comb(w + r, r) > mcj._ORBIT_BUDGET)
+    budget = "orbit" if r * comb(w + r, r) > mcj._ORBIT_BUDGET else "d_m"
+    argv = [command, "--r", str(r), "--d", "2", "--alpha", "30", "--nu", "0"]
+    if command == "print-poly":
+        argv += ["--m", str(w)]
+    else:
+        z, angles = ",".join(["0.01"] * r), ",".join(str(0.1 * j) for j in range(r))
+        argv += {
+            "eval": ["--m", str(w), "--theta", angles],
+            "verify-det": ["--max-weight", str(w), "--trials", "1"],
+            "verify-genfun": ["--N", str(w), "--z", z, "--theta", angles, "--t", angles],
+        }[command]
     code, err = _exit_code(argv)
-    assert code == 2 and "orbit" in err and "budget" in err and "Traceback" not in err, (
-        command, r, code, err
+    assert code == 2 and budget in err and "budget" in err and "Traceback" not in err, (
+        command, r, w, code, err
     )
 
 

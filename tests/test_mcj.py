@@ -509,6 +509,9 @@ def _identity_cases():
                     yield "genfun_residual_phi", (p, z, sigma, N)
                     yield "genfun_residual_psi", (p, z, t, N)
                     yield "laguerre_genfun_residual", (p, z, u, N)
+                    # sigma is read after the domain check, and not a number
+                    yield "genfun_residual_phi", (p, [0.5] * r, ["x"] * r, N)
+                    yield "genfun_residual_phi", (p, z, [None] * r, N)
         for beta in (r - 1, r - 1.5, 2.5 + 0.4j, 0):
             for case in range(6):
                 w, z = small(r, 0.6), small(r, 0.6)
@@ -723,3 +726,16 @@ def test_rank1_series_vanishing_denominator():
     assert cj1_eval(2, -2.0, 0.0, 1.0) == 1
     assert mp1_eval(2, -1.0, 0.0, 0.0) == 1
     assert ode_residual_onevar(0, 0.0, 0.0) == 0.0
+
+
+def test_dim_factor_budget_bounds_the_rank():
+    # d_m's factors at d = 2 and weight <= 1 fit 2^20 bits up to r = 436 (437 at
+    # weight 0), so high ranks are refused before any work even where their
+    # orbits are small; a long d's factors count their bits
+    for r, m in [(436, (1,)), (437, ())]:
+        mcj.check_family_work(ParamSet(r=r, d=2), m=m)
+    for r, m in [(437, (1,)), (438, ()), (10**7, ())]:
+        with pytest.raises(ParameterError, match="bits of factors, over the budget"):
+            mcj.check_family_work(ParamSet(r=r, d=2), m=m)
+    with pytest.raises(ParameterError, match="d_m out of"):
+        mcj.check_family_work(ParamSet(r=20, d=Fraction(1, 10**2000)), m=())
