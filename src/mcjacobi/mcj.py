@@ -647,20 +647,6 @@ def _coincident(v: Sequence[complex]) -> Optional[tuple]:
     return next(((p, q) for p, q in pairs if abs(v[p] - v[q]) < 1e-12), None)
 
 
-def _check_distinct(v: Sequence[complex], what: str):
-    pair = _coincident(v)
-    if pair:
-        raise VandermondeZeroError(f"coincident {what} values: {v[pair[0]]} ~ {v[pair[1]]}")
-
-
-def _schur_at_ones(m: Sequence[int], r: int) -> int:
-    val = Fraction(1)
-    mm = pad(m, r)
-    for p, q in combinations(range(r), 2):
-        val *= Fraction(mm[p] - mm[q] + q - p, q - p)
-    return int(val)
-
-
 def _div_poch_product(pref: complex, x: complex, r: int, name: str) -> complex:
     """pref * prod_{j=1..r} (x)_{j-1}^{-1}, one division per j; a vanishing
     (x)_{j-1} is refused, naming x as ``name``."""
@@ -677,58 +663,69 @@ def _div_poch_product(pref: complex, x: complex, r: int, name: str) -> complex:
     return pref
 
 
-def _det_prefactor(m, params: ParamSet) -> complex:
-    r = params.r
-    base = 0.5 * (float(params.alpha) - r) + 1j * float(params.nu) + 1
-    return _div_poch_product(
-        complex(_schur_at_ones(m, r) * delta_factorial(r)), base, r, "(alpha - r)/2 + i nu + 1"
-    )
+def _delta_factorial_float(r: int, s: int = 1) -> complex:
+    """s delta! as a complex double; past the double range it is refused."""
+    try:
+        return complex(s * delta_factorial(r))
+    except OverflowError:
+        raise ParameterError(
+            f"the determinant formula needs delta!{f' times {s}' if s != 1 else ''} at r = {r} "
+            f"as a float, past the double range; use a smaller r"
+        ) from None
 
 
-def _det_formula(r: int, entry, pref, *vectors) -> complex:
-    """pref() det[entry(p, q)]_{p,q < r} / (V(v_1) V(v_2) ...), the assembly of
-    every determinant formula at d = 2.  The matrix is filled entry by entry
-    before ``pref`` is called, so an entry's error wins over the prefactor's."""
+def _det_formula(r: int, entry, vectors: dict, pref=lambda c: c, s: int = 1) -> complex:
+    """pref(s delta!) det[entry(p, q)]_{p,q < r} / (V(v_1) V(v_2) ...), the assembly of
+    every determinant formula at d = 2, for the named vectors v_i.  A coincident pair
+    in a vector and a Vandermonde product that is 0 in doubles are refused before any
+    entry is computed; the matrix is filled entry by entry before s delta! is
+    converted, so an entry's error wins over the prefactor's."""
+    for name, v in vectors.items():
+        pair = _coincident(v)
+        if pair:
+            raise VandermondeZeroError(f"coincident {name} values: {v[pair[0]]} ~ {v[pair[1]]}")
+    den = reduce(mul, map(_vandermonde, vectors.values()))
+    if den == 0:  # distinct points whose differences multiply past the double range
+        names = " and ".join(vectors)
+        raise VandermondeZeroError(f"the Vandermonde product of {names} is past the double range")
     mat = np.empty((r, r), dtype=complex)
     for p in range(r):
         for q in range(r):
             mat[p, q] = entry(p, q)
-    return pref() * complex(np.linalg.det(mat)) / reduce(mul, map(_vandermonde, vectors))
+    return pref(_delta_factorial_float(r, s)) * complex(np.linalg.det(mat)) / den
 
 
-def det_eval_phi(m: Sequence[int], params: ParamSet, sigma: Sequence[complex]) -> complex:
-    """Degree-shifted determinant formula for the d = 2 family:
+def _family_det(m, params: ParamSet, one_var, x, name: str, turn: bool) -> complex:
+    """The d = 2 determinant formula of the family (``one_var`` = cj1_eval at x = sigma) or
+    of Psi (psi1_eval at real x = t, ``turn`` adding (-2i)^{-r(r-1)/2}), x named ``name``:
 
         s_m(1..1) delta! prod_j ((alpha-r)/2 + i nu + 1)_{j-1}^{-1}
-            det( cj1[(alpha-r+1, nu)]_{m_p + r - p}(sigma_q) ) / V(sigma).
+            det( one_var[(alpha-r+1, nu)]_{m_p + r - p}(x_q) ) / V(x).
     """
     _require_d2(params)
     mm = pad(m, params.r)
     r = params.r
-    _check_distinct(sigma, "sigma")
     a1, nu = float(params.alpha) - r + 1, float(params.nu)
+    base = 0.5 * (float(params.alpha) - r) + 1j * nu + 1
+
+    def pref(c):
+        c = _div_poch_product(c, base, r, "(alpha - r)/2 + i nu + 1")
+        return c / (-2j) ** (r * (r - 1) // 2) if turn else c
+
     return _det_formula(
-        r,
-        lambda p, q: cj1_eval(mm[p] + r - (p + 1), a1, nu, sigma[q]),
-        lambda: _det_prefactor(mm, params),
-        sigma,
+        r, lambda p, q: one_var(mm[p] + r - (p + 1), a1, nu, x[q]),
+        {name: [complex(v) for v in x]}, pref, int(coeffs.jack_at_ones(mm, params)),
     )
+
+
+def det_eval_phi(m: Sequence[int], params: ParamSet, sigma: Sequence[complex]) -> complex:
+    """Degree-shifted determinant formula for the d = 2 family (``_family_det``)."""
+    return _family_det(m, params, cj1_eval, sigma, "sigma", False)
 
 
 def det_eval_psi(m: Sequence[int], params: ParamSet, t: Sequence[float]) -> complex:
     """Determinant formula for Psi at d = 2 (real nodes t, pairwise distinct)."""
-    _require_d2(params)
-    mm = pad(m, params.r)
-    r = params.r
-    tc = [complex(x) for x in t]
-    _check_distinct(tc, "t")
-    a1, nu = float(params.alpha) - r + 1, float(params.nu)
-    return _det_formula(
-        r,
-        lambda p, q: psi1_eval(mm[p] + r - (p + 1), a1, nu, t[q]),
-        lambda: _det_prefactor(mm, params) / (-2j) ** (r * (r - 1) // 2),
-        tc,
-    )
+    return _family_det(m, params, psi1_eval, t, "t", True)
 
 
 # ---------------------------------------------------------------------------
@@ -769,8 +766,10 @@ def cauchy_kernel_det(
             det((1 - w_p z_q)^{-(beta - r + 1)}) / (V(w) V(z)).
 
     Falls back to the series truncated at weight 30 when entries coincide (for
-    example in the z -> 0 limit), provided both spectral norms are below 1 and
-    the series is within the truncation budget (at r <= 2).
+    example in the z -> 0 limit), provided both spectral norms are below 1, the
+    series is within the truncation budget (at r <= 2) and its weight-30 shell is
+    |S_30 - S_29| <= 1e-8 |S_30|, for the sums S_N to weight N: the norms alone do
+    not bound the tail, which grows with beta.
     """
     if len(w) != len(z):
         raise ParameterError("w and z must have the same length")
@@ -779,11 +778,16 @@ def cauchy_kernel_det(
     z = [complex(x) for x in z]
     if all(x == 0 for x in w) or all(x == 0 for x in z):
         return 1.0 + 0j  # only the constant term of the expansion survives
-    if _coincident(w) or _coincident(z):
-        if max(abs(x) for x in w) < 1 and max(abs(x) for x in z) < 1:
-            _check_truncation(30, r, "coincident entries need it, so use distinct ones")
-            return cauchy_kernel_series(w, z, beta, 2, 30)
-        raise VandermondeZeroError("coincident entries outside the series domain")
+    if (_coincident(w) or _coincident(z)) and max(map(abs, w + z)) < 1:
+        _check_truncation(30, r, "coincident entries need it, so use distinct ones")
+        s30, s29 = (cauchy_kernel_series(w, z, beta, 2, N) for N in (30, 29))
+        if not abs(s30 - s29) <= 1e-8 * abs(s30):
+            raise VandermondeZeroError(
+                f"coincident entries need the series fallback, whose weight-30 shell "
+                f"{abs(s30 - s29):.2g} is over 1e-8 |S_30| = {1e-8 * abs(s30):.2g}; use "
+                f"distinct or smaller entries"
+            )
+        return s30
     expo = complex(beta) - r + 1
 
     def entry(p, q):
@@ -793,8 +797,7 @@ def cauchy_kernel_det(
         return base ** (-expo)
 
     return _det_formula(
-        r, entry, lambda: _div_poch_product(complex(delta_factorial(r)), expo, r, "beta - r + 1"),
-        w, z,
+        r, entry, {"w": w, "z": z}, lambda c: _div_poch_product(c, expo, r, "beta - r + 1")
     )
 
 
@@ -808,9 +811,7 @@ def hciz_det(x: Sequence[complex], y: Sequence[complex]) -> complex:
     r = len(x)
     if r == 1:
         return cmath.exp(x[0] * y[0])
-    return _det_formula(
-        r, lambda p, q: cmath.exp(x[p] * y[q]), lambda: complex(delta_factorial(r)), x, y
-    )
+    return _det_formula(r, lambda p, q: cmath.exp(x[p] * y[q]), {"x": x, "y": y})
 
 
 # ---------------------------------------------------------------------------
@@ -849,7 +850,8 @@ def _check_truncation(N: int, r: int, remedy: str):
 
 def _check_genfun_domain(params: ParamSet, z: Sequence[complex], N: int, beta: bool = True):
     """Refuse a truncation at N outside the closed forms' domain, over the
-    partition budget, or past the float range (``_check_float_range``)."""
+    partition budget, or past the float range (``_check_float_range``, and the
+    d = 2 closed forms' delta!)."""
     if len(z) != params.r:
         raise ParameterError("z must have length r")
     if max(abs(complex(x)) for x in z) >= 1 / 3:
@@ -859,6 +861,7 @@ def _check_genfun_domain(params: ParamSet, z: Sequence[complex], N: int, beta: b
     _check_truncation(N, params.r, "use a smaller N")
     check_family_work(params, N, evaluations=4)  # the member and Phi_m, on both sides
     _check_float_range(params, N, f"a truncation at N = {N}", "N", beta)
+    _delta_factorial_float(params.r)
 
 
 def _genfun_residual(params: ParamSet, z, N: int, member, closed, has_beta=True) -> float:
@@ -909,20 +912,15 @@ def genfun_residual_psi(
         r = params.r
         if r == 1:
             return (1 - z[0]) ** (-alpha) * ((1 + z[0]) / (1 - z[0]) - 1j * t[0]) ** (-beta)
-        _check_distinct(z, "z")
-        tc = [complex(x) for x in t]
-        _check_distinct(tc, "t")
         expo = 0.5 * (alpha - r) + 1 + 1j * float(params.nu)
         return _det_formula(
             r,
             lambda p, q: (1 - z[p]) ** (-(alpha - r + 1))
             * ((1 + z[p]) / (1 - z[p]) - 1j * t[q]) ** (-expo),
-            lambda: _div_poch_product(
-                complex(delta_factorial(r)) / (-2j) ** (r * (r - 1) // 2), expo, r,
-                "(alpha - r)/2 + 1 + i nu",
+            {"z": z, "t": [complex(x) for x in t]},
+            lambda c: _div_poch_product(
+                c / (-2j) ** (r * (r - 1) // 2), expo, r, "(alpha - r)/2 + 1 + i nu"
             ),
-            z,
-            tc,
         )
 
     return _genfun_residual(params, z, N, lambda m: psi_eval(m, params, t), closed)

@@ -22,6 +22,7 @@ built from:
 
 from __future__ import annotations
 
+import cmath
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
@@ -281,9 +282,8 @@ class _Plan(NamedTuple):
 
 def _plan_evaluation(polys: Sequence[_BasePoly], arity: int) -> _Plan:
     """The union of the monomials in the fixed term order, with orbits and
-    coefficients.  A finite constant c is a fill with 0 + c (1 + 0j), made by
-    the node pass's ufuncs on one element: each step is exact, so FMA or not
-    the bits agree."""
+    coefficients.  A finite constant c is a fill with 0 + c (1 + 0j), the value
+    the node pass would compute: each step is exact, so FMA or not the bits agree."""
     for poly in polys:
         if poly.arity != arity:
             raise ArityMismatchError(f"points have {arity} coordinates, arity is {poly.arity}")
@@ -291,10 +291,9 @@ def _plan_evaluation(polys: Sequence[_BasePoly], arity: int) -> _Plan:
     for lam in sorted(set().union(*(poly.terms for poly in polys)), key=_sort_key):
         pairs = [(i, complex(p.terms[lam])) for i, p in enumerate(polys) if lam in p.terms]
         if lam == zero:
-            with np.errstate(all="ignore"):  # the node pass warns for a non-finite c
-                ks = [np.add(np.multiply(c, np.ones(1, dtype=complex)), 0.0)[0] for _, c in pairs]
-            fills = [(i, k) for (i, _), k in zip(pairs, ks) if np.isfinite(k)]
-            pairs = [pair for pair, k in zip(pairs, ks) if not np.isfinite(k)]
+            ks = [0j + c * (1.0 + 0j) for _, c in pairs]
+            fills = [(i, k) for (i, _), k in zip(pairs, ks) if cmath.isfinite(k)]
+            pairs = [pair for pair, k in zip(pairs, ks) if not cmath.isfinite(k)]
             started.update(i for i, _ in fills)
         if pairs:
             terms.append((_orbit_cached(lam), [(i, c, i not in started) for i, c in pairs]))

@@ -3,6 +3,7 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -322,9 +323,12 @@ OVER_BUDGET = [
      "--trials", "100000000"],
 ]
 # commands that README or CI show being refused because a float factor would
-# pass the double range
+# pass the double range; the second has distinct z_j = j/1000, theta_j = t_j = j/100
+_R300 = [",".join(f"{j / scale:g}" for j in range(300)) for scale in (1000, 100)]
 PAST_FLOAT_RANGE = [
     ["verify-orth", "--r", "1", "--d", "2", "--alpha", "2", "--nu", "0.3", "--max-weight", "250"],
+    ["verify-genfun", "--r", "300", "--d", "2", "--alpha", "302", "--nu", "0", "--N", "2",
+     "--z", _R300[0], "--theta", _R300[1], "--t", _R300[1]],
 ]
 
 
@@ -392,8 +396,11 @@ def test_documented_commands_within_work_budget():
 
 
 # commands that CI shows being refused past their budget checks, with a
-# message: a vanishing determinant prefactor and a series fallback over the
-# truncation budget
+# message: a vanishing determinant prefactor, a series fallback over the
+# truncation budget, and distinct points z_j = 0.001 (1 + j/100) whose
+# Vandermonde product is 0 in doubles
+_R20 = [",".join(f"{(100 + j) / 1e5:g}" for j in range(20)),
+        ",".join(f"{j / 10:g}" for j in range(20))]
 REFUSED_LATE = [
     (["verify-det", "--r", "2", "--d", "2", "--alpha", "0", "--nu", "0", "--max-weight", "0"],
      "divides by ((alpha - r)/2 + i nu + 1)_1, which is 0"),
@@ -403,6 +410,9 @@ REFUSED_LATE = [
     (["verify-genfun", "--r", "4", "--d", "2", "--alpha", "4", "--nu", "0", "--N", "2",
       "--z", "0.1,0.05,0.02,0.01", "--theta", "0.2,0.2,0.2,0.2", "--t", "0.1,0.3,0.5,0.7"],
      "N = 30 sums over more than 400 partitions at r = 4"),
+    (["verify-genfun", "--r", "20", "--d", "2", "--alpha", "22", "--nu", "0", "--N", "1",
+      "--z", _R20[0], "--theta", _R20[1], "--t", _R20[1]],
+     "the Vandermonde product of w and z is past the double range"),
 ]
 
 
@@ -447,6 +457,17 @@ def test_verify_genfun_refuses_float_overflow(N, symbol, capsys, monkeypatch):
     assert run(["verify-genfun", "--N", N]) == 2
     err = capsys.readouterr().err
     assert f"N = {N}" in err and symbol in err and "double range" in err
+
+
+def test_verify_genfun_refuses_delta_factorial_before_any_sum(capsys, monkeypatch):
+    # delta! of the d = 2 closed forms leaves the double range at r = 28; the
+    # truncation at r = 300, N = 2 sums for seconds, so it is refused first
+    monkeypatch.setattr(mcj, "mcj_build", None)
+    start = time.perf_counter()
+    assert run(PAST_FLOAT_RANGE[1]) == 2
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert "needs delta! at r = 300 as a float, past the double range" in err
 
 
 @pytest.mark.parametrize(

@@ -25,6 +25,7 @@ from mcjacobi.mcj import (
     euler_residual,
     genfun_residual_phi,
     genfun_residual_psi,
+    hciz_det,
     laguerre_build,
     laguerre_genfun_residual,
     mcj_build,
@@ -394,6 +395,41 @@ def test_det_coincident_points_rejected():
         det_eval_psi((1, 0), p, [0.4, 0.4])
     with pytest.raises(ParameterError):
         det_eval_phi((1, 0), ParamSet(r=2, d=1, alpha=3, nu=0), [1j, -1j])
+    # the exponential kernel refuses them too, for lists and arrays alike
+    for same in ([0.3, 0.3], np.array([0.3, 0.3])):
+        with pytest.raises(VandermondeZeroError, match="coincident x values"):
+            hciz_det(same, [0.1, 0.2])
+        with pytest.raises(VandermondeZeroError, match="coincident y values"):
+            hciz_det([0.1, 0.2], same)
+    with pytest.raises(VandermondeZeroError, match="coincident y values"):
+        laguerre_genfun_residual(ParamSet(r=2, d=2, alpha=3, nu=0), [0.1, 0.1], [0.5, 1.5], 2)
+
+
+def test_det_refuses_points_and_delta_factorial_past_double_range():
+    # distinct points whose 435 differences of 1e-5 or more multiply to 0
+    x = [1e-5 * j for j in range(30)]
+    with pytest.raises(VandermondeZeroError, match="product of x and y is past the double"):
+        hciz_det(x, [0.1 * j for j in range(30)])
+
+    def phi_at(r):  # r equally spaced points on the circle
+        sigma = [cmath.exp(2j * math.pi * j / r) for j in range(r)]
+        return det_eval_phi((0,) * r, ParamSet(r=r, d=2, alpha=30, nu=0), sigma)
+
+    # delta! first leaves the double range at r = 28
+    assert cmath.isfinite(phi_at(27))
+    with pytest.raises(ParameterError, match="needs delta! at r = 28 as a float, past"):
+        phi_at(28)
+
+
+def test_cauchy_fallback_refused_unless_its_shell_is_small():
+    # the weight-30 shell |S_30 - S_29| / |S_30| is 2.3e-11 at a = 0.6 and
+    # 9.5e-8 at a = 0.7 for (a, a) against (a, a/2): the first is summed, the
+    # second refused, as is the point where the sum is 42% off the limit
+    w, z = [0.6, 0.6], [0.6, 0.3]
+    assert cauchy_kernel_det(w, z, 3) == cauchy_kernel_series(w, z, 3, 2, 30)
+    for w, z in (([0.7, 0.7], [0.7, 0.35]), ([0.95, 0.95], [0.95, 0.5])):
+        with pytest.raises(VandermondeZeroError, match="weight-30 shell"):
+            cauchy_kernel_det(w, z, 3)
 
 
 # ---------------------------------------------------------------- Cauchy kernel
@@ -470,7 +506,10 @@ def test_vanishing_det_prefactor_refused(call, symbol):
 # function residuals as five hand-rolled determinant assemblies and three
 # hand-rolled truncated sums.  The live ones must agree bit for bit and raise
 # the same exceptions with the same messages, except that they refuse, on
-# purpose, a prefactor these divide by zero in and the r >= 3 series fallback.
+# purpose, a prefactor these divide by zero in, the r >= 3 series fallback,
+# and coincident points of the exponential kernel, which these divide by zero
+# by; and that coincident Cauchy entries outside the series domain are refused
+# by the one determinant assembly, with its message.
 
 
 def _outcome(fn, *args):
@@ -537,7 +576,8 @@ def _identity_cases():
 
 
 def test_identities_bitwise_equal_frozen_assemblies():
-    counts = {"value": 0, "error": 0, "refused prefactor": 0, "refused fallback": 0}
+    counts = {"value": 0, "error": 0, "refused prefactor": 0, "refused fallback": 0,
+              "refused coincident": 0, "coincident message": 0}
     for name, args in _identity_cases():
         live = _outcome(getattr(mcj, name), *args)
         if isinstance(live, tuple) and "N = 30 sums over more than" in live[1]:
@@ -553,10 +593,22 @@ def test_identities_bitwise_equal_frozen_assemblies():
             assert live[0] is ParameterError
             counts["refused prefactor"] += 1
             continue
+        if isinstance(frozen, tuple) and live != frozen:
+            kind = {ZeroDivisionError: "refused coincident",
+                    VandermondeZeroError: "coincident message"}[frozen[0]]
+            assert name in ("hciz_det", "laguerre_genfun_residual") or (
+                frozen[1] == "coincident entries outside the series domain"
+            ), (name, args)
+            assert live[0] is VandermondeZeroError and live[1].startswith("coincident ")
+            counts[kind] += 1
+            continue
         assert live == frozen, (name, args)
         counts["error" if isinstance(live, tuple) else "value"] += 1
     # the grid reaches every branch
     assert all(n >= 5 for n in counts.values()), counts
+    # 25 through laguerre_genfun_residual, 4 from hciz_det; 21 through
+    # genfun_residual_phi, 8 from cauchy_kernel_det
+    assert counts["refused coincident"] == counts["coincident message"] == 29, counts
 
 
 # ---------------------------------------------------------------- operators

@@ -705,20 +705,32 @@ def test_gram_scratch_kept_bounded(monkeypatch):
     assert kept <= orthog._IN_FLIGHT * orthog._KEEP * orthog._LEAF * 16 == 16 * 2**20
 
 
-def test_gram_scratch_kept_for_warm_passes_only():
-    # warm passes reuse the sets; a new node set drops them
+def test_gram_scratch_kept_for_warm_passes_only(monkeypatch):
+    # warm passes reuse the sets; a new node set drops them.  On one CPU the
+    # leaves run in turn, so the warm pass has the cold pass's sets and no other
+    monkeypatch.setattr(orthog, "_cpu_count", lambda: 1)
     orthog._geometry.cache_clear()
     p = ParamSet(r=2, d=Fraction(5, 2), alpha=3, nu=0.3)
     rule = build_rule(160, "auto", p)
     parts = enumerate_partitions(2, 2)
+    warm = (p.with_(nu=-0.2), parts, build_rule(160, "auto", p.with_(nu=-0.2)))
     _gram(p, parts, rule)
     sets = weakref.WeakSet(orthog._SCRATCH)
     assert len(sets) >= 1
-    _gram(p.with_(nu=-0.2), parts, build_rule(160, "auto", p.with_(nu=-0.2)))
+    _gram(*warm)
     assert set(orthog._SCRATCH) <= set(sets)
     _weights(p, build_rule(24, "auto", p))
     gc.collect()
     assert not orthog._SCRATCH and len(sets) == 0
+    # on two CPUs the cold pass may run both its leaves on one task and the
+    # warm pass then make a second set; every cold set survives the warm pass,
+    # and no more sets exist than leaves in flight
+    monkeypatch.setattr(orthog, "_cpu_count", lambda: 2)
+    _gram(p, parts, rule)
+    sets = weakref.WeakSet(orthog._SCRATCH)
+    _gram(*warm)
+    assert set(sets) <= set(orthog._SCRATCH)
+    assert 1 <= len(orthog._SCRATCH) <= orthog._IN_FLIGHT
 
 
 def test_scratch_sets_never_shared_under_thread_stress(monkeypatch):
