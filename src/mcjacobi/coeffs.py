@@ -19,7 +19,7 @@ from typing import Optional, Sequence, Union
 from .errors import GammaPoleError, InvariantError, ParameterError
 from .params import ParamSet
 from .partitions import enumerate_partitions, pad, weight
-from .sympoly import SymPoly, _int_sum, _spherical_cached, spherical_poly
+from .sympoly import _int_sum, _spherical_cached, spherical_poly
 
 TWO_PI = 2.0 * math.pi
 
@@ -199,20 +199,6 @@ def check_row_weight(w: int) -> None:
         )
 
 
-def _sum_products(steps: list) -> tuple:
-    """The keyed sums  sum_j b_j c_j[key]  over steps [(b_j, c_j), ...] of a
-    Fraction b_j and a dict c_j of Fractions, as (den, {key: numerator}):
-    integer numerators over the lcm den of the products' denominators, keys
-    in order of first appearance."""
-    den = lcm(*(b.denominator * c.denominator for b, cs in steps for c in cs.values()))
-    acc: dict = {}
-    for b, cs in steps:
-        for key, c in cs.items():
-            scale = den // (b.denominator * c.denominator)
-            acc[key] = acc.get(key, 0) + b.numerator * c.numerator * scale
-    return den, acc
-
-
 @lru_cache(maxsize=1024)
 def _binom_row(m: tuple, d_num: int, d_den: int, r: int) -> dict:
     """Coefficients of Phi_k in the expansion of Phi_m(1 + x), all k, at
@@ -220,40 +206,21 @@ def _binom_row(m: tuple, d_num: int, d_den: int, r: int) -> dict:
 
     One-box recursion (Lassalle 1990; Dumitriu, Edelman & Shuman 2007):
         (|m| - |k|) binom(m,k) = sum_i binom(m, m - e_i) binom(m - e_i, k),
-    with binom(m, m) = 1.  The right-hand side is summed by ``_sum_products``.
+    with binom(m, m) = 1.  The right-hand side is summed in integer numerators
+    over the lcm of its products' denominators, keys in order of first appearance.
     """
     check_row_weight(weight(m))
     steps = [(b, _binom_row(kappa, d_num, d_den, r)) for kappa, b in _one_box(m, d_num, d_den, r)]
-    den, acc = _sum_products(steps)
+    den = lcm(*(b.denominator * c.denominator for b, sub in steps for c in sub.values()))
+    acc: dict = {}
+    for b, sub in steps:
+        for k, c in sub.items():
+            scale = den // (b.denominator * c.denominator)
+            acc[k] = acc.get(k, 0) + b.numerator * c.numerator * scale
     w = weight(m)
     row = {m: Fraction(1)}
     row.update((k, Fraction(v, den * (w - weight(k)))) for k, v in acc.items() if v)
     return row
-
-
-def _phi_one_plus(m: tuple, d_num: int, d_den: int, r: int) -> SymPoly:
-    """Phi_m(1 + x) = sum_k binom(m,k) Phi_k(x), exact; shared by the
-    circular-Jacobi family through ``_phi_one_minus``; summed by
-    ``_sum_products``; uncached, since its one production reader
-    ``mcj._phi_table`` is cached."""
-    den, terms = _sum_products([
-        (b, _spherical_cached(k, d_num, d_den, r).terms)
-        for k, b in _binom_row(m, d_num, d_den, r).items()
-    ])
-    return SymPoly._trusted(r, {lam: Fraction(v, den) for lam, v in terms.items() if v})
-
-
-def _phi_one_minus(m: tuple, d_num: int, d_den: int, r: int) -> dict:
-    """Monomial terms of Phi_m(1 - x); uncached, since its one caller
-    ``mcj._phi_table`` is cached.
-
-    Homogeneity: m_lambda(-x) = (-1)^{|lambda|} m_lambda(x), so only the
-    odd-weight terms of Phi_m(1 + x) change sign.
-    """
-    return {
-        lam: -c if weight(lam) % 2 else c
-        for lam, c in _phi_one_plus(m, d_num, d_den, r).terms.items()
-    }
 
 
 _ZERO = Fraction(0)
@@ -266,7 +233,10 @@ def gen_binom(m: Sequence[int], k: Sequence[int], params: ParamSet) -> Fraction:
     the k contained in m.
     """
     r, d = params.r, params.d
-    return _binom_row(pad(m, r), d.numerator, d.denominator, r).get(pad(k, r), _ZERO)
+    # padded tuples, as the grid loops pass them, skip pad
+    m = m if type(m) is tuple and len(m) == r else pad(m, r)
+    k = k if type(k) is tuple and len(k) == r else pad(k, r)
+    return _binom_row(m, d.numerator, d.denominator, r).get(k, _ZERO)
 
 
 def gamma_k_partition(k: Sequence[int], x: Sequence[int], params: ParamSet) -> Fraction:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import combinations
-from math import comb, factorial, isqrt, lcm
+from math import comb, factorial, gcd, isqrt, lcm
 from operator import mul
 from typing import Optional, Sequence
 
@@ -137,6 +137,14 @@ def _check_poch_nonzero(m: Sequence[int], params: ParamSet) -> None:
                 )
 
 
+@lru_cache(maxsize=64, typed=True)
+def _param_set(r: int, d_num: int, d_den: int, alpha=0, nu=0.0) -> ParamSet:
+    """ParamSet(r, d_num/d_den, alpha, nu), built once per arguments (per (d, r) for
+    ``_m_table``, per (alpha, nu) for ``psi1_eval``); keyed by d's integers, so no
+    lookup hashes a Fraction, and typed, so alpha = 2 and 2.0 keep unequal ParamSets."""
+    return ParamSet(r=r, d=Fraction(d_num, d_den), alpha=alpha, nu=nu)
+
+
 @lru_cache(maxsize=4096)
 def _m_table(m: tuple, d_num: int, d_den: int, r: int, scalar: type) -> tuple:
     """The factors of ``_family_body`` that depend only on m: d_m, (n/r)_m and
@@ -147,7 +155,7 @@ def _m_table(m: tuple, d_num: int, d_den: int, r: int, scalar: type) -> tuple:
     if scalar is complex:
         dim, nr_poch, row = _m_table(m, d_num, d_den, r, Fraction)
         return _as_complex(dim), _as_complex(nr_poch), tuple((k, _as_complex(b)) for k, b in row)
-    p = ParamSet(r=r, d=Fraction(d_num, d_den))
+    p = _param_set(r, d_num, d_den)
     row = coeffs._binom_row(m, d_num, d_den, r)
     return (
         dim_dm(m, p),
@@ -179,12 +187,27 @@ def _phi_table(k: tuple, d_num: int, d_den: int, r: int, shifted: bool, scalar: 
     if scalar is complex:
         den, terms = _phi_table(k, d_num, d_den, r, shifted, Fraction)
         return 1, tuple((lam, complex(num / den)) for lam, num in terms)
-    if shifted:
-        phi = coeffs._phi_one_minus(k, d_num, d_den, r)
-    else:
+    if not shifted:
         phi = _spherical_cached(k, d_num, d_den, r).terms
-    den = lcm(*(c.denominator for c in phi.values()))
-    return den, tuple((lam, c.numerator * (den // c.denominator)) for lam, c in phi.items())
+        den = lcm(*(c.denominator for c in phi.values()))
+        return den, tuple((lam, c.numerator * (den // c.denominator)) for lam, c in phi.items())
+    # Phi_k(1 - x) = sum_j binom(k, j) Phi_j(-x) in integer numerators over D =
+    # lcm(b_j.den den_j), keys in order of first appearance, odd weights negated as
+    # m_lam(-x) = (-1)^{|lam|} m_lam(x); dividing by gcd(D, *nums) leaves the reduced
+    # terms' lcm, since lcm_i(D / gcd(D, a_i)) = D / gcd(D, a_1, ..., a_n)
+    steps = [
+        (b, _phi_table(j, d_num, d_den, r, False, Fraction))
+        for j, b in coeffs._binom_row(k, d_num, d_den, r).items()
+    ]
+    den = lcm(*(b.denominator * e for b, (e, _) in steps))
+    acc: dict = {}
+    for b, (e, phi) in steps:
+        scale = b.numerator * (den // (b.denominator * e))
+        for lam, c in phi:
+            acc[lam] = acc.get(lam, 0) + c * scale
+    terms = [(lam, -v if weight(lam) % 2 else v) for lam, v in acc.items() if v]
+    g = gcd(den, *(v for _, v in terms))
+    return den // g, tuple((lam, v // g) for lam, v in terms)
 
 
 def _family_body(
@@ -449,8 +472,7 @@ def psi_eval(m: Sequence[int], params: ParamSet, t: Sequence[float]) -> complex:
 
 def psi1_eval(m: int, alpha: float, nu: float, t: float) -> complex:
     """One-variable Psi value (rank-1 case of psi_eval)."""
-    p = ParamSet(r=1, d=2, alpha=alpha, nu=nu)
-    return psi_eval((m,), p, [t])
+    return psi_eval((m,), _param_set(1, 2, 1, alpha, nu), [t])
 
 
 @dataclass(frozen=True)
@@ -677,17 +699,22 @@ def _delta_factorial_float(r: int, s: int = 1) -> complex:
 def _det_formula(r: int, entry, vectors: dict, pref=lambda c: c, s: int = 1) -> complex:
     """pref(s delta!) det[entry(p, q)]_{p,q < r} / (V(v_1) V(v_2) ...), the assembly of
     every determinant formula at d = 2, for the named vectors v_i.  A coincident pair
-    in a vector and a Vandermonde product that is 0 in doubles are refused before any
-    entry is computed; the matrix is filled entry by entry before s delta! is
+    in a vector and a Vandermonde product that is 0 in doubles are refused, naming the
+    vector (the vectors whose own products are 0, or else all), before any entry is
+    computed; the matrix is filled entry by entry before s delta! is
     converted, so an entry's error wins over the prefactor's."""
     for name, v in vectors.items():
         pair = _coincident(v)
         if pair:
             raise VandermondeZeroError(f"coincident {name} values: {v[pair[0]]} ~ {v[pair[1]]}")
-    den = reduce(mul, map(_vandermonde, vectors.values()))
+    dets = [_vandermonde(v) for v in vectors.values()]
+    den = reduce(mul, dets)
     if den == 0:  # distinct points whose differences multiply past the double range
-        names = " and ".join(vectors)
-        raise VandermondeZeroError(f"the Vandermonde product of {names} is past the double range")
+        names = " and ".join([n for n, v in zip(vectors, dets) if v == 0] or vectors)
+        raise VandermondeZeroError(
+            f"the Vandermonde product of {names} is past the double range; use values "
+            f"further apart"
+        )
     mat = np.empty((r, r), dtype=complex)
     for p in range(r):
         for q in range(r):
@@ -758,7 +785,7 @@ def cauchy_kernel_series(
 
 
 def cauchy_kernel_det(
-    w: Sequence[complex], z: Sequence[complex], beta: complex
+    w: Sequence[complex], z: Sequence[complex], beta: complex, names: tuple = ("w", "z")
 ) -> complex:
     """Determinant form of the spherical Cauchy kernel at multiplicity 2:
 
@@ -769,7 +796,7 @@ def cauchy_kernel_det(
     example in the z -> 0 limit), provided both spectral norms are below 1, the
     series is within the truncation budget (at r <= 2) and its weight-30 shell is
     |S_30 - S_29| <= 1e-8 |S_30|, for the sums S_N to weight N: the norms alone do
-    not bound the tail, which grows with beta.
+    not bound the tail, which grows with beta.  Refusals name w and z as ``names``.
     """
     if len(w) != len(z):
         raise ParameterError("w and z must have the same length")
@@ -797,7 +824,7 @@ def cauchy_kernel_det(
         return base ** (-expo)
 
     return _det_formula(
-        r, entry, {"w": w, "z": z}, lambda c: _div_poch_product(c, expo, r, "beta - r + 1")
+        r, entry, dict(zip(names, (w, z))), lambda c: _div_poch_product(c, expo, r, "beta - r + 1")
     )
 
 
@@ -883,14 +910,18 @@ def genfun_residual_phi(
 
     r = 1:  (1-z)^{beta - alpha} (1 - sigma z)^{-beta},  beta = (alpha+1)/2 + i nu.
     d = 2:  prod_j (1-z_j)^{-alpha} times the determinant Cauchy kernel at
-            (w, z') = (1 - sigma, -z/(1-z)).
+            (w, z') = (1 - sigma, -z/(1-z)), whose refusals name the command-line
+            inputs, ``--theta`` (sigma = e^{i theta}) and ``--z``.
     """
 
     def closed(z, alpha, beta):
         s = [complex(x) for x in sigma]
         if params.r == 1:
             return (1 - z[0]) ** (beta - alpha) * (1 - s[0] * z[0]) ** (-beta)
-        rhs = cauchy_kernel_det([1 - x for x in s], [-x / (1 - x) for x in z], beta)
+        rhs = cauchy_kernel_det(
+            [1 - x for x in s], [-x / (1 - x) for x in z], beta,
+            ("1 - sigma (--theta)", "-z/(1 - z) (--z)"),
+        )
         for x in z:
             rhs *= (1 - x) ** (-alpha)
         return rhs
@@ -905,7 +936,8 @@ def genfun_residual_psi(
 
     r = 1: (1-z)^{-alpha} ((1+z)/(1-z) - i t)^{-beta}.
     d = 2: the determinant assembly with one-variable factors
-           (1-z_p)^{-(alpha-r+1)} ((1+z_p)/(1-z_p) - i t_q)^{-((alpha-r)/2 + 1 + i nu)}.
+           (1-z_p)^{-(alpha-r+1)} ((1+z_p)/(1-z_p) - i t_q)^{-((alpha-r)/2 + 1 + i nu)},
+           whose refusals name the command-line inputs ``--z`` and ``--t``.
     """
 
     def closed(z, alpha, beta):
@@ -917,7 +949,7 @@ def genfun_residual_psi(
             r,
             lambda p, q: (1 - z[p]) ** (-(alpha - r + 1))
             * ((1 + z[p]) / (1 - z[p]) - 1j * t[q]) ** (-expo),
-            {"z": z, "t": [complex(x) for x in t]},
+            {"z (--z)": z, "t (--t)": [complex(x) for x in t]},
             lambda c: _div_poch_product(
                 c / (-2j) ** (r * (r - 1) // 2), expo, r, "(alpha - r)/2 + 1 + i nu"
             ),

@@ -32,8 +32,9 @@ def as_fraction(x) -> Fraction:
 class ParamSet:
     """Rank r, multiplicity d > 0 and the deformation parameters (alpha, nu).
 
-    Derived data: the ambient dimension n = r + (d/2) r (r-1), the half-sum
-    vector rho_j = (d/4)(2j - r - 1) and the staircase delta = (r-1, ..., 1, 0).
+    Derived data: the ambient dimension n = r + (d/2) r (r-1), n/r (an attribute
+    computed at construction), the half-sum vector rho_j = (d/4)(2j - r - 1) and
+    the staircase delta = (r-1, ..., 1, 0).
     Exact rational arithmetic is used for everything derived from (r, d).
     """
 
@@ -61,16 +62,13 @@ class ParamSet:
         if isinstance(self.alpha, Fraction) and self.alpha.denominator == 1:
             object.__setattr__(self, "alpha", int(self.alpha))
         # hashed once: the factor tables look a ParamSet up per k, and hashing
-        # its key each time costs as much as the lookup
+        # its key each time costs as much as the lookup; n/r is read as often
         object.__setattr__(self, "_hash", hash(self._key()))
+        object.__setattr__(self, "n_over_r", 1 + (self.d / 2) * (self.r - 1))
 
     @property
     def n(self) -> Fraction:
         return self.r + (self.d / 2) * self.r * (self.r - 1)
-
-    @property
-    def n_over_r(self) -> Fraction:
-        return 1 + (self.d / 2) * (self.r - 1)
 
     @property
     def rho(self) -> tuple:

@@ -3,8 +3,10 @@ kernels and the three generating-function residuals as they stood when each
 was assembled by hand: five copies of ``pref det[f(p, q)] / V(x) V(y)`` and
 three copies of the truncated sum over |m| <= N.  The package's versions must
 give these values, exceptions and messages bit for bit, except where they
-refuse on purpose what these divide by zero or sum without bound, and where
-the one determinant assembly words the refusal of coincident Cauchy entries.
+refuse on purpose what these divide by zero or sum without bound, where
+the one determinant assembly words the refusal of coincident Cauchy entries,
+and where the generating-function residuals name their vectors by the
+command-line inputs (``--theta``, ``--z``, ``--t``).
 
 The family members, the rank-1 series and the domain check are the
 package's; each of those has its own oracle.

@@ -397,10 +397,13 @@ def test_documented_commands_within_work_budget():
 
 # commands that CI shows being refused past their budget checks, with a
 # message: a vanishing determinant prefactor, a series fallback over the
-# truncation budget, and distinct points z_j = 0.001 (1 + j/100) whose
-# Vandermonde product is 0 in doubles
+# truncation budget, and distinct points whose Vandermonde product is 0 in
+# doubles, named by their flag: z_j = 0.001 (1 + j/100), then t_j = 2e-12 j
 _R20 = [",".join(f"{(100 + j) / 1e5:g}" for j in range(20)),
         ",".join(f"{j / 10:g}" for j in range(20))]
+_R20_T = [",".join(f"{0.01 + 0.015 * j:g}" for j in range(20)),
+          ",".join(f"{0.3 * j:g}" for j in range(20)),
+          ",".join(f"{2e-12 * j:g}" for j in range(20))]
 REFUSED_LATE = [
     (["verify-det", "--r", "2", "--d", "2", "--alpha", "0", "--nu", "0", "--max-weight", "0"],
      "divides by ((alpha - r)/2 + i nu + 1)_1, which is 0"),
@@ -412,7 +415,10 @@ REFUSED_LATE = [
      "N = 30 sums over more than 400 partitions at r = 4"),
     (["verify-genfun", "--r", "20", "--d", "2", "--alpha", "22", "--nu", "0", "--N", "1",
       "--z", _R20[0], "--theta", _R20[1], "--t", _R20[1]],
-     "the Vandermonde product of w and z is past the double range"),
+     "the Vandermonde product of -z/(1 - z) (--z) is past the double range"),
+    (["verify-genfun", "--r", "20", "--d", "2", "--alpha", "22", "--nu", "0", "--N", "1",
+      "--z", _R20_T[0], "--theta", _R20_T[1], "--t", _R20_T[2]],
+     "the Vandermonde product of t (--t) is past the double range"),
 ]
 
 

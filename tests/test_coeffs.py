@@ -1,5 +1,7 @@
 import cmath
+import copy
 import math
+import pickle
 import subprocess
 import sys
 from fractions import Fraction
@@ -9,9 +11,9 @@ import pytest
 from scipy.special import gamma as scipy_gamma
 
 import mcjacobi.coeffs as coeffs
+import mcjacobi.mcj as mcj
 import mcjacobi.sympoly as sympoly
 from mcjacobi.coeffs import (
-    _phi_one_minus,
     c0_tilde,
     dim_dm,
     expected_norm,
@@ -25,7 +27,7 @@ from mcjacobi.coeffs import (
 )
 from mcjacobi.errors import GammaPoleError, InvariantError, ParameterError
 from mcjacobi.params import ParamSet
-from mcjacobi.partitions import contains, enumerate_partitions, pad, weight
+from mcjacobi.partitions import contains, enumerate_partitions, pad, trim, weight
 from mcjacobi.sympoly import affine_substitute, jack_mono, schur, spherical_poly
 
 P22 = ParamSet(r=2, d=2, alpha=3, nu=0.5)
@@ -43,6 +45,15 @@ def test_paramset_derived():
         ParamSet(r=0, d=1)
     with pytest.raises(ValueError):
         ParamSet(r=1, d=0)
+
+
+def test_paramset_n_over_r_survives_copies():
+    # n/r is computed once, at construction, and travels with every copy
+    for r, d in ((1, 2), (3, Fraction(5, 2)), (4, Fraction(10**20 + 1, 3 * 10**19))):
+        p = ParamSet(r=r, d=d, alpha=Fraction(7, 2), nu=0.3)
+        for q in (p, p.with_(nu=0), p.with_(r=r + 1), copy.copy(p), pickle.loads(pickle.dumps(p))):
+            assert q.n_over_r == 1 + Fraction(d) / 2 * (q.r - 1)
+            assert type(q.n_over_r) is Fraction and q.n_over_r * q.r == q.n
 
 
 def test_paramset_hash_is_computed_once(monkeypatch):
@@ -158,17 +169,24 @@ def test_binom_row_sums_and_vanishing(r, d):
             b = gen_binom(m, k, p)
             if not contains(m, k):
                 assert b == 0
+            assert gen_binom(list(trim(m)), trim(k), p) == b  # unpadded and list forms
             total += b
         assert total == 2 ** weight(m)
+
+
+def _shifted_terms(k, d, r):
+    """The terms of Phi_k(1 - x) as ``mcj._phi_table`` holds them, as Fractions."""
+    den, terms = mcj._phi_table(k, d.numerator, d.denominator, r, True, Fraction)
+    return {lam: Fraction(num, den) for lam, num in terms}
 
 
 @pytest.mark.parametrize("r", [2, 3])
 @pytest.mark.parametrize("d", [Fraction(1, 3), Fraction(2), Fraction(5, 2)])
 def test_phi_one_minus_matches_affine_substitute(r, d):
-    # the sign-flipped cached Phi_k(1 + x) against the direct substitution x -> 1 - x
+    # the cached shifted table Phi_k(1 - x) against the direct substitution x -> 1 - x
     for k in enumerate_partitions(6, r):
         oracle = affine_substitute(spherical_poly(k, d, r), 1, -1)
-        assert _phi_one_minus(k, d.numerator, d.denominator, r) == oracle.terms
+        assert _shifted_terms(k, d, r) == oracle.terms
 
 
 def _row_from_substitution(m, d, r):
@@ -200,7 +218,9 @@ def test_binom_row_and_phi_one_plus_match_substitution(r, max_w, d):
     for m in enumerate_partitions(max_w, r):
         assert coeffs._binom_row(m, d.numerator, d.denominator, r) == _row_from_substitution(m, d, r)
         oracle = affine_substitute(spherical_poly(m, d, r), 1, 1)
-        assert coeffs._phi_one_plus(m, d.numerator, d.denominator, r) == oracle
+        # Phi_m(1 + x) is Phi_m(1 - x) with its odd-weight terms negated
+        one_plus = {lam: -c if weight(lam) % 2 else c for lam, c in _shifted_terms(m, d, r).items()}
+        assert one_plus == oracle.terms
 
 
 def test_binom_row_weight_bound_refuses_before_recursing():
@@ -224,13 +244,14 @@ def test_exact_caches_bounded_and_rebuild_equal():
     m, r = (2, 1, 0), 3
 
     def build():
-        return (coeffs._binom_row(m, 7, 5, r), coeffs._phi_one_plus(m, 7, 5, r),
+        return (coeffs._binom_row(m, 7, 5, r),
+                mcj._phi_table.__wrapped__(m, 7, 5, r, True, Fraction),
                 sympoly._jack_terms(m, 7, 5, r), sympoly._spherical_cached(m, 7, 5, r))
 
     first = build()
     for i in range(bound + 5):  # one entry in each cache per fresh d at least
         d_i = Fraction(3 + 2 * i, 2)
-        coeffs._phi_one_plus((1,), d_i.numerator, d_i.denominator, 1)
+        mcj._phi_table.__wrapped__((1,), d_i.numerator, d_i.denominator, 1, True, Fraction)
         coeffs.gen_binom((1,), (0,), ParamSet(r=1, d=d_i))
     assert all(f.cache_info().currsize <= f.cache_info().maxsize for f in caches)
     misses = [f.cache_info().misses for f in caches]

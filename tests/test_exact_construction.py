@@ -3,6 +3,7 @@ polynomials equal their validated copies, bodies are pinned, and warm
 lookups hash no Fraction."""
 
 import hashlib
+import math
 from fractions import Fraction
 
 import pytest
@@ -45,7 +46,6 @@ def test_kernel_built_polynomials_equal_validated_copies(r, d, alpha, w):
         built = [
             sympoly.jack_mono(m, d, r),
             sympoly.spherical_poly(m, d, r),
-            coeffs._phi_one_plus(m, d.numerator, d.denominator, r),
             mcj.mcj_build(m, pe).body_exact,
             mcj.mcj_build(m, pe).body,
             mcj.mcj_build(m, pc).body,
@@ -56,6 +56,20 @@ def test_kernel_built_polynomials_equal_validated_copies(r, d, alpha, w):
             built.append(mcj._family_body(m, pe, beta=beta, shifted=shifted, exact=True))
         for poly in built:
             _assert_as_validated(poly)
+        for shifted in (True, False):
+            table = mcj._phi_table(m, d.numerator, d.denominator, r, shifted, Fraction)
+            _assert_table_reduced(table, r)
+
+
+def _assert_table_reduced(table, r):
+    """An exact Phi table: padded keys, non-zero integer numerators, and a positive
+    denominator that shares no factor with all of them, the lcm of the reduced terms'."""
+    den, terms = table
+    assert type(den) is int and den > 0 and terms
+    for lam, num in terms:
+        assert len(lam) == r and type(num) is int and num != 0
+    assert math.gcd(den, *(num for _, num in terms)) == 1
+    assert den == math.lcm(*(Fraction(num, den).denominator for _, num in terms))
 
 
 @pytest.mark.parametrize("r,d,alpha,w", CASES)
@@ -181,7 +195,8 @@ def test_exact_to_complex_is_complex_of_fraction():
             dim, nr_poch, row = mcj._m_table(m, d.numerator, d.denominator, 3, Fraction)
             values += [dim, nr_poch] + [b for _, b in row]
             values += list(sympoly.spherical_poly(m, d, 3).terms.values())
-            values += list(coeffs._phi_one_minus(m, d.numerator, d.denominator, 3).values())
+            den, terms = mcj._phi_table(m, d.numerator, d.denominator, 3, True, Fraction)
+            values += [Fraction(num, den) for _, num in terms]
             values += list(mcj.mcj_build(m, p).body_exact.terms.values())
             cdim, cpoch, crow = mcj._m_table(m, d.numerator, d.denominator, 3, complex)
             assert _hex(cdim) == _hex(complex(dim)) and _hex(cpoch) == _hex(complex(nr_poch))
@@ -208,7 +223,7 @@ def test_complex_phi_table_is_complex_of_fraction(monkeypatch):
         for m in enumerate_partitions(6, 3):
             for shifted in (True, False):
                 if shifted:
-                    phi = coeffs._phi_one_minus(m, d.numerator, d.denominator, 3)
+                    phi = oracle._phi_one_minus(m, d, 3)
                 else:
                     phi = sympoly.spherical_poly(m, d, 3).terms
                 one, terms = mcj._phi_table(m, d.numerator, d.denominator, 3, shifted, complex)

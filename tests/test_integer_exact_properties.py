@@ -2,6 +2,7 @@
 numerators over one denominator, equals the frozen Fraction routines of
 ``fraction_oracle`` in value and in dict key order."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -70,8 +71,50 @@ def test_jack_rows_and_phi_one_plus_match_oracle(case):
     assert sympoly._jack_terms(m, *key, r) == oracle._jack_terms(m, 2 / d, r)
     new_row, old_row = coeffs._binom_row(m, *key, r), oracle._binom_row(m, d, r)
     assert list(new_row.items()) == list(old_row.items())
-    new_phi, old_phi = coeffs._phi_one_plus(m, *key, r), oracle._phi_one_plus(m, d, r)
-    assert list(new_phi.terms.items()) == list(old_phi.terms.items())
+    # Phi_m(1 + x) is Phi_m(1 - x) with its odd-weight terms negated
+    den, terms = mcj._phi_table(m, *key, r, True, Fraction)
+    new_phi = [(lam, Fraction(-num if weight(lam) % 2 else num, den)) for lam, num in terms]
+    assert new_phi == list(oracle._phi_one_plus(m, d, r).terms.items())
+
+
+def _hex(z):
+    return float.hex(z.real), float.hex(z.imag)
+
+
+def _oracle_table(k, d, r, shifted):
+    """The exact Phi table built from the frozen Fraction routines: the reduced
+    terms' numerators over their lcm, in the oracle's key order."""
+    phi = oracle._phi_one_minus(k, d, r) if shifted else oracle.spherical_poly(k, d, r).terms
+    den = math.lcm(*(c.denominator for c in phi.values()))
+    return den, tuple((lam, c.numerator * (den // c.denominator)) for lam, c in phi.items())
+
+
+@st.composite
+def long_or_short_d_partition(draw):
+    """(d, r, a partition of weight <= 6): d = p/q in (0, 8], with q <= 12 or with
+    a numerator and denominator of 21 to 41 digits; r in 1..4."""
+    r = draw(st.integers(min_value=1, max_value=4))
+    q = draw(st.integers(min_value=1, max_value=12) | st.integers(min_value=10**20, max_value=10**40))
+    d = Fraction(draw(st.integers(min_value=1, max_value=8 * q)), q)
+    m = draw(st.sampled_from(enumerate_partitions(MAX_WEIGHT, r)))
+    return d, r, m
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(long_or_short_d_partition())
+def test_phi_tables_match_oracle(case):
+    # both tables, exact and complex: the same den, numerators and key order as the
+    # oracle's; each complex value the correctly rounded oracle Fraction
+    d, r, k = case
+    for shifted in (True, False):
+        table = _oracle_table(k, d, r, shifted)
+        assert mcj._phi_table(k, d.numerator, d.denominator, r, shifted, Fraction) == table
+        one, terms = mcj._phi_table(k, d.numerator, d.denominator, r, shifted, complex)
+        den, nums = table
+        expected = [(lam, complex(Fraction(num, den))) for lam, num in nums]
+        assert one == 1 and [(lam, _hex(c)) for lam, c in terms] == [
+            (lam, _hex(c)) for lam, c in expected
+        ]
 
 
 @PROPERTY_SETTINGS
