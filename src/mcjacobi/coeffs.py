@@ -50,25 +50,29 @@ def _broadcast(s, r: int) -> list:
     return [s] * r
 
 
+def _poch_ratio(sv: list, mm: tuple, params: ParamSet) -> tuple:
+    """(s)_m of exact s_j as integers (num, den), den > 0, not reduced:
+    s_j - (d/2) j = (s_n 2 d_q - s_q d_n j) / (s_q 2 d_q), one integer
+    numerator and one integer denominator across every factor."""
+    d_n, d_q = params.d_num, 2 * params.d_den
+    num = den = 1
+    for j in range(params.r):
+        s_n, s_q = sv[j].numerator, sv[j].denominator
+        q = s_q * d_q
+        num *= _rising_num(s_n * d_q - s_q * d_n * j, q, mm[j])
+        den *= q ** mm[j]
+    return num, den
+
+
 def gen_pochhammer(s, m: Sequence[int], params: ParamSet):
     """Generalized shifted factorial (s)_m = prod_j (s_j - (d/2)(j-1))_{m_j}.
 
-    Scalar s broadcasts to (s, ..., s).  Exact when every input is rational,
-    a complex double (``_poch_complex``) otherwise.
+    Scalar s broadcasts to (s, ..., s).  Exact when every input is rational
+    (``_poch_ratio``), a complex double (``_poch_complex``) otherwise.
     """
     sv = _broadcast(s, params.r)
     if all(isinstance(x, (int, Fraction)) for x in sv):
-        mm = pad(m, params.r)
-        # s_j - (d/2) j = (s_n 2 d_q - s_q d_n j) / (s_q 2 d_q): one integer
-        # numerator and one integer denominator across every factor
-        d_n, d_q = params.d.numerator, 2 * params.d.denominator
-        num = den = 1
-        for j in range(params.r):
-            s_n, s_q = sv[j].numerator, sv[j].denominator
-            q = s_q * d_q
-            num *= _rising_num(s_n * d_q - s_q * d_n * j, q, mm[j])
-            den *= q ** mm[j]
-        return Fraction(num, den)
+        return Fraction(*_poch_ratio(sv, pad(m, params.r), params))
     return _poch_complex(sv, m, params)
 
 
@@ -90,17 +94,9 @@ def gamma_omega_log(s, params: ParamSet) -> complex:
     return total
 
 
-def dim_dm(m: Sequence[int], params: ParamSet) -> Fraction:
-    """Dimension d_m of the degree-m component, as an exact rational.
-
-    Gamma-product form reduced to rising factorials:
-        d_m = prod_{p<q} (k + (d/2)(q-p)) / ((d/2)(q-p))
-              * ((d/2)(q-p+1))_k / ((d/2)(q-p-1) + 1)_k,   k = m_p - m_q.
-    Well defined for every partition (including repeated parts) and every
-    rational d > 0.
-    """
-    mm = pad(m, params.r)
-    a, b = params.d.numerator, 2 * params.d.denominator  # d/2 = a/b
+def _dim_ratio(mm: tuple, params: ParamSet) -> tuple:
+    """d_m of a padded m as integers (num, den), den > 0, not reduced (``dim_dm``)."""
+    a, b = params.d_num, 2 * params.d_den  # d/2 = a/b
     num = den = 1
     for p in range(params.r):
         for q in range(p + 1, params.r):
@@ -109,7 +105,19 @@ def dim_dm(m: Sequence[int], params: ParamSet) -> Fraction:
             # the b^k of the two rising factorials cancel
             num *= (k * b + a * g) * _rising_num(a * (g + 1), b, k)
             den *= a * g * _rising_num(a * (g - 1) + b, b, k)
-    return Fraction(num, den)
+    return num, den
+
+
+def dim_dm(m: Sequence[int], params: ParamSet) -> Fraction:
+    """Dimension d_m of the degree-m component, as an exact rational.
+
+    Gamma-product form reduced to rising factorials (``_dim_ratio``):
+        d_m = prod_{p<q} (k + (d/2)(q-p)) / ((d/2)(q-p))
+              * ((d/2)(q-p+1))_k / ((d/2)(q-p-1) + 1)_k,   k = m_p - m_q.
+    Well defined for every partition (including repeated parts) and every
+    rational d > 0.
+    """
+    return Fraction(*_dim_ratio(pad(m, params.r), params))
 
 
 @dataclass(frozen=True)
@@ -232,11 +240,11 @@ def gen_binom(m: Sequence[int], k: Sequence[int], params: ParamSet) -> Fraction:
     Vanishes whenever k is not contained in m: the row of m holds exactly
     the k contained in m.
     """
-    r, d = params.r, params.d
+    r = params.r
     # padded tuples, as the grid loops pass them, skip pad
     m = m if type(m) is tuple and len(m) == r else pad(m, r)
     k = k if type(k) is tuple and len(k) == r else pad(k, r)
-    return _binom_row(m, d.numerator, d.denominator, r).get(k, _ZERO)
+    return _binom_row(m, params.d_num, params.d_den, r).get(k, _ZERO)
 
 
 def gamma_k_partition(k: Sequence[int], x: Sequence[int], params: ParamSet) -> Fraction:

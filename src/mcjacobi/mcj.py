@@ -27,7 +27,7 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import combinations
 from math import comb, factorial, gcd, isqrt, lcm
-from operator import mul
+from operator import le, mul
 from typing import Optional, Sequence
 
 import numpy as np
@@ -40,7 +40,7 @@ from .partitions import (
     Partition, count_contained, count_partitions, enumerate_partitions, format_partition, pad,
     weight,
 )
-from .sympoly import CSymPoly, SymPoly, _as_complex, _sort_key, _spherical_cached, spherical_poly
+from .sympoly import CSymPoly, SymPoly, _lowest, _spherical_cached, spherical_poly
 
 # work budgets, checked before any work, each ~10 s of the worst case measured on a
 # 2-core x86 machine: exact operator units, partitions a genfun truncation sums, bits
@@ -84,7 +84,7 @@ def check_family_work(params: ParamSet, max_weight: int = 0, m=None, evaluations
             f"r exponents, over the budget of {_ORBIT_BUDGET:,} exponents; use a smaller r "
             f"or weight"
         )
-    c = (params.d.numerator * params.d.denominator).bit_length()
+    c = (params.d_num * params.d_den).bit_length()
     dim_bits = (r * (r - 1) // 2 + (r - 1) * w) * (c + (r + w).bit_length())
     if dim_bits > _DIM_BUDGET:
         raise ParameterError(
@@ -120,7 +120,7 @@ def _check_poch_nonzero(m: Sequence[int], params: ParamSet) -> None:
     mm = pad(m, params.r)
     if params.alpha_is_exact:
         a_num, a_den = params.alpha.numerator, params.alpha.denominator
-        d_num, d_den = params.d.numerator, params.d.denominator
+        d_num, d_den = params.d_num, params.d_den
         D = 2 * d_den * a_den
         for j in range(params.r):
             t, rest = divmod(d_num * j * a_den - 2 * d_den * a_num, D)
@@ -145,52 +145,72 @@ def _param_set(r: int, d_num: int, d_den: int, alpha=0, nu=0.0) -> ParamSet:
     return ParamSet(r=r, d=Fraction(d_num, d_den), alpha=alpha, nu=nu)
 
 
+@lru_cache(maxsize=1024)
+def _row_order(m: tuple) -> tuple:
+    """The partitions k contained in the padded m, in ``_sort_key`` order: the row
+    of ``_m_table`` at every d."""
+    return tuple(k for k in enumerate_partitions(weight(m), len(m)) if all(map(le, k, m)))
+
+
 @lru_cache(maxsize=4096)
 def _m_table(m: tuple, d_num: int, d_den: int, r: int, scalar: type) -> tuple:
-    """The factors of ``_family_body`` that depend only on m: d_m, (n/r)_m and
-    the pairs (k, binom(m,k)) over k contained in m, in the scalar type and
-    in ``enumerate_partitions`` order, at d = d_num/d_den.  The row holds
-    exactly the k contained in m, since binom(m,k) > 0 there and 0 elsewhere.
-    The complex table is the exact one converted entry by entry."""
+    """The factors of ``_family_body`` that depend only on m at d = d_num/d_den:
+    d_m, (n/r)_m, the k contained in m (``_row_order``) and binom(m,k) of each.
+    Exact, they are integers in lowest terms, (dim_num, dim_den, poch_num,
+    poch_den, ks, b_nums, b_dens); complex, (dim, poch, ks, bs), each value the
+    correctly rounded ``num / den`` of the exact one.  The row holds exactly the
+    k contained in m, since binom(m,k) > 0 there and 0 elsewhere."""
     if scalar is complex:
-        dim, nr_poch, row = _m_table(m, d_num, d_den, r, Fraction)
-        return _as_complex(dim), _as_complex(nr_poch), tuple((k, _as_complex(b)) for k, b in row)
+        dim_n, dim_d, poch_n, poch_d, ks, b_nums, b_dens = _m_table(m, d_num, d_den, r, Fraction)
+        bs = tuple(complex(b / e) for b, e in zip(b_nums, b_dens))
+        return complex(dim_n / dim_d), complex(poch_n / poch_d), ks, bs
     p = _param_set(r, d_num, d_den)
     row = coeffs._binom_row(m, d_num, d_den, r)
+    ks = _row_order(m)
+    bs = [row[k] for k in ks]
     return (
-        dim_dm(m, p),
-        gen_pochhammer(p.n_over_r, m, p),
-        tuple(sorted(row.items(), key=lambda kb: _sort_key(kb[0]))),
+        *_lowest(*coeffs._dim_ratio(m, p)),
+        *_lowest(*coeffs._poch_ratio([p.n_over_r] * r, m, p)),
+        ks,
+        tuple(b.numerator for b in bs),
+        tuple(b.denominator for b in bs),
     )
 
 
 @lru_cache(maxsize=4096)
 def _k_table(k: tuple, params: ParamSet, scalar: type) -> tuple:
     """The factors of ``_family_body`` that depend only on k and the
-    parameters: ((-1)^{|k|}, (beta)_k, (alpha)_k) in the scalar type."""
+    parameters: (-1)^{|k|}, (beta)_k and (alpha)_k.  Exact, the two symbols
+    are integers in lowest terms, (sign, beta_num, beta_den, alpha_num,
+    alpha_den); complex, (sign, beta_k, alpha_k)."""
+    sign = (-1) ** weight(k)
     if scalar is Fraction:
         alpha = Fraction(params.alpha)
         beta_arg = (alpha + params.n_over_r) / 2
-    else:
-        alpha = complex(float(params.alpha))
-        beta_arg = 0.5 * (alpha + float(params.n_over_r)) + 1j * float(params.nu)
-    return (-1) ** weight(k), gen_pochhammer(beta_arg, k, params), gen_pochhammer(alpha, k, params)
+        return (
+            sign,
+            *_lowest(*coeffs._poch_ratio([beta_arg] * params.r, k, params)),
+            *_lowest(*coeffs._poch_ratio([alpha] * params.r, k, params)),
+        )
+    alpha = complex(float(params.alpha))
+    beta_arg = 0.5 * (alpha + float(params.n_over_r)) + 1j * float(params.nu)
+    return sign, gen_pochhammer(beta_arg, k, params), gen_pochhammer(alpha, k, params)
 
 
 @lru_cache(maxsize=4096)
 def _phi_table(k: tuple, d_num: int, d_den: int, r: int, shifted: bool, scalar: type) -> tuple:
     """The monomial terms of Phi_k(1 - sigma) when ``shifted``, of Phi_k
-    otherwise, at d = d_num/d_den, as (den, ((lambda, value), ...)): exact
-    terms are integer numerators over their lcm den, complex terms are the
-    values over den = 1, each ``num / den`` of the exact table, which rounds
-    correctly, as complex(Fraction) does."""
+    otherwise, at d = d_num/d_den, as (den, lams, values): exact values are
+    integer numerators over their lcm den, complex values are over den = 1,
+    each ``num / den`` of the exact table, which rounds correctly, as
+    complex(Fraction) does.  The two tables of one key share lams."""
     if scalar is complex:
-        den, terms = _phi_table(k, d_num, d_den, r, shifted, Fraction)
-        return 1, tuple((lam, complex(num / den)) for lam, num in terms)
+        den, lams, nums = _phi_table(k, d_num, d_den, r, shifted, Fraction)
+        return 1, lams, tuple([complex(num / den) for num in nums])
     if not shifted:
         phi = _spherical_cached(k, d_num, d_den, r).terms
         den = lcm(*(c.denominator for c in phi.values()))
-        return den, tuple((lam, c.numerator * (den // c.denominator)) for lam, c in phi.items())
+        return den, tuple(phi), tuple([c.numerator * (den // c.denominator) for c in phi.values()])
     # Phi_k(1 - x) = sum_j binom(k, j) Phi_j(-x) in integer numerators over D =
     # lcm(b_j.den den_j), keys in order of first appearance, odd weights negated as
     # m_lam(-x) = (-1)^{|lam|} m_lam(x); dividing by gcd(D, *nums) leaves the reduced
@@ -199,15 +219,15 @@ def _phi_table(k: tuple, d_num: int, d_den: int, r: int, shifted: bool, scalar: 
         (b, _phi_table(j, d_num, d_den, r, False, Fraction))
         for j, b in coeffs._binom_row(k, d_num, d_den, r).items()
     ]
-    den = lcm(*(b.denominator * e for b, (e, _) in steps))
+    den = lcm(*(b.denominator * e for b, (e, _, _) in steps))
     acc: dict = {}
-    for b, (e, phi) in steps:
+    for b, (e, lams, nums) in steps:
         scale = b.numerator * (den // (b.denominator * e))
-        for lam, c in phi:
+        for lam, c in zip(lams, nums):
             acc[lam] = acc.get(lam, 0) + c * scale
-    terms = [(lam, -v if weight(lam) % 2 else v) for lam, v in acc.items() if v]
-    g = gcd(den, *(v for _, v in terms))
-    return den // g, tuple((lam, v // g) for lam, v in terms)
+    terms = {lam: -v if weight(lam) % 2 else v for lam, v in acc.items() if v}
+    g = gcd(den, *terms.values())
+    return den // g, tuple(terms), tuple([v // g for v in terms.values()])
 
 
 def _family_body(
@@ -235,45 +255,46 @@ def _family_body(
     r = params.r
     mm = pad(m, r)
     _check_poch_nonzero(mm, params)
-    d_num, d_den = params.d.numerator, params.d.denominator
-    scalar = Fraction if exact else complex
-    dim, nr_poch, row = _m_table(mm, d_num, d_den, r, scalar)
-    alpha_m = _k_table(mm, params, scalar)[2]
+    d_num, d_den = params.d_num, params.d_den
     steps = []
     if exact:
+        dim_n, dim_d, poch_n, poch_d, ks, b_nums, b_dens = _m_table(mm, d_num, d_den, r, Fraction)
+        am_n, am_d = _k_table(mm, params, Fraction)[3:]
         # pref = d_m (alpha)_m / (n/r)_m = pref_num / pref_den
-        pref_num = dim.numerator * alpha_m.numerator * nr_poch.denominator
-        pref_den = dim.denominator * alpha_m.denominator * nr_poch.numerator
-        for k, b in row:
-            sign, beta_k, alpha_k = _k_table(k, params, scalar)
-            k_num = sign * pref_num * b.numerator * alpha_k.denominator
-            k_den = pref_den * b.denominator * alpha_k.numerator
+        pref_num = dim_n * am_n * poch_d
+        pref_den = dim_d * am_d * poch_n
+        for k, b_n, b_d in zip(ks, b_nums, b_dens):
+            sign, bk_n, bk_d, ak_n, ak_d = _k_table(k, params, Fraction)
+            k_num = sign * pref_num * b_n * ak_d
+            k_den = pref_den * b_d * ak_n
             if beta:
-                k_num *= beta_k.numerator
-                k_den *= beta_k.denominator
-            phi_den, phi = _phi_table(k, d_num, d_den, r, shifted, scalar)
-            steps.append((k_num, k_den * phi_den, phi))
-        den = lcm(*(e for _, e, _ in steps))
-        steps = [(num * (den // e), phi) for num, e, phi in steps]
+                k_num *= bk_n
+                k_den *= bk_d
+            phi_den, lams, phi = _phi_table(k, d_num, d_den, r, shifted, Fraction)
+            steps.append((k_num, k_den * phi_den, lams, phi))
+        den = lcm(*(e for _, e, _, _ in steps))
+        steps = [(num * (den // e), lams, phi) for num, e, lams, phi in steps]
     else:
-        pref = dim * alpha_m / nr_poch
-        for k, b in row:
-            sign, beta_k, alpha_k = _k_table(k, params, scalar)
+        dim, nr_poch, ks, bs = _m_table(mm, d_num, d_den, r, complex)
+        pref = dim * _k_table(mm, params, complex)[2] / nr_poch
+        for k, b in zip(ks, bs):
+            sign, beta_k, alpha_k = _k_table(k, params, complex)
             # complex coefficients are ((pref * sign * b) * (beta)_k) / (alpha)_k
             # in this order, and the terms accumulate k by k in enumeration order:
             # the rounding of the body feeds the byte-identical orthogonality reports
             coef = pref * sign * b
             if beta:
                 coef = coef * beta_k
-            steps.append((coef / alpha_k, _phi_table(k, d_num, d_den, r, shifted, scalar)[1]))
+            steps.append((coef / alpha_k, *_phi_table(k, d_num, d_den, r, shifted, complex)[1:]))
     terms: dict = {}
-    for coef, phi in steps:
-        for lam, c in phi:
-            v = terms.get(lam, 0) + c * coef
-            if v == 0:
-                terms.pop(lam, None)
-            else:
+    get = terms.get
+    for coef, lams, phi in steps:
+        for lam, c in zip(lams, phi):
+            v = get(lam, 0) + c * coef
+            if v:
                 terms[lam] = v
+            else:
+                terms.pop(lam, None)
     if exact:
         return SymPoly._trusted(r, {lam: Fraction(v, den) for lam, v in terms.items()})
     return CSymPoly._trusted(r, terms)
@@ -741,8 +762,15 @@ def _family_det(m, params: ParamSet, one_var, x, name: str, turn: bool) -> compl
 
     return _det_formula(
         r, lambda p, q: one_var(mm[p] + r - (p + 1), a1, nu, x[q]),
-        {name: [complex(v) for v in x]}, pref, int(coeffs.jack_at_ones(mm, params)),
+        {name: [complex(v) for v in x]}, pref, _schur_at_ones(mm, r),
     )
+
+
+@lru_cache(maxsize=1024)
+def _schur_at_ones(m: tuple, r: int) -> int:
+    """s_m(1, ..., 1), the Jack value at ones at d = 2 (``coeffs.jack_at_ones``),
+    an integer the same at every alpha and nu, so computed once per (padded m, r)."""
+    return int(coeffs.jack_at_ones(m, _param_set(r, 2, 1)))
 
 
 def det_eval_phi(m: Sequence[int], params: ParamSet, sigma: Sequence[complex]) -> complex:
@@ -805,12 +833,13 @@ def cauchy_kernel_det(
     z = [complex(x) for x in z]
     if all(x == 0 for x in w) or all(x == 0 for x in z):
         return 1.0 + 0j  # only the constant term of the expansion survives
-    if (_coincident(w) or _coincident(z)) and max(map(abs, w + z)) < 1:
-        _check_truncation(30, r, "coincident entries need it, so use distinct ones")
+    same = " and ".join(name for name, v in zip(names, (w, z)) if _coincident(v))
+    if same and max(map(abs, w + z)) < 1:
+        _check_truncation(30, r, f"coincident {same} entries need it, so use distinct ones")
         s30, s29 = (cauchy_kernel_series(w, z, beta, 2, N) for N in (30, 29))
         if not abs(s30 - s29) <= 1e-8 * abs(s30):
             raise VandermondeZeroError(
-                f"coincident entries need the series fallback, whose weight-30 shell "
+                f"coincident {same} entries need the series fallback, whose weight-30 shell "
                 f"{abs(s30 - s29):.2g} is over 1e-8 |S_30| = {1e-8 * abs(s30):.2g}; use "
                 f"distinct or smaller entries"
             )

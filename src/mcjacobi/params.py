@@ -32,9 +32,10 @@ def as_fraction(x) -> Fraction:
 class ParamSet:
     """Rank r, multiplicity d > 0 and the deformation parameters (alpha, nu).
 
-    Derived data: the ambient dimension n = r + (d/2) r (r-1), n/r (an attribute
-    computed at construction), the half-sum vector rho_j = (d/4)(2j - r - 1) and
-    the staircase delta = (r-1, ..., 1, 0).
+    Derived data: the ambient dimension n = r + (d/2) r (r-1), n/r and d's
+    numerator and denominator in lowest terms (attributes ``n_over_r``, ``d_num``
+    and ``d_den``, computed at construction), the half-sum vector
+    rho_j = (d/4)(2j - r - 1) and the staircase delta = (r-1, ..., 1, 0).
     Exact rational arithmetic is used for everything derived from (r, d).
     """
 
@@ -62,7 +63,10 @@ class ParamSet:
         if isinstance(self.alpha, Fraction) and self.alpha.denominator == 1:
             object.__setattr__(self, "alpha", int(self.alpha))
         # hashed once: the factor tables look a ParamSet up per k, and hashing
-        # its key each time costs as much as the lookup; n/r is read as often
+        # its key each time costs as much as the lookup; n/r and d's integers,
+        # which ``Fraction`` serves through Python-level properties, as often
+        object.__setattr__(self, "d_num", self.d.numerator)
+        object.__setattr__(self, "d_den", self.d.denominator)
         object.__setattr__(self, "_hash", hash(self._key()))
         object.__setattr__(self, "n_over_r", 1 + (self.d / 2) * (self.r - 1))
 
@@ -83,8 +87,7 @@ class ParamSet:
         # not, so the two must not share an mcj_build cache entry; d enters as
         # its numerator and denominator, which hash in C where a Fraction
         # hashes in Python
-        d = self.d
-        return (self.r, d.numerator, d.denominator, self.alpha, self.alpha_is_exact, self.nu)
+        return (self.r, self.d_num, self.d_den, self.alpha, self.alpha_is_exact, self.nu)
 
     def __eq__(self, other):
         if not isinstance(other, ParamSet):

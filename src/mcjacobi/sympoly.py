@@ -26,12 +26,12 @@ import cmath
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
-from math import comb, lcm
+from math import comb, gcd, lcm
 from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 
-from .errors import ArityMismatchError
+from .errors import ArityMismatchError, InvariantError
 from .partitions import _parts_desc, pad, trim, weight
 
 AnyCoef = Union[int, Fraction, float, complex]
@@ -62,6 +62,12 @@ def _int_sum(parts: list) -> tuple:
     as (numerator, lcm of the b_j)."""
     den = lcm(*(b for _, b in parts))
     return sum(a * (den // b) for a, b in parts), den
+
+
+def _lowest(num: int, den: int) -> tuple:
+    """num/den in lowest terms, for den > 0, as the integers (numerator, denominator)."""
+    g = gcd(num, den)
+    return num // g, den // g
 
 
 def _sort_key(lam: tuple):
@@ -461,9 +467,49 @@ def _lb_parts(lam: tuple, r: int) -> tuple:
 
 
 @lru_cache(maxsize=1024)
+def _jack_skeleton(m: tuple, r: int) -> tuple:
+    """The part of ``_jack_terms`` that does not depend on d, as (lams, rows):
+    the support of P_m in the class order (which is ``_sort_key`` order), m
+    first, and for each later mu in it a row (A_m - A_mu, B_m - B_mu, at, fs)
+    of the integers of ``_lb_parts`` and of the moves: the positions ``at`` in
+    lams of the nu that mu's moves reach and the summed factors ``fs`` of the
+    moves to each, in order of first appearance.
+
+    A mu no move links to the support is not in it: every factor is positive
+    and every coefficient of the support is positive at alpha > 0, so the
+    support is {mu dominated by m}, the same at every d."""
+    w = weight(m)
+    a_m, b_m = _lb_parts(m, r)
+    at = {m: 0}
+    rows = []
+    order = (pad(lam, r) for lam in _parts_desc(w, w, r))
+    for mu in order:  # skip to m: the coefficients above it vanish
+        if mu == m:
+            break
+    for mu in order:
+        moves: dict = {}
+        for i in range(r):
+            for j in range(i + 1, r):
+                for t in range(1, mu[j] + 1):
+                    nu = list(mu)
+                    nu[i] += t
+                    nu[j] -= t
+                    k = at.get(tuple(sorted(nu, reverse=True)))
+                    if k is not None:
+                        moves[k] = moves.get(k, 0) + mu[i] - mu[j] + 2 * t
+        if moves:
+            a_mu, b_mu = _lb_parts(mu, r)
+            at[mu] = len(at)
+            rows.append((a_m - a_mu, b_m - b_mu, tuple(moves), tuple(moves.values())))
+    return tuple(at), tuple(rows)
+
+
+@lru_cache(maxsize=1024)
 def _jack_terms(m: tuple, d_num: int, d_den: int, r: int) -> tuple:
     """Monomial expansion of P_m^(alpha), alpha = 2/d at d = d_num/d_den in
-    lowest terms, as ((lambda, coef), ...).
+    lowest terms, as (lams, nums, dens): the coefficient of m_lams[i] is
+    nums[i] / dens[i] in lowest terms, dens[i] > 0, lams from
+    ``_jack_skeleton``.
 
     The alpha-deformed Laplace-Beltrami operator
         D = (alpha/2) sum_i x_i^2 d_i^2 + sum_{i<j} (x_i^2 d_i - x_j^2 d_j)/(x_i - x_j)
@@ -475,38 +521,26 @@ def _jack_terms(m: tuple, d_num: int, d_den: int, r: int) -> tuple:
         c_mu (e_m - e_mu) = sum_{i<j} sum_{t=1}^{mu_j} (mu_i - mu_j + 2t) c_nu,
         nu = sort(mu + t e_i - t e_j),
     where every nu dominates mu, so it comes earlier in the order and its
-    coefficient (0 if unset) is already known.
+    coefficient is already known.
 
     With alpha/2 = 1/d = p/q, e_m - e_mu = (p (A_m - A_mu) + q (B_m - B_mu)) / q
     in the integers of ``_lb_parts``, and the right-hand side is summed as
     integer numerators over the lcm of the c_nu denominators, so each
-    coefficient is one division.
+    coefficient is one division.  The skeleton holds everything else.
     """
-    w = weight(m)
+    lams, rows = _jack_skeleton(m, r)
     p, q = d_den, d_num
-    a_m, b_m = _lb_parts(m, r)
-    coefs = {m: Fraction(1)}
-    order = (pad(lam, r) for lam in _parts_desc(w, w, r))
-    for mu in order:  # skip to m: the coefficients above it vanish
-        if mu == m:
-            break
-    for mu in order:
-        pairs = []
-        for i in range(r):
-            for j in range(i + 1, r):
-                for t in range(1, mu[j] + 1):
-                    nu = list(mu)
-                    nu[i] += t
-                    nu[j] -= t
-                    c_nu = coefs.get(tuple(sorted(nu, reverse=True)))
-                    if c_nu:
-                        pairs.append((mu[i] - mu[j] + 2 * t, c_nu))
-        den = lcm(*(c.denominator for _, c in pairs))
-        num = sum(f * c.numerator * (den // c.denominator) for f, c in pairs)
-        if num:
-            a_mu, b_mu = _lb_parts(mu, r)
-            coefs[mu] = Fraction(num * q, den * (p * (a_m - a_mu) + q * (b_m - b_mu)))
-    return tuple(sorted(coefs.items(), key=lambda kv: _sort_key(kv[0])))
+    nums, dens = [1], [1]
+    for da, db, at, fs in rows:
+        den = lcm(*[dens[k] for k in at])
+        num = q * sum([f * nums[k] * (den // dens[k]) for k, f in zip(at, fs)])
+        den *= p * da + q * db
+        if num <= 0 or den <= 0:
+            raise InvariantError(f"a coefficient of P_{m} at d = {d_num}/{d_den} is not positive")
+        num, den = _lowest(num, den)
+        nums.append(num)
+        dens.append(den)
+    return lams, tuple(nums), tuple(dens)
 
 
 def _ratio(d) -> tuple:
@@ -525,7 +559,8 @@ def jack_mono(m: Sequence[int], d, r: int) -> SymPoly:
 
     Exact; the support is contained in {lambda : lambda dominated by m}.
     """
-    return SymPoly._trusted(r, dict(_jack_terms(pad(m, r), *_ratio(d), r)))
+    lams, nums, dens = _jack_terms(pad(m, r), *_ratio(d), r)
+    return SymPoly._trusted(r, {lam: Fraction(n, e) for lam, n, e in zip(lams, nums, dens)})
 
 
 # ---------------------------------------------------------------------------
@@ -591,13 +626,12 @@ def schur(m: Sequence[int], r: int) -> SymPoly:
 @lru_cache(maxsize=1024)
 def _spherical_cached(m: tuple, d_num: int, d_den: int, r: int) -> SymPoly:
     """Phi_m at d = d_num/d_den.  Each coefficient c of P_m becomes
-    c / P_m(1) as one Fraction of integers."""
-    p = SymPoly._trusted(r, dict(_jack_terms(m, d_num, d_den, r)))
-    at_ones = p.eval_at_ones()
-    a, b = at_ones.numerator, at_ones.denominator
-    return SymPoly._trusted(
-        r, {lam: Fraction(c.numerator * b, c.denominator * a) for lam, c in p.terms.items()}
-    )
+    c / P_m(1) as one Fraction of integers, with P_m(1) = a / b summed by
+    ``_int_sum`` over the orbit sizes."""
+    lams, nums, dens = _jack_terms(m, d_num, d_den, r)
+    terms = list(zip(lams, nums, dens))
+    a, b = _lowest(*_int_sum([(n * len(_orbit_cached(lam)), e) for lam, n, e in terms]))
+    return SymPoly._trusted(r, {lam: Fraction(n * b, e * a) for lam, n, e in terms})
 
 
 def spherical_poly(m: Sequence[int], d, r: int) -> SymPoly:

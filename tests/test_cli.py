@@ -397,7 +397,7 @@ def test_documented_commands_within_work_budget():
 
 # commands that CI shows being refused past their budget checks, with a
 # message: a vanishing determinant prefactor, a series fallback over the
-# truncation budget, and distinct points whose Vandermonde product is 0 in
+# truncation budget, named by the flag of the coincident values, and distinct points whose Vandermonde product is 0 in
 # doubles, named by their flag: z_j = 0.001 (1 + j/100), then t_j = 2e-12 j
 _R20 = [",".join(f"{(100 + j) / 1e5:g}" for j in range(20)),
         ",".join(f"{j / 10:g}" for j in range(20))]
@@ -419,6 +419,9 @@ REFUSED_LATE = [
     (["verify-genfun", "--r", "20", "--d", "2", "--alpha", "22", "--nu", "0", "--N", "1",
       "--z", _R20_T[0], "--theta", _R20_T[1], "--t", _R20_T[2]],
      "the Vandermonde product of t (--t) is past the double range"),
+    (["verify-genfun", "--r", "3", "--d", "2", "--alpha", "4", "--nu", "0", "--N", "2",
+      "--z", "0.1,0.2,0.3", "--theta", "0.3,0.3,1", "--t", "0,1,2"],
+     "coincident 1 - sigma (--theta) entries need it, so use distinct ones"),
 ]
 
 

@@ -48,12 +48,16 @@ def test_paramset_derived():
 
 
 def test_paramset_n_over_r_survives_copies():
-    # n/r is computed once, at construction, and travels with every copy
+    # n/r and d's integers are computed once, at construction, and travel with every copy
     for r, d in ((1, 2), (3, Fraction(5, 2)), (4, Fraction(10**20 + 1, 3 * 10**19))):
         p = ParamSet(r=r, d=d, alpha=Fraction(7, 2), nu=0.3)
         for q in (p, p.with_(nu=0), p.with_(r=r + 1), copy.copy(p), pickle.loads(pickle.dumps(p))):
             assert q.n_over_r == 1 + Fraction(d) / 2 * (q.r - 1)
             assert type(q.n_over_r) is Fraction and q.n_over_r * q.r == q.n
+            assert (q.d_num, q.d_den) == (Fraction(d).numerator, Fraction(d).denominator)
+            assert type(q.d_num) is int and type(q.d_den) is int
+        q = p.with_(d=Fraction(14, 4))
+        assert (q.d_num, q.d_den) == (7, 2) and q == ParamSet(r=r, d=3.5, alpha=Fraction(7, 2), nu=0.3)
 
 
 def test_paramset_hash_is_computed_once(monkeypatch):
@@ -176,8 +180,8 @@ def test_binom_row_sums_and_vanishing(r, d):
 
 def _shifted_terms(k, d, r):
     """The terms of Phi_k(1 - x) as ``mcj._phi_table`` holds them, as Fractions."""
-    den, terms = mcj._phi_table(k, d.numerator, d.denominator, r, True, Fraction)
-    return {lam: Fraction(num, den) for lam, num in terms}
+    den, lams, nums = mcj._phi_table(k, d.numerator, d.denominator, r, True, Fraction)
+    return {lam: Fraction(num, den) for lam, num in zip(lams, nums)}
 
 
 @pytest.mark.parametrize("r", [2, 3])
@@ -236,9 +240,11 @@ def test_binom_row_weight_bound_refuses_before_recursing():
 
 
 def test_exact_caches_bounded_and_rebuild_equal():
-    # past the bound the first (m, d, r) entry of every exact cache is
-    # evicted and rebuilds to an equal value
-    caches = (coeffs._binom_row, sympoly._jack_terms, sympoly._spherical_cached)
+    # past the bound the first (m, d, r) entry of every exact cache, and the
+    # first (m, r) entry of every d-free one, is evicted and rebuilds to an
+    # equal value
+    caches = (coeffs._binom_row, sympoly._jack_terms, sympoly._spherical_cached,
+              sympoly._jack_skeleton, mcj._row_order, mcj._schur_at_ones)
     assert all(f.cache_info().maxsize is not None for f in caches)
     bound = max(f.cache_info().maxsize for f in caches)
     m, r = (2, 1, 0), 3
@@ -246,13 +252,15 @@ def test_exact_caches_bounded_and_rebuild_equal():
     def build():
         return (coeffs._binom_row(m, 7, 5, r),
                 mcj._phi_table.__wrapped__(m, 7, 5, r, True, Fraction),
-                sympoly._jack_terms(m, 7, 5, r), sympoly._spherical_cached(m, 7, 5, r))
+                sympoly._jack_terms(m, 7, 5, r), sympoly._spherical_cached(m, 7, 5, r),
+                sympoly._jack_skeleton(m, r), mcj._row_order(m), mcj._schur_at_ones(m, r))
 
     first = build()
-    for i in range(bound + 5):  # one entry in each cache per fresh d at least
+    for i in range(bound + 5):  # one entry in each cache per fresh d or m at least
         d_i = Fraction(3 + 2 * i, 2)
         mcj._phi_table.__wrapped__((1,), d_i.numerator, d_i.denominator, 1, True, Fraction)
         coeffs.gen_binom((1,), (0,), ParamSet(r=1, d=d_i))
+        sympoly._jack_skeleton((i,), 1), mcj._row_order((i,)), mcj._schur_at_ones((i,), 1)
     assert all(f.cache_info().currsize <= f.cache_info().maxsize for f in caches)
     misses = [f.cache_info().misses for f in caches]
     again = build()

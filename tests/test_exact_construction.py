@@ -64,12 +64,12 @@ def test_kernel_built_polynomials_equal_validated_copies(r, d, alpha, w):
 def _assert_table_reduced(table, r):
     """An exact Phi table: padded keys, non-zero integer numerators, and a positive
     denominator that shares no factor with all of them, the lcm of the reduced terms'."""
-    den, terms = table
-    assert type(den) is int and den > 0 and terms
-    for lam, num in terms:
+    den, lams, nums = table
+    assert type(den) is int and den > 0 and nums and len(lams) == len(nums)
+    for lam, num in zip(lams, nums):
         assert len(lam) == r and type(num) is int and num != 0
-    assert math.gcd(den, *(num for _, num in terms)) == 1
-    assert den == math.lcm(*(Fraction(num, den).denominator for _, num in terms))
+    assert math.gcd(den, *nums) == 1
+    assert den == math.lcm(*(Fraction(num, den).denominator for num in nums))
 
 
 @pytest.mark.parametrize("r,d,alpha,w", CASES)
@@ -179,6 +179,51 @@ def test_warm_lookups_hash_no_fraction(monkeypatch):
     assert len(calls) == 1
 
 
+def test_second_d_reads_the_cached_skeleton():
+    m, r = (3, 2, 1), 3
+    sympoly._jack_terms(m, 1063, 997, r)
+    before = sympoly._jack_skeleton.cache_info()
+    sympoly.spherical_poly(m, Fraction(1069, 997), r)
+    after = sympoly._jack_skeleton.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+    # and the exact m-table of a second d reads the cached row order
+    p = ParamSet(r=r, d=Fraction(1087, 997), alpha=5, nu=0)
+    mcj.mcj_build(m, p)
+    before = mcj._row_order.cache_info()
+    mcj.mcj_build(m, p.with_(d=Fraction(1091, 997)))
+    after = mcj._row_order.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+
+
+def _ints_and_tuples(value) -> bool:
+    if type(value) is tuple:
+        return all(_ints_and_tuples(v) for v in value)
+    return type(value) is int
+
+
+def test_internal_exact_tables_hold_only_ints_and_tuples():
+    r, d = 3, Fraction(1093, 997)
+    p = ParamSet(r=r, d=d, alpha=Fraction(11, 2), nu=0)
+    for m in enumerate_partitions(5, r):
+        mcj.mcj_build(m, p)
+        m_table = mcj._m_table(m, d.numerator, d.denominator, r, Fraction)
+        phis = {s: mcj._phi_table(m, d.numerator, d.denominator, r, s, Fraction) for s in (False, True)}
+        tables = [
+            sympoly._jack_skeleton(m, r),
+            sympoly._jack_terms(m, d.numerator, d.denominator, r),
+            mcj._row_order(m),
+            m_table,
+            mcj._k_table(m, p, Fraction),
+            *phis.values(),
+        ]
+        assert all(_ints_and_tuples(t) for t in tables)
+        # the complex tables share the exact ones' keys
+        cplx = mcj._m_table(m, d.numerator, d.denominator, r, complex)
+        assert cplx[2] is m_table[4] and all(type(b) is complex for b in cplx[3])
+        for s, exact in phis.items():
+            assert mcj._phi_table(m, d.numerator, d.denominator, r, s, complex)[1] is exact[1]
+
+
 def _hex(z):
     return float.hex(z.real), float.hex(z.imag)
 
@@ -192,15 +237,19 @@ def test_exact_to_complex_is_complex_of_fraction():
         parts = enumerate_partitions(8, 3)
         values = []
         for m in parts:
-            dim, nr_poch, row = mcj._m_table(m, d.numerator, d.denominator, 3, Fraction)
-            values += [dim, nr_poch] + [b for _, b in row]
+            dim_n, dim_d, poch_n, poch_d, ks, b_nums, b_dens = mcj._m_table(
+                m, d.numerator, d.denominator, 3, Fraction
+            )
+            dim, nr_poch = Fraction(dim_n, dim_d), Fraction(poch_n, poch_d)
+            row = [Fraction(b, e) for b, e in zip(b_nums, b_dens)]
+            values += [dim, nr_poch] + row
             values += list(sympoly.spherical_poly(m, d, 3).terms.values())
-            den, terms = mcj._phi_table(m, d.numerator, d.denominator, 3, True, Fraction)
-            values += [Fraction(num, den) for _, num in terms]
+            den, _, nums = mcj._phi_table(m, d.numerator, d.denominator, 3, True, Fraction)
+            values += [Fraction(num, den) for num in nums]
             values += list(mcj.mcj_build(m, p).body_exact.terms.values())
-            cdim, cpoch, crow = mcj._m_table(m, d.numerator, d.denominator, 3, complex)
+            cdim, cpoch, cks, crow = mcj._m_table(m, d.numerator, d.denominator, 3, complex)
             assert _hex(cdim) == _hex(complex(dim)) and _hex(cpoch) == _hex(complex(nr_poch))
-            assert [_hex(b) for _, b in crow] == [_hex(complex(b)) for _, b in row]
+            assert cks is ks and [_hex(b) for b in crow] == [_hex(complex(b)) for b in row]
         assert len(values) > 2000
         for c in values:
             assert type(convert(c)) is complex and _hex(convert(c)) == _hex(complex(c))
@@ -226,9 +275,9 @@ def test_complex_phi_table_is_complex_of_fraction(monkeypatch):
                     phi = oracle._phi_one_minus(m, d, 3)
                 else:
                     phi = sympoly.spherical_poly(m, d, 3).terms
-                one, terms = mcj._phi_table(m, d.numerator, d.denominator, 3, shifted, complex)
+                one, lams, terms = mcj._phi_table(m, d.numerator, d.denominator, 3, shifted, complex)
                 assert one == 1
-                assert [(lam, _hex(c)) for lam, c in terms] == [
+                assert [(lam, _hex(c)) for lam, c in zip(lams, terms)] == [
                     (lam, _hex(complex(c))) for lam, c in phi.items()
                 ]
     # values no spherical polynomial reaches, from a stand-in table at an unused d
@@ -239,11 +288,11 @@ def test_complex_phi_table_is_complex_of_fraction(monkeypatch):
     }
     monkeypatch.setattr(mcj, "_spherical_cached", lambda k, n, q, r: SymPoly(r, stand_in[k]))
     try:
-        one, terms = mcj._phi_table((2, 0), 1051, 997, 2, False, complex)
-        assert [(lam, _hex(c)) for lam, c in terms] == [
+        one, lams, terms = mcj._phi_table((2, 0), 1051, 997, 2, False, complex)
+        assert [(lam, _hex(c)) for lam, c in zip(lams, terms)] == [
             (lam, _hex(complex(c))) for lam, c in stand_in[(2, 0)].items()
         ]
-        assert terms[1][1] == 0
+        assert terms[1] == 0
         with pytest.raises(OverflowError) as new:
             mcj._phi_table((1, 0), 1051, 997, 2, False, complex)
         with pytest.raises(OverflowError) as old:

@@ -62,18 +62,26 @@ def test_eigenvalue_parts_match_oracle(case):
         assert alpha / 2 * a + b == oracle._lb_eigenvalue(lam, alpha, p.r)
 
 
+def _jack_fractions(m, d_num, d_den, r):
+    """``sympoly._jack_terms`` as the oracle's ((lambda, Fraction), ...)."""
+    lams, nums, dens = sympoly._jack_terms(m, d_num, d_den, r)
+    return tuple(zip(lams, map(Fraction, nums, dens)))
+
+
 @PROPERTY_SETTINGS
 @given(rank_d_partition())
 def test_jack_rows_and_phi_one_plus_match_oracle(case):
     p, m = case
     d, r = p.d, p.r
     key = (d.numerator, d.denominator)
-    assert sympoly._jack_terms(m, *key, r) == oracle._jack_terms(m, 2 / d, r)
+    assert _jack_fractions(m, *key, r) == oracle._jack_terms(m, 2 / d, r)
     new_row, old_row = coeffs._binom_row(m, *key, r), oracle._binom_row(m, d, r)
     assert list(new_row.items()) == list(old_row.items())
     # Phi_m(1 + x) is Phi_m(1 - x) with its odd-weight terms negated
-    den, terms = mcj._phi_table(m, *key, r, True, Fraction)
-    new_phi = [(lam, Fraction(-num if weight(lam) % 2 else num, den)) for lam, num in terms]
+    den, lams, nums = mcj._phi_table(m, *key, r, True, Fraction)
+    new_phi = [
+        (lam, Fraction(-num if weight(lam) % 2 else num, den)) for lam, num in zip(lams, nums)
+    ]
     assert new_phi == list(oracle._phi_one_plus(m, d, r).terms.items())
 
 
@@ -86,7 +94,7 @@ def _oracle_table(k, d, r, shifted):
     terms' numerators over their lcm, in the oracle's key order."""
     phi = oracle._phi_one_minus(k, d, r) if shifted else oracle.spherical_poly(k, d, r).terms
     den = math.lcm(*(c.denominator for c in phi.values()))
-    return den, tuple((lam, c.numerator * (den // c.denominator)) for lam, c in phi.items())
+    return den, tuple(phi), tuple(c.numerator * (den // c.denominator) for c in phi.values())
 
 
 @st.composite
@@ -109,12 +117,26 @@ def test_phi_tables_match_oracle(case):
     for shifted in (True, False):
         table = _oracle_table(k, d, r, shifted)
         assert mcj._phi_table(k, d.numerator, d.denominator, r, shifted, Fraction) == table
-        one, terms = mcj._phi_table(k, d.numerator, d.denominator, r, shifted, complex)
-        den, nums = table
-        expected = [(lam, complex(Fraction(num, den))) for lam, num in nums]
-        assert one == 1 and [(lam, _hex(c)) for lam, c in terms] == [
+        one, lams, terms = mcj._phi_table(k, d.numerator, d.denominator, r, shifted, complex)
+        den, keys, nums = table
+        expected = [(lam, complex(Fraction(num, den))) for lam, num in zip(keys, nums)]
+        assert one == 1 and [(lam, _hex(c)) for lam, c in zip(lams, terms)] == [
             (lam, _hex(c)) for lam, c in expected
         ]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(long_or_short_d_partition())
+def test_jack_terms_from_skeleton_match_oracle(case):
+    # a fresh d runs only the integer arithmetic over the d-free skeleton, which
+    # rebuilds to the same terms once its cache is cleared
+    d, r, m = case
+    expected = oracle._jack_terms(m, 2 / d, r)
+    for _ in range(2):
+        lams, nums, dens = sympoly._jack_terms.__wrapped__(m, d.numerator, d.denominator, r)
+        assert all(type(e) is int and e > 0 and math.gcd(n, e) == 1 for n, e in zip(nums, dens))
+        assert tuple(zip(lams, map(Fraction, nums, dens))) == expected
+        sympoly._jack_skeleton.cache_clear()
 
 
 @PROPERTY_SETTINGS

@@ -433,8 +433,13 @@ def test_cauchy_fallback_refused_unless_its_shell_is_small():
     w, z = [0.6, 0.6], [0.6, 0.3]
     assert cauchy_kernel_det(w, z, 3) == cauchy_kernel_series(w, z, 3, 2, 30)
     for w, z in (([0.7, 0.7], [0.7, 0.35]), ([0.95, 0.95], [0.95, 0.5])):
-        with pytest.raises(VandermondeZeroError, match="weight-30 shell"):
+        with pytest.raises(VandermondeZeroError, match="coincident w entries .* weight-30 shell"):
             cauchy_kernel_det(w, z, 3)
+    # the refusals name the coincident vectors as the caller does
+    with pytest.raises(VandermondeZeroError, match=r"coincident a \(--a\) and b \(--b\) entries"):
+        cauchy_kernel_det([0.7, 0.7], [0.7, 0.7], 3, ("a (--a)", "b (--b)"))
+    with pytest.raises(ParameterError, match=r"coincident b \(--b\) entries need it"):
+        cauchy_kernel_det([0.1, 0.2, 0.3], [0.4, 0.4, 0.1], 3, ("a (--a)", "b (--b)"))
 
 
 # ---------------------------------------------------------------- Cauchy kernel
