@@ -30,7 +30,6 @@ from .errors import (
 from .mcj import (
     LaguerrePolynomial,
     MCJPolynomial,
-    PsiFunction,
     cauchy_kernel_det,
     cauchy_kernel_series,
     cj1_eval,
@@ -82,7 +81,6 @@ __all__ = [
     "CSymPoly",
     "MCJPolynomial",
     "LaguerrePolynomial",
-    "PsiFunction",
     "OrthReport",
     "QuadratureRule",
     "enumerate_partitions",

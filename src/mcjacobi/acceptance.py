@@ -186,19 +186,10 @@ def criterion_5(quick=False) -> CriterionResult:
     for r in ranks:
         p = ParamSet(r=r, d=2, alpha=3.5, nu=0.4)
         rng = _rng(100 + r)
-        torus = _distinct_angles(rng, r, trials)
-        reals = [np.tan((th - math.pi) / 2) for th in _distinct_angles(rng, r, trials)]
+        torus = [[cmath.exp(1j * x) for x in th] for th in _distinct_angles(rng, r, trials)]
+        reals = [list(np.tan((th - math.pi) / 2)) for th in _distinct_angles(rng, r, trials)]
         for m in enumerate_partitions(max_w, r):
-            poly = mcj.mcj_build(m, p)
-            for th in torus:
-                sigma = [cmath.exp(1j * x) for x in th]
-                v_det = mcj.det_eval_phi(m, p, sigma)
-                v_dir = poly.evaluate(sigma)
-                worst = max(worst, abs(v_det - v_dir) / (1 + abs(v_dir)))
-            for tt in reals:
-                v_det = mcj.det_eval_psi(m, p, list(tt))
-                v_dir = mcj.psi_eval(m, p, list(tt))
-                worst = max(worst, abs(v_det - v_dir) / (1 + abs(v_dir)))
+            worst = max(worst, mcj.worst_det_residual(m, p, torus, reals))
     ok = worst <= 1e-9
     return _result(
         5, "determinant formulas", t0, ok, f"rel residual={worst:.2e} (tol 1e-9)"

@@ -310,8 +310,7 @@ def expected_norm(m: Sequence[int], params: ParamSet) -> float:
     mm = pad(m, params.r)
     alpha = float(params.alpha)
     lg_num = gamma_omega_log([alpha + mj for mj in mm], params)
-    beta = 0.5 * (alpha + float(params.n_over_r)) + 1j * float(params.nu)
-    lg_den = gamma_omega_log(beta, params)
+    lg_den = gamma_omega_log(params.beta, params)
     nr_poch = float(gen_pochhammer(params.n_over_r, mm, params))
     return (
         float(dim_dm(mm, params))
@@ -329,8 +328,20 @@ def delta_factorial(r: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# spherical Taylor expansions (truncation residuals)
+# truncated spherical sums and the spherical Taylor expansions
 # ---------------------------------------------------------------------------
+
+
+def _phi_sum(c, params: ParamSet, z: Sequence[complex], N: int) -> complex:
+    """The truncated sum sum_{|m| <= N} c(m) Phi_m(z), added term by term in
+    ``enumerate_partitions`` order; a partition whose c(m) is None is skipped,
+    and its Phi_m not evaluated."""
+    total = 0j
+    for m in enumerate_partitions(N, params.r):
+        coef = c(m)
+        if coef is not None:
+            total += coef * spherical_poly(m, params.d, params.r).evaluate(z)
+    return total
 
 
 def spherical_taylor_residual(
@@ -357,28 +368,24 @@ def spherical_taylor_residual(
     if len(wv) != r:
         raise ParameterError("point length must equal rank")
 
-    def phi_at(x, point):
-        return spherical_poly(x, params.d, r).evaluate(point)
-
-    rhs = 0j
-    for x in enumerate_partitions(N, r):
+    def coef(x):  # None where gamma_k(x - rho) = 0, so Phi_x is not evaluated
         gk = gamma_k_partition(kk, x, params)
         if gk == 0:
-            continue
-        coef = complex(dim_dm(x, params) * gk) / complex(
-            gen_pochhammer(params.n_over_r, x, params)
-        )
+            return None
+        c = complex(dim_dm(x, params) * gk) / complex(gen_pochhammer(params.n_over_r, x, params))
         if alpha is not None:
-            coef *= _poch_complex(alpha, x, params)
-        rhs += coef * phi_at(x, wv)
+            c *= _poch_complex(alpha, x, params)
+        return c
 
+    rhs = _phi_sum(coef, params, wv, N)
+    phi_k = spherical_poly(kk, params.d, r)
     if alpha is not None:
         pref = _poch_complex(alpha, kk, params)
         for wj in wv:
             pref *= (1 - wj) ** (-alpha)
-        lhs = pref * phi_at(kk, [wj / (1 - wj) for wj in wv])
+        lhs = pref * phi_k.evaluate([wj / (1 - wj) for wj in wv])
     else:
-        lhs = cmath.exp(sum(wv)) * phi_at(kk, wv)
+        lhs = cmath.exp(sum(wv)) * phi_k.evaluate(wv)
     return abs(lhs - rhs)
 
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import combinations
-from math import comb, factorial, gcd, isqrt, lcm
+from math import comb, factorial, gcd, isfinite, isqrt, lcm
 from operator import le, mul
 from typing import Optional, Sequence
 
@@ -193,8 +193,7 @@ def _k_table(k: tuple, params: ParamSet, scalar: type) -> tuple:
             *_lowest(*coeffs._poch_ratio([alpha] * params.r, k, params)),
         )
     alpha = complex(float(params.alpha))
-    beta_arg = 0.5 * (alpha + float(params.n_over_r)) + 1j * float(params.nu)
-    return sign, gen_pochhammer(beta_arg, k, params), gen_pochhammer(alpha, k, params)
+    return sign, gen_pochhammer(params.beta, k, params), gen_pochhammer(alpha, k, params)
 
 
 @lru_cache(maxsize=4096)
@@ -474,6 +473,16 @@ def psi_tilde_eval(m: Sequence[int], params: ParamSet, w: Sequence[complex]) -> 
     return _psi_body(pad(m, params.r), params).evaluate(w)
 
 
+def _power(base: complex, expo: complex, factor: str) -> complex:
+    """base ** expo; a power past the double range is refused, naming ``factor``."""
+    try:
+        return base ** expo
+    except OverflowError:
+        raise ParameterError(
+            f"the factor {factor} is past the double range; use a smaller |nu| or alpha"
+        ) from None
+
+
 def psi_eval(m: Sequence[int], params: ParamSet, t: Sequence[float]) -> complex:
     """Psi_m(t) = prod_j (1 - i t_j)^{-beta} * psi_tilde(2/(1 - i t)).
 
@@ -481,12 +490,11 @@ def psi_eval(m: Sequence[int], params: ParamSet, t: Sequence[float]) -> complex:
     """
     if len(t) != params.r:
         raise ParameterError("t must have length r")
-    beta = 0.5 * (float(params.alpha) + float(params.n_over_r)) + 1j * float(params.nu)
     pref = 1.0 + 0j
     w = []
     for tj in t:
         base = 1 - 1j * tj
-        pref *= base ** (-beta)
+        pref *= _power(base, -params.beta, "(1 - i t)^(-beta) of Psi")
         w.append(2.0 / base)
     return pref * psi_tilde_eval(m, params, w)
 
@@ -494,34 +502,6 @@ def psi_eval(m: Sequence[int], params: ParamSet, t: Sequence[float]) -> complex:
 def psi1_eval(m: int, alpha: float, nu: float, t: float) -> complex:
     """One-variable Psi value (rank-1 case of psi_eval)."""
     return psi_eval((m,), _param_set(1, 2, 1, alpha, nu), [t])
-
-
-@dataclass(frozen=True)
-class PsiFunction:
-    """Rank-1 Psi as a finite span of powers (1 - i t)^{-(beta + k)}: ``coeffs[k] / den``
-    multiplies (1 - i t)^{-(beta + k)} and beta is ``beta / q``, with exact Gaussian-integer
-    numerators (re, im) so that operator identities can be checked symbolically."""
-
-    m: int
-    alpha: float
-    nu: float
-    q: int
-    beta: tuple  # (re, im) over q
-    den: int
-    coeffs: dict  # k -> (re, im) over den
-
-    @staticmethod
-    def build(m: int, alpha: float, nu: float) -> "PsiFunction":
-        q, A, b_re, N = _lift(alpha, nu)
-        den, terms = _rank1_coeffs(m, q, A, (b_re, N), 2)
-        return PsiFunction(m, alpha, nu, q, (b_re, N), den, dict(enumerate(terms)))
-
-    def eval(self, t: float) -> complex:
-        b = complex(self.beta[0] / self.q, self.beta[1] / self.q)
-        total = 0j
-        for k, (x, y) in sorted(self.coeffs.items()):
-            total += complex(x / self.den, y / self.den) * (1 - 1j * t) ** (-(b + k))
-        return total
 
 
 # ---------------------------------------------------------------------------
@@ -783,18 +763,33 @@ def det_eval_psi(m: Sequence[int], params: ParamSet, t: Sequence[float]) -> comp
     return _family_det(m, params, psi1_eval, t, "t", True)
 
 
+def worst_det_residual(m: Sequence[int], params: ParamSet, sigmas, ts) -> float:
+    """The largest |det - direct| / (1 + |direct|): ``det_eval_phi`` against the member
+    m, built once, at each point of ``sigmas``, then ``det_eval_psi`` against
+    ``psi_eval`` at each point of ``ts``.  A non-finite residual, which max() would
+    drop, is refused, naming m and the point."""
+    poly = mcj_build(m, params)
+    worst = 0.0
+    for name, points, det, direct in (
+        ("sigma", sigmas, det_eval_phi, poly.evaluate),
+        ("t", ts, det_eval_psi, lambda t: psi_eval(m, params, t)),
+    ):
+        for x in points:
+            v_det, v_dir = det(m, params, x), direct(x)
+            res = abs(v_det - v_dir) / (1 + abs(v_dir))
+            if not isfinite(res):
+                raise ParameterError(
+                    f"the determinant check at m = ({format_partition(m)}) and {name} = "
+                    f"({', '.join(f'{v:.6g}' for v in x)}) is not finite (det {v_det:.6g}, "
+                    f"direct {v_dir:.6g}); use a smaller alpha, |nu| or weight"
+                )
+            worst = max(worst, res)
+    return worst
+
+
 # ---------------------------------------------------------------------------
 # Cauchy kernel
 # ---------------------------------------------------------------------------
-
-
-def _phi_sum(c, params: ParamSet, z: Sequence[complex], N: int) -> complex:
-    """The truncated sum sum_{|m| <= N} c(m) Phi_m(z), added term by term in
-    ``enumerate_partitions`` order."""
-    total = 0j
-    for m in enumerate_partitions(N, params.r):
-        total += c(m) * spherical_poly(m, params.d, params.r).evaluate(z)
-    return total
 
 
 def cauchy_kernel_series(
@@ -809,7 +804,7 @@ def cauchy_kernel_series(
         )
         return c * spherical_poly(m, p.d, p.r).evaluate(w)
 
-    return _phi_sum(coef, p, z, N)
+    return coeffs._phi_sum(coef, p, z, N)
 
 
 def cauchy_kernel_det(
@@ -881,10 +876,9 @@ def _check_float_range(params: ParamSet, N: int, what: str, knob: str, beta: boo
     Pochhammer symbols (n/r)_m, (alpha)_m and, when ``beta``, (beta)_m are
     largest at the partitions of weight N.  The message says to use a
     smaller ``knob``."""
-    alpha, n_over_r = float(params.alpha), float(params.n_over_r)
-    symbols = {"n/r": n_over_r, "alpha": alpha}
+    symbols = {"n/r": float(params.n_over_r), "alpha": float(params.alpha)}
     if beta:
-        symbols["beta"] = 0.5 * (alpha + n_over_r) + 1j * float(params.nu)
+        symbols["beta"] = params.beta
     top = [m for m in enumerate_partitions(N, params.r) if weight(m) == N]
     for name, a in symbols.items():
         for m in top:
@@ -926,10 +920,8 @@ def _genfun_residual(params: ParamSet, z, N: int, member, closed, has_beta=True)
     inside ``_check_genfun_domain`` (``has_beta``: the member has a beta numerator)."""
     _check_genfun_domain(params, z, N, has_beta)
     z = [complex(x) for x in z]
-    alpha = float(params.alpha)
-    beta = 0.5 * (alpha + float(params.n_over_r)) + 1j * float(params.nu)
-    lhs = _phi_sum(member, params, z, N)
-    return abs(lhs - closed(z, alpha, beta))
+    lhs = coeffs._phi_sum(member, params, z, N)
+    return abs(lhs - closed(z, float(params.alpha), params.beta))
 
 
 def genfun_residual_phi(
@@ -946,13 +938,14 @@ def genfun_residual_phi(
     def closed(z, alpha, beta):
         s = [complex(x) for x in sigma]
         if params.r == 1:
-            return (1 - z[0]) ** (beta - alpha) * (1 - s[0] * z[0]) ** (-beta)
+            lead = _power(1 - z[0], beta - alpha, "(1 - z)^(beta - alpha) of the closed form")
+            return lead * _power(1 - s[0] * z[0], -beta, "(1 - sigma z)^(-beta) of the closed form")
         rhs = cauchy_kernel_det(
             [1 - x for x in s], [-x / (1 - x) for x in z], beta,
             ("1 - sigma (--theta)", "-z/(1 - z) (--z)"),
         )
         for x in z:
-            rhs *= (1 - x) ** (-alpha)
+            rhs *= _power(1 - x, -alpha, "(1 - z)^(-alpha) of the closed form")
         return rhs
 
     return _genfun_residual(params, z, N, lambda m: mcj_build(m, params).evaluate(sigma), closed)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Union
 
 Rational = Union[int, Fraction]
@@ -34,7 +35,8 @@ class ParamSet:
 
     Derived data: the ambient dimension n = r + (d/2) r (r-1), n/r and d's
     numerator and denominator in lowest terms (attributes ``n_over_r``, ``d_num``
-    and ``d_den``, computed at construction), the half-sum vector
+    and ``d_den``, computed at construction), beta = (alpha + n/r)/2 + i nu in
+    complex doubles (computed once, on first use), the half-sum vector
     rho_j = (d/4)(2j - r - 1) and the staircase delta = (r-1, ..., 1, 0).
     Exact rational arithmetic is used for everything derived from (r, d).
     """
@@ -69,6 +71,12 @@ class ParamSet:
         object.__setattr__(self, "d_den", self.d.denominator)
         object.__setattr__(self, "_hash", hash(self._key()))
         object.__setattr__(self, "n_over_r", 1 + (self.d / 2) * (self.r - 1))
+
+    @cached_property
+    def beta(self) -> complex:
+        """(alpha + n/r)/2 + i nu in complex doubles: the one float beta of the
+        families, the generating functions' closed forms and the norms."""
+        return 0.5 * (float(self.alpha) + float(self.n_over_r)) + 1j * float(self.nu)
 
     @property
     def n(self) -> Fraction:

@@ -10,17 +10,25 @@ command-line inputs (``--theta``, ``--z``, ``--t``).
 
 The family members, the rank-1 series and the domain check are the
 package's; each of those has its own oracle.
+
+Also frozen here, as they stood before each was written through one shared
+routine: the two determinant checks, ``verify-det``'s loop and acceptance
+criterion 5's, each comparing the package's determinant formulas with its
+direct definitions by hand (now ``mcj.worst_det_residual``), and the
+spherical Taylor residual, which summed its right-hand side by hand (now
+through ``coeffs._phi_sum``).
 """
 
 from __future__ import annotations
 
 import cmath
+import math
 from fractions import Fraction
 
 import numpy as np
 
-from mcjacobi import coeffs
-from mcjacobi.coeffs import delta_factorial, dim_dm, gen_pochhammer
+from mcjacobi import acceptance, coeffs, mcj
+from mcjacobi.coeffs import delta_factorial, dim_dm, gamma_k_partition, gen_pochhammer
 from mcjacobi.errors import ParameterError, VandermondeZeroError
 from mcjacobi.mcj import (
     _check_genfun_domain, _require_d2, cj1_eval, laguerre_build, mcj_build, psi1_eval, psi_eval,
@@ -243,4 +251,82 @@ def laguerre_genfun_residual(params, z, u, N):
     else:
         y = [x / (1 - x) for x in z]
         rhs = pref * hciz_det([-complex(v) for v in u], y)
+    return abs(lhs - rhs)
+
+
+def verify_det_worst(params, max_weight, trials, seed):
+    """``verify-det``'s comparison loop: (worst residual, points checked)."""
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    worst = 0.0
+    checked = 0
+    for m in enumerate_partitions(max_weight, params.r):
+        poly = mcj.mcj_build(m, params)
+        for _ in range(trials):
+            th = np.sort(rng.uniform(0.15, 2 * math.pi - 0.15, size=params.r))
+            if params.r > 1 and np.min(np.diff(th)) < 0.2:
+                continue
+            checked += 1
+            sigma = [cmath.exp(1j * x) for x in th]
+            v1, v2 = mcj.det_eval_phi(m, params, sigma), poly.evaluate(sigma)
+            worst = max(worst, abs(v1 - v2) / (1 + abs(v2)))
+            t = list(np.tan((th - math.pi) / 2))
+            v1, v2 = mcj.det_eval_psi(m, params, t), mcj.psi_eval(m, params, t)
+            worst = max(worst, abs(v1 - v2) / (1 + abs(v2)))
+    return worst, checked
+
+
+def criterion_5_worst(quick=False):
+    """Acceptance criterion 5's comparison loop: the worst residual."""
+    ranks = [2] if quick else [2, 3]
+    trials = 5 if quick else 20
+    max_w = 3 if quick else 4
+    worst = 0.0
+    for r in ranks:
+        p = ParamSet(r=r, d=2, alpha=3.5, nu=0.4)
+        rng = acceptance._rng(100 + r)
+        torus = acceptance._distinct_angles(rng, r, trials)
+        reals = [np.tan((th - math.pi) / 2) for th in acceptance._distinct_angles(rng, r, trials)]
+        for m in enumerate_partitions(max_w, r):
+            poly = mcj.mcj_build(m, p)
+            for th in torus:
+                sigma = [cmath.exp(1j * x) for x in th]
+                v_det = mcj.det_eval_phi(m, p, sigma)
+                v_dir = poly.evaluate(sigma)
+                worst = max(worst, abs(v_det - v_dir) / (1 + abs(v_dir)))
+            for tt in reals:
+                v_det = mcj.det_eval_psi(m, p, list(tt))
+                v_dir = mcj.psi_eval(m, p, list(tt))
+                worst = max(worst, abs(v_det - v_dir) / (1 + abs(v_dir)))
+    return worst
+
+
+def spherical_taylor_residual(k, params, w_point, N, alpha=None):
+    r = params.r
+    kk = pad(k, r)
+    wv = [complex(x) for x in w_point]
+    if len(wv) != r:
+        raise ParameterError("point length must equal rank")
+
+    def phi_at(x, point):
+        return spherical_poly(x, params.d, r).evaluate(point)
+
+    rhs = 0j
+    for x in enumerate_partitions(N, r):
+        gk = gamma_k_partition(kk, x, params)
+        if gk == 0:
+            continue
+        coef = complex(dim_dm(x, params) * gk) / complex(
+            gen_pochhammer(params.n_over_r, x, params)
+        )
+        if alpha is not None:
+            coef *= coeffs._poch_complex(alpha, x, params)
+        rhs += coef * phi_at(x, wv)
+
+    if alpha is not None:
+        pref = coeffs._poch_complex(alpha, kk, params)
+        for wj in wv:
+            pref *= (1 - wj) ** (-alpha)
+        lhs = pref * phi_at(kk, [wj / (1 - wj) for wj in wv])
+    else:
+        lhs = cmath.exp(sum(wv)) * phi_at(kk, wv)
     return abs(lhs - rhs)

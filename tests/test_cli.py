@@ -169,6 +169,45 @@ def test_conjecture_sweep_cli(tmp_path, capsys):
     assert all(rep["diagnostics"]["converged"] for rep in doc["reports"])
 
 
+def test_conjecture_sweep_checking_nothing_exits_2(tmp_path, capsys):
+    # every point is outside alpha > (d/2)(r-1) and skipped: nothing is
+    # checked, so nothing passes or fails, and no report is written
+    out = tmp_path / "sweep.json"
+    assert run(["conjecture-sweep", "--r", "2", "--alpha", "0.5", "--max-weight", "1",
+                "--points", "8", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "checked nothing" in captured.err and captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered in det:RuntimeWarning")
+def test_verify_det_non_finite_residual_exits_2(capsys):
+    # 15 of the 60 residuals are NaN, which max() used to drop: "pass", exit 0
+    assert run(["verify-det", "--r", "2", "--d", "2", "--alpha", "1000000", "--nu", "1000",
+                "--max-weight", "6", "--trials", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("parameter error: the determinant check at m = (0,0) ")
+    assert "is not finite" in captured.err and "pass" not in captured.out
+
+
+@pytest.mark.parametrize("argv, factor", [
+    (["verify-det", "--r", "2", "--d", "2", "--alpha", "3", "--nu", "800", "--max-weight", "3",
+      "--trials", "2"], "(1 - i t)^(-beta) of Psi"),
+    (["verify-genfun", "--r", "1", "--alpha", "1e6", "--N", "5"],
+     "(1 - z)^(beta - alpha) of the closed form"),
+    (["verify-genfun", "--r", "2", "--d", "2", "--alpha", "1e6", "--N", "1", "--z", "0.2,0.1",
+      "--theta", "0.5,1.5", "--t", "0.1,0.4"], "(1 - z)^(-alpha) of the closed form"),
+])
+def test_power_past_double_range_names_its_factor(argv, factor, capsys):
+    # both ended in a bare "error: complex exponentiation"
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err == (
+        f"parameter error: the factor {factor} is past the double range; "
+        f"use a smaller |nu| or alpha\n"
+    )
+
+
 def test_config_file_defaults(tmp_path, capsys):
     cfg = tmp_path / "defaults.cfg"
     cfg.write_text("points = 48\nmax_weight = 2\n")

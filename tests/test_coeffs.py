@@ -10,8 +10,10 @@ import numpy as np
 import pytest
 from scipy.special import gamma as scipy_gamma
 
+import identity_oracle
 import mcjacobi.coeffs as coeffs
 import mcjacobi.mcj as mcj
+from mcjacobi import acceptance
 import mcjacobi.sympoly as sympoly
 from mcjacobi.coeffs import (
     c0_tilde,
@@ -387,3 +389,28 @@ def test_spherical_taylor_residual(alpha):
             w_pt = [complex(rng.uniform(-0.12, 0.12), rng.uniform(-0.05, 0.05)) for _ in range(r)]
             worst = max(worst, spherical_taylor_residual(k, p, w_pt, 14, alpha=alpha))
     assert worst <= 1e-8
+
+
+def test_spherical_taylor_residual_bitwise_equal_frozen_loop(monkeypatch):
+    # the right-hand side is summed by ``_phi_sum`` now, skipping the x with
+    # gamma_k(x - rho) = 0 as the frozen loop did; on criterion 10's cases and
+    # on those of the test above the residuals are the loop's bit for bit
+    cases = []
+    live = coeffs.spherical_taylor_residual
+
+    def spy(*args, **kwargs):
+        cases.append((args, kwargs))
+        return live(*args, **kwargs)
+
+    monkeypatch.setattr(coeffs, "spherical_taylor_residual", spy)
+    assert acceptance.criterion_10().passed
+    monkeypatch.undo()
+    assert len(cases) == 20  # 10 cases, each with and without alpha
+    rng = np.random.Generator(np.random.Philox(key=11))
+    for r, d in [(1, Fraction(2)), (2, Fraction(5, 2))]:
+        for k in enumerate_partitions(2, r):
+            w_pt = [complex(rng.uniform(-0.12, 0.12), rng.uniform(-0.05, 0.05)) for _ in range(r)]
+            cases += [((k, ParamSet(r=r, d=d), w_pt, 14), {"alpha": a}) for a in (2.5, None)]
+    for args, kwargs in cases:
+        frozen = identity_oracle.spherical_taylor_residual(*args, **kwargs)
+        assert live(*args, **kwargs).hex() == frozen.hex(), (args, kwargs)

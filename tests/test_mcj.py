@@ -13,10 +13,11 @@ import identity_oracle
 import qcomplex_oracle as qc
 import mcjacobi.coeffs as coeffs
 import mcjacobi.mcj as mcj
+from mcjacobi import acceptance
+from mcjacobi.cli import _params, build_parser, run
 from mcjacobi.coeffs import dim_dm, gen_pochhammer
 from mcjacobi.errors import ParameterError, VandermondeZeroError
 from mcjacobi.mcj import (
-    PsiFunction,
     cauchy_kernel_det,
     cauchy_kernel_series,
     cj1_eval,
@@ -346,10 +347,37 @@ def test_psi_body_memoized_and_bitwise_equal():
 
 
 def test_psi_function_span_matches_eval():
-    pf = PsiFunction.build(4, 1.8, 0.3)
+    # rank-1 Psi is the span sum_k c_k (1 - i t)^{-(beta + k)} of the exact
+    # coefficients the operator checks read
+    q, A, b_re, N = mcj._lift(1.8, 0.3)
+    den, terms = mcj._rank1_coeffs(4, q, A, (b_re, N), 2)
+    b = complex(b_re / q, N / q)
     p = ParamSet(r=1, d=2, alpha=1.8, nu=0.3)
     for t in (0.3, -0.9, 2.2):
-        assert pf.eval(t) == pytest.approx(psi_eval((4,), p, [t]), rel=1e-12)
+        span = 0j
+        for k, (x, y) in enumerate(terms):
+            span += complex(x / den, y / den) * (1 - 1j * t) ** (-(b + k))
+        assert span == pytest.approx(psi_eval((4,), p, [t]), rel=1e-12)
+
+
+def test_beta_equals_both_float_forms_bitwise():
+    # the complex beta of ``ParamSet`` replaced two spellings: from
+    # complex(float(alpha)) in the family's factor table, from floats elsewhere
+    rng = np.random.Generator(np.random.Philox(key=25))
+    cases = [(1, 2, 3, 0.0), (1, 2, 3, -0.0), (2, Fraction(5, 2), Fraction(7, 2), -0.0),
+             (3, Fraction(1, 3), -2, 0.3), (2, 1, -1.5, -0.0), (1, 2, -1, 0.0)]
+    for _ in range(2000):
+        alpha = [int(rng.integers(-20, 20)), Fraction(int(rng.integers(-99, 99)), 7),
+                 float(rng.uniform(-1e3, 1e3))][int(rng.integers(0, 3))]
+        nu = [0.0, -0.0, float(rng.uniform(-50, 50))][int(rng.integers(0, 3))]
+        d = Fraction(int(rng.integers(1, 40)), int(rng.integers(1, 9)))
+        cases.append((int(rng.integers(1, 7)), d, alpha, nu))
+    for r, d, alpha, nu in cases:
+        p = ParamSet(r=r, d=d, alpha=alpha, nu=nu)
+        table = 0.5 * (complex(float(p.alpha)) + float(p.n_over_r)) + 1j * float(p.nu)
+        floats = 0.5 * (float(p.alpha) + float(p.n_over_r)) + 1j * float(p.nu)
+        for old in (table, floats):
+            assert (p.beta.real.hex(), p.beta.imag.hex()) == (old.real.hex(), old.imag.hex())
 
 
 # ---------------------------------------------------------------- determinants
@@ -634,6 +662,63 @@ def test_identities_bitwise_equal_frozen_assemblies():
     assert counts["refused coincident"] == counts["coincident message"] == 29, counts
 
 
+# ``verify-det`` and criterion 5 each compared the determinant formulas with
+# the direct definitions by hand; both now call ``mcj.worst_det_residual``,
+# whose values must be the frozen loops' bit for bit
+
+
+def _spy_det_driver(monkeypatch) -> list:
+    seen = []
+    live = mcj.worst_det_residual
+
+    def spy(*args):
+        seen.append(live(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(mcj, "worst_det_residual", spy)
+    return seen
+
+
+@pytest.mark.parametrize("argv, code", [
+    ("--r 2 --alpha 3.5 --nu 0.4", 0),
+    ("--r 3 --alpha 5 --nu 0.4 --max-weight 3 --trials 7", 0),
+    ("--r 3 --alpha 100000 --max-weight 8 --trials 2", 1),  # 1.377e-09, over 1e-9
+    ("--r 1 --alpha 2.5 --nu -0.3 --max-weight 5 --trials 4", 0),
+    ("--r 2 --alpha 7/2 --nu 0 --max-weight 3 --trials 5 --seed 3", 0),
+])
+def test_det_driver_equals_verify_det_loop(argv, code, monkeypatch, capsys):
+    seen = _spy_det_driver(monkeypatch)
+    args = build_parser().parse_args(["verify-det", *argv.split()])
+    assert run(["verify-det", *argv.split()]) == code
+    worst, checked = identity_oracle.verify_det_worst(
+        _params(args), args.max_weight, args.trials, args.seed
+    )
+    assert checked > 0 and len(seen) == len(enumerate_partitions(args.max_weight, args.r))
+    assert max(seen).hex() == worst.hex()
+    assert f"rel residual {worst:.3e}" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("quick", [True, False])
+def test_det_driver_equals_criterion_5_loop(quick, monkeypatch):
+    seen = _spy_det_driver(monkeypatch)
+    result = acceptance.criterion_5(quick=quick)
+    worst = identity_oracle.criterion_5_worst(quick)
+    assert result.passed and max(seen).hex() == worst.hex()
+    assert f"rel residual={worst:.2e}" in result.detail
+
+
+def test_det_driver_refuses_non_finite_residual(monkeypatch):
+    p = ParamSet(r=2, d=2, alpha=3.5, nu=0.4)
+    sigmas = [[cmath.exp(0.5j), cmath.exp(2j)]]
+    ts = [[0.25, -1.5]]
+    assert mcj.worst_det_residual((1,), p, sigmas, ts) < 1e-12
+    # max() would drop the NaN and report the finite residuals
+    monkeypatch.setattr(mcj, "det_eval_psi", lambda *args: complex("nan"))
+    with pytest.raises(ParameterError, match=r"m = \(1\) and t = \(0.25, -1.5\) is not finite"):
+        mcj.worst_det_residual((1,), p, sigmas, ts)
+    assert mcj.worst_det_residual((1,), p, sigmas, []) < 1e-12
+
+
 # ---------------------------------------------------------------- operators
 
 
@@ -774,10 +859,9 @@ def test_mp1_eval_bitwise_equals_loop():
 def test_exact_rank1_coefficients_equal_loops(alpha, nu):
     q, A, b_re, N = mcj._lift(alpha, nu)
     for m in range(11):
-        psi = PsiFunction.build(m, alpha, nu)
-        assert list(psi.coeffs) == list(range(m + 1))
+        den, psi = mcj._rank1_coeffs(m, q, A, (b_re, N), 2)
         psi_qc = qc.psi_coeffs(m, alpha, nu).values()
-        assert qc.fraction_pairs(psi.den, psi.coeffs.values()) == qc.pairs(psi_qc)
+        assert qc.fraction_pairs(den, psi) == qc.pairs(psi_qc)
         lag = qc.laguerre1_coeffs(m, Fraction(alpha))
         assert qc.fraction_pairs(*mcj._rank1_coeffs(m, q, A, None, 2)) == [(c, 0) for c in lag]
         ode = mcj._rank1_coeffs(m, q, A, (b_re, N), 1)
@@ -790,8 +874,9 @@ def test_rank1_series_vanishing_denominator():
         cj1_eval(3, -2.0, 0.3, 1j)
     with pytest.raises(ParameterError):
         mp1_eval(2, 0.0, 0.3, 0.4)
+    q, A, b_re, N = mcj._lift(0.0, 0.2)
     with pytest.raises(ParameterError):
-        PsiFunction.build(1, 0.0, 0.2)
+        mcj._rank1_coeffs(1, q, A, (b_re, N), 2)  # the Psi coefficients
     with pytest.raises(ParameterError):
         ode_residual_onevar(3, -2.0, 0.0)
     with pytest.raises(ParameterError):

@@ -14,6 +14,7 @@ import pytest
 import mcjacobi.mcj as mcj
 import qcomplex_oracle as oracle
 from mcjacobi.errors import ParameterError
+from mcjacobi.params import ParamSet
 
 # the criterion-7 grid, and nu = 0.3 at two more alphas
 GRID = [(a, n) for a in (1.3, 2.0, 3.5) for n in (0.0, 0.7, -0.7)] + [(1.8, 0.3), (6.0, 0.3)]
@@ -27,12 +28,9 @@ def test_coefficients_equal_oracle(alpha, nu):
         Fraction(alpha), (Fraction(alpha) + 1) / 2, Fraction(nu)
     )
     for m in range(M_MAX + 1):
-        psi = mcj.PsiFunction.build(m, alpha, nu)
-        assert (Fraction(psi.beta[0], psi.q), Fraction(psi.beta[1], psi.q)) == (
-            (Fraction(alpha) + 1) / 2, Fraction(nu)
-        )
+        den, psi = mcj._rank1_coeffs(m, q, A, (b_re, N), 2)
         psi_qc = oracle.psi_coeffs(m, alpha, nu).values()
-        assert oracle.fraction_pairs(psi.den, psi.coeffs.values()) == oracle.pairs(psi_qc)
+        assert oracle.fraction_pairs(den, psi) == oracle.pairs(psi_qc)
         lag = oracle.laguerre1_coeffs(m, Fraction(alpha))
         assert oracle.fraction_pairs(*mcj._rank1_coeffs(m, q, A, None, 2)) == [(c, 0) for c in lag]
         ode = mcj._rank1_coeffs(m, q, A, (b_re, N), 1)
@@ -82,21 +80,21 @@ def test_mutated_residuals_equal_oracle(alpha, nu, doubled, monkeypatch):
 
 
 def test_psi_eval_equals_oracle_coefficients():
-    # the float values of the span come from the same exact coefficients
-    psi = mcj.PsiFunction.build(6, 1.8, 0.3)
+    # psi_eval at r = 1 is the span of the oracle's exact coefficients
+    p = ParamSet(r=1, d=2, alpha=1.8, nu=0.3)
     coeffs = oracle.psi_coeffs(6, 1.8, 0.3)
     b = complex((Fraction(1.8) + 1) / 2, 0.3)
     for t in (0.3, -0.9, 2.2):
         want = 0j
         for k, c in coeffs.items():
             want += complex(float(c.re), float(c.im)) * (1 - 1j * t) ** (-(b + k))
-        assert psi.eval(t) == want
+        assert abs(mcj.psi_eval((6,), p, [t]) - want) <= 1e-12 * abs(want)
 
 
 def test_parameter_errors_still_raise():
     # (alpha)_k vanishes for some k <= m
     for call in (
-        lambda: mcj.PsiFunction.build(1, 0.0, 0.2),
+        lambda: mcj._rank1_coeffs(1, 10, 0, (5, 2), 2),  # Psi's at alpha = 0, nu = 0.2
         lambda: mcj.ode_residual_onevar(3, -2.0, 0.0),
         lambda: mcj.rank1_operator_residuals(1, 0.0, 0.0),
         lambda: mcj._rank1_coeffs(2, 4, -4, None, 2),
