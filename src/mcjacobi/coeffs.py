@@ -18,8 +18,8 @@ from typing import Optional, Sequence, Union
 
 from .errors import GammaPoleError, InvariantError, ParameterError
 from .params import ParamSet
-from .partitions import enumerate_partitions, pad, weight
-from .sympoly import _int_sum, _spherical_cached, spherical_poly
+from .partitions import conjugate, enumerate_partitions, pad, weight
+from .sympoly import spherical_poly
 
 TWO_PI = 2.0 * math.pi
 
@@ -160,40 +160,29 @@ def c0_tilde(params: ParamSet) -> C0Tilde:
 
 
 def _one_box(m: tuple, d_num: int, d_den: int, r: int) -> list:
-    """The one-box binomials binom(m, m - e_i), as [(m - e_i, value), ...];
-    uncached, since its one caller ``_binom_row`` is cached per (m, d, r).
-
-    Differentiating Phi_m(x + t 1) = sum_k binom(m,k) t^{|m|-|k|} Phi_k(x)
-    once in t gives E Phi_m = sum_i binom(m, m - e_i) Phi_{m - e_i} with
-    E = sum_j d/dx_j.  The coefficient of m_mu in E Phi_m is
-    sum_j (mu_j + 1) c_{sort(mu + e_j)}; it is needed only at the candidates
-    m - e_i, which are peeled from the lex-largest down, since the support of
-    Phi_{m - e_i} is dominated by m - e_i.  Each candidate's sum is taken by
-    ``_int_sum`` and divided once.  At x = 1 the identity reads
-    sum_i binom(m, m - e_i) = |m|, which is checked.
+    """The one-box binomials binom(m, m - e_i), lex-largest m - e_i first, as
+    [(m - e_i, value), ...]; uncached, as ``_binom_row`` is cached per (m, d, r).
+    Lassalle's closed form (C. R. Acad. Sci. Paris 1990): with alpha = 2/d and the box
+    at the end of row i removed, a factor (l + alpha (a + 1)) / (l + alpha a) for
+    each other box of row i and (l + 1 + alpha a) / (l + alpha a) for each box above
+    it, a and l the box's arm and leg in m; times d_num, (base + step) / base with
+    base = d_num l + 2 d_den a.  Checked: sum_i binom(m, m - e_i) = |m|.
     """
-    phi = _spherical_cached(m, d_num, d_den, r).terms
+    cols = conjugate(m)
+    two = 2 * d_den
     peeled: list = []
     for i in range(r - 1, -1, -1):  # the partitions m - e_i, lex-largest first
-        if m[i] == (m[i + 1] if i + 1 < r else 0):
+        mi = m[i]
+        if mi == (m[i + 1] if i + 1 < r else 0):
             continue
-        kappa = m[:i] + (m[i] - 1,) + m[i + 1:]
-        parts = []
-        for j in range(r):
-            up = list(kappa)
-            up[j] += 1
-            c = phi.get(tuple(sorted(up, reverse=True)))
-            if c:
-                parts.append(((kappa[j] + 1) * c.numerator, c.denominator))
-        for prev, b in peeled:
-            c = _spherical_cached(prev, d_num, d_den, r).terms.get(kappa)
-            if c:
-                parts.append((-b.numerator * c.numerator, b.denominator * c.denominator))
-        num, den = _int_sum(parts)
-        lead = _spherical_cached(kappa, d_num, d_den, r).terms[kappa]
-        peeled.append((kappa, Fraction(num * lead.denominator, den * lead.numerator)))
-    num, den = _int_sum([(b.numerator, b.denominator) for _, b in peeled])
-    if num != weight(m) * den:
+        boxes = [(mi - 1 - c, cols[c] - 1 - i, two) for c in range(mi - 1)]  # row i
+        boxes += [(m[p] - mi, cols[mi - 1] - 1 - p, d_num) for p in range(i)]  # above
+        num = den = 1
+        for a, leg, step in boxes:
+            base = d_num * leg + two * a
+            num, den = num * (base + step), den * base
+        peeled.append((m[:i] + (mi - 1,) + m[i + 1:], Fraction(num, den)))
+    if sum(b for _, b in peeled) != weight(m):
         raise InvariantError("one-box binomials do not sum to |m|")
     return peeled
 
@@ -214,8 +203,9 @@ def _binom_row(m: tuple, d_num: int, d_den: int, r: int) -> dict:
 
     One-box recursion (Lassalle 1990; Dumitriu, Edelman & Shuman 2007):
         (|m| - |k|) binom(m,k) = sum_i binom(m, m - e_i) binom(m - e_i, k),
-    with binom(m, m) = 1.  The right-hand side is summed in integer numerators
-    over the lcm of its products' denominators, keys in order of first appearance.
+    with binom(m, m) = 1 and binom(m, m - e_i) in closed form (``_one_box``).
+    The right-hand side is summed in integer numerators over the lcm of its
+    products' denominators, keys in order of first appearance.
     """
     check_row_weight(weight(m))
     steps = [(b, _binom_row(kappa, d_num, d_den, r)) for kappa, b in _one_box(m, d_num, d_den, r)]

@@ -965,12 +965,16 @@ def genfun_residual_psi(
     def closed(z, alpha, beta):
         r = params.r
         if r == 1:
-            return (1 - z[0]) ** (-alpha) * ((1 + z[0]) / (1 - z[0]) - 1j * t[0]) ** (-beta)
+            lead = _power(1 - z[0], -alpha, "(1 - z)^(-alpha) of the closed form")
+            w = (1 + z[0]) / (1 - z[0]) - 1j * t[0]
+            return lead * _power(w, -beta, "((1 + z)/(1 - z) - i t)^(-beta) of the closed form")
         expo = 0.5 * (alpha - r) + 1 + 1j * float(params.nu)
         return _det_formula(
             r,
-            lambda p, q: (1 - z[p]) ** (-(alpha - r + 1))
-            * ((1 + z[p]) / (1 - z[p]) - 1j * t[q]) ** (-expo),
+            lambda p, q: _power(
+                1 - z[p], -(alpha - r + 1), "(1 - z)^(-(alpha - r + 1)) of the closed form"
+            ) * _power((1 + z[p]) / (1 - z[p]) - 1j * t[q], -expo,
+                       "((1 + z)/(1 - z) - i t)^(-((alpha - r)/2 + 1 + i nu)) of the closed form"),
             {"z (--z)": z, "t (--t)": [complex(x) for x in t]},
             lambda c: _div_poch_product(
                 c / (-2j) ** (r * (r - 1) // 2), expo, r, "(alpha - r)/2 + 1 + i nu"
@@ -992,7 +996,7 @@ def laguerre_genfun_residual(
     def closed(z, alpha, beta):
         pref = 1.0 + 0j
         for x in z:
-            pref *= (1 - x) ** (-alpha)
+            pref *= _power(1 - x, -alpha, "(1 - z)^(-alpha) of the closed form")
         if params.r == 1:
             return pref * cmath.exp(-u[0] * z[0] / (1 - z[0]))
         y = [x / (1 - x) for x in z]

@@ -42,6 +42,11 @@ def pad(m: Sequence[int], r: int) -> Partition:
     return tuple(m) + (0,) * (r - len(m))
 
 
+def conjugate(m: Sequence[int]) -> Partition:
+    """The conjugate partition: its part c is the length of column c + 1 of m."""
+    return tuple(sum(1 for p in m if p > c) for c in range(m[0] if m else 0))
+
+
 def trim(m: Sequence[int]) -> Partition:
     """Drop trailing zeros."""
     t = tuple(m)

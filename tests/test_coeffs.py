@@ -29,7 +29,7 @@ from mcjacobi.coeffs import (
 )
 from mcjacobi.errors import GammaPoleError, InvariantError, ParameterError
 from mcjacobi.params import ParamSet
-from mcjacobi.partitions import contains, enumerate_partitions, pad, trim, weight
+from mcjacobi.partitions import conjugate, contains, enumerate_partitions, pad, trim, weight
 from mcjacobi.sympoly import affine_substitute, jack_mono, schur, spherical_poly
 
 P22 = ParamSet(r=2, d=2, alpha=3, nu=0.5)
@@ -271,17 +271,18 @@ def test_exact_caches_bounded_and_rebuild_equal():
     assert all(f.cache_info().currsize <= f.cache_info().maxsize for f in caches)
 
 
-def _double_phi_of_weight(w):
-    # the spherical table that _one_box reads, off by a factor 2 at one weight only
-    real = coeffs._spherical_cached
-    return lambda k, d_num, d_den, r: real(k, d_num, d_den, r).scale(2 if weight(k) == w else 1)
+def _long_first_column(m):
+    # the column lengths that _one_box reads, the first one too long by one
+    cols = conjugate(m)
+    return (cols[0] + 1,) + cols[1:] if cols else cols
 
 
 def test_binom_row_residual_raises(monkeypatch):
-    # a wrong normalization of Phi_m breaks sum_i binom(m, m - e_i) = |m|
-    monkeypatch.setattr(coeffs, "_spherical_cached", _double_phi_of_weight(3))
-    with pytest.raises(InvariantError):
-        coeffs._binom_row.__wrapped__((2, 1, 0), 5, 2, 3)
+    # a wrong leg length breaks sum_i binom(m, m - e_i) = |m|
+    monkeypatch.setattr(coeffs, "conjugate", _long_first_column)
+    for m in [(2, 1, 0), (3, 1, 0), (2, 2, 1)]:
+        with pytest.raises(InvariantError):
+            coeffs._binom_row.__wrapped__(m, 5, 2, 3)
 
 
 def test_binom_row_residual_raises_under_optimize(child_env):
@@ -289,8 +290,11 @@ def test_binom_row_residual_raises_under_optimize(child_env):
     code = (
         "import mcjacobi.coeffs as coeffs\n"
         "from mcjacobi.errors import InvariantError\n"
-        "real = coeffs._spherical_cached\n"
-        "coeffs._spherical_cached = lambda k, n, q, r: real(k, n, q, r).scale(2 if sum(k) == 3 else 1)\n"
+        "real = coeffs.conjugate\n"
+        "def long_first_column(m):\n"
+        "    cols = real(m)\n"
+        "    return (cols[0] + 1,) + cols[1:] if cols else cols\n"
+        "coeffs.conjugate = long_first_column\n"
         "try:\n"
         "    coeffs._binom_row((2, 1, 0), 5, 2, 3)\n"
         "except InvariantError:\n"

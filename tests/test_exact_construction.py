@@ -3,6 +3,7 @@ polynomials equal their validated copies, bodies are pinned, and warm
 lookups hash no Fraction."""
 
 import hashlib
+import inspect
 import math
 from fractions import Fraction
 
@@ -81,6 +82,45 @@ def test_spherical_normalization_matches_oracle(r, d, alpha, w):
         jack = sympoly.jack_mono(m, d, r)
         total = sum(c * len(sympoly._orbit_cached(lam)) for lam, c in jack.terms.items())
         assert jack.eval_at_ones() == total
+
+
+# ranks and digit counts of d past the property tests' strategies: r = 5 and 6
+# at weight <= 5, d with a 20- to 23-digit numerator and denominator
+ONE_BOX_GRID = [
+    (r, d, m)
+    for r in (5, 6)
+    for d in (Fraction(10**20 + 39, 10**20 + 3), Fraction(3 * 10**22 + 1, 7 * 10**21 + 9),
+              Fraction(10**22 - 3, 5 * 10**21 + 7))
+    for m in enumerate_partitions(5, r)
+]
+
+
+def _one_box_mismatches(one_box):
+    """The (r, d, m) of ``ONE_BOX_GRID`` where ``one_box`` differs from the
+    oracle's E-operator peel, in value or in order."""
+    return [
+        (r, d, m) for r, d, m in ONE_BOX_GRID
+        if one_box(m, d.numerator, d.denominator, r) != oracle._one_box(m, d, r)
+    ]
+
+
+def test_one_box_closed_form_matches_oracle():
+    assert _one_box_mismatches(coeffs._one_box) == []
+
+
+def test_one_box_oracle_catches_a_column_factor_without_its_one():
+    # the mutant drops the + 1 of the column factor, and its |m| check, so only the
+    # comparison with the oracle is left to see it
+    source = inspect.getsource(coeffs._one_box)
+    for old, new in (("d_num) for p in range(i)]", "0) for p in range(i)]"),
+                     ('raise InvariantError("one-box', 'str("one-box')):
+        assert source.count(old) == 1
+        source = source.replace(old, new)
+    scope = dict(vars(coeffs))
+    exec(source, scope)
+    mismatches = _one_box_mismatches(scope["_one_box"])
+    # every m with a removable box below the first row
+    assert len(mismatches) == sum(1 for r, d, m in ONE_BOX_GRID if m[1] > 0)
 
 
 def test_to_complex_drops_a_coefficient_that_rounds_to_zero():

@@ -538,6 +538,25 @@ def test_vanishing_det_prefactor_refused(call, symbol):
         call()
 
 
+@pytest.mark.parametrize(
+    "call, factor",
+    [
+        (lambda: genfun_residual_psi(ParamSet(r=1, d=2, alpha=10**6), [0.2], [0.0], 5),
+         "(1 - z)^(-alpha)"),
+        (lambda: genfun_residual_psi(ParamSet(r=2, d=2, alpha=10**6), [0.2, 0.1], [0.0, 0.5], 2),
+         "(1 - z)^(-(alpha - r + 1))"),
+        (lambda: laguerre_genfun_residual(ParamSet(r=1, d=2, alpha=10**6), [0.2], [0.8], 5),
+         "(1 - z)^(-alpha)"),
+    ],
+)
+def test_closed_form_power_past_double_range_names_its_factor(call, factor):
+    # each ended in a bare "OverflowError: complex exponentiation"
+    with pytest.raises(ParameterError, match=re.escape(
+        f"the factor {factor} of the closed form is past the double range"
+    )):
+        call()
+
+
 # ---------------------------------------------------------------- frozen assemblies
 #
 # ``identity_oracle`` holds the determinant formulas, kernels and generating-
