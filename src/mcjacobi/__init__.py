@@ -15,7 +15,6 @@ from .coeffs import (
     gen_binom,
     gen_pochhammer,
     jack_at_ones,
-    jack_norm_torus,
     spherical_taylor_residual,
 )
 from .errors import (
@@ -23,9 +22,7 @@ from .errors import (
     GammaPoleError,
     McjError,
     ParameterError,
-    SingularPointError,
     VandermondeZeroError,
-    WeightMismatchError,
 )
 from .mcj import (
     LaguerrePolynomial,
@@ -51,14 +48,11 @@ from .orthog import (
     QuadratureRule,
     build_rule,
     conjecture_sweep,
-    inner_product,
     verify_orthogonality,
-    weight_eval,
 )
 from .params import ParamSet
 from .partitions import (
     contains,
-    dominance_leq,
     enumerate_partitions,
     format_partition,
     parse_partition,
@@ -85,7 +79,6 @@ __all__ = [
     "QuadratureRule",
     "enumerate_partitions",
     "contains",
-    "dominance_leq",
     "parse_partition",
     "format_partition",
     "msym_mul",
@@ -100,7 +93,6 @@ __all__ = [
     "gen_binom",
     "gamma_k_partition",
     "jack_at_ones",
-    "jack_norm_torus",
     "expected_norm",
     "spherical_taylor_residual",
     "mcj_build",
@@ -118,16 +110,12 @@ __all__ = [
     "rank1_operator_residuals",
     "euler_residual",
     "mp1_eval",
-    "weight_eval",
     "build_rule",
-    "inner_product",
     "verify_orthogonality",
     "conjecture_sweep",
     "McjError",
     "ArityMismatchError",
-    "WeightMismatchError",
     "ParameterError",
     "GammaPoleError",
     "VandermondeZeroError",
-    "SingularPointError",
 ]

@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from .errors import GammaPoleError, InvariantError, ParameterError
 from .params import ParamSet
@@ -48,6 +47,16 @@ def _broadcast(s, r: int) -> list:
             raise ParameterError(f"argument vector has length {len(s)}, expected {r}")
         return list(s)
     return [s] * r
+
+
+def _power(base: complex, expo: complex, factor: str) -> complex:
+    """base ** expo; a power past the double range is refused, naming ``factor``."""
+    try:
+        return base ** expo
+    except OverflowError:
+        raise ParameterError(
+            f"the factor {factor} is past the double range; use a smaller |nu| or alpha"
+        ) from None
 
 
 def _poch_ratio(sv: list, mm: tuple, params: ParamSet) -> tuple:
@@ -120,38 +129,24 @@ def dim_dm(m: Sequence[int], params: ParamSet) -> Fraction:
     return Fraction(*_dim_ratio(pad(m, params.r), params))
 
 
-@dataclass(frozen=True)
-class C0Tilde:
-    """Normalization constant in factored form: factor * (2 pi)^power.
-
-    The factor is an exact rational whenever the Gamma ratios reduce
-    (d even, or r = 1); otherwise it is a float Gamma product.
-    """
-
-    factor: Union[Fraction, float]
-    two_pi_power: Fraction
-    exact: bool
-
-    def value(self) -> float:
-        return float(self.factor) * TWO_PI ** float(self.two_pi_power)
-
-
-def c0_tilde(params: ParamSet) -> C0Tilde:
-    """(2 pi)^{(n-r)/2} prod_j Gamma(d/2 + 1) / Gamma((d/2) j + 1)."""
+def c0_tilde(params: ParamSet) -> float:
+    """(2 pi)^{(n-r)/2} prod_j Gamma(d/2 + 1) / Gamma((d/2) j + 1) as a double;
+    the Gamma ratio is an exact rational when it reduces (d even, or r = 1),
+    a float Gamma product otherwise."""
     power = (params.n - params.r) / 2
     d2 = params.d / 2
-    exact = params.r == 1 or d2.denominator == 1
-    if exact:
+    if params.r == 1 or d2.denominator == 1:
         factor = Fraction(1)
         for j in range(1, params.r + 1):
             # Gamma(d/2+1)/Gamma((d/2)j+1) = 1 / (d/2+1)_{(d/2)(j-1)}
             shift = d2 * (j - 1)
             factor /= rising(d2 + 1, int(shift))
-        return C0Tilde(factor, power, True)
-    acc = 0.0
-    for j in range(1, params.r + 1):
-        acc += math.lgamma(float(d2) + 1) - math.lgamma(float(d2) * j + 1)
-    return C0Tilde(math.exp(acc), power, False)
+    else:
+        acc = 0.0
+        for j in range(1, params.r + 1):
+            acc += math.lgamma(float(d2) + 1) - math.lgamma(float(d2) * j + 1)
+        factor = math.exp(acc)
+    return float(factor) * TWO_PI ** float(power)
 
 
 # ---------------------------------------------------------------------------
@@ -270,21 +265,6 @@ def jack_at_ones(m: Sequence[int], params: ParamSet) -> Fraction:
     return out
 
 
-def jack_norm_torus(m: Sequence[int], params: ParamSet) -> float:
-    """Squared torus norm of the Jack polynomial against the |Delta|^d weight."""
-    mm = pad(m, params.r)
-    d2 = float(params.d) / 2
-    lg = math.lgamma
-    acc = 0.0
-    for p in range(params.r):
-        for q in range(p + 1, params.r):
-            k = mm[p] - mm[q]
-            g = q - p
-            acc += lg(k + d2 * (g + 1)) + lg(k + d2 * (g - 1) + 1)
-            acc -= lg(k + d2 * g) + lg(k + d2 * g + 1)
-    return math.exp(acc)
-
-
 def expected_norm(m: Sequence[int], params: ParamSet) -> float:
     """Norm constant of the circular-Jacobi family member indexed by m:
 
@@ -372,7 +352,7 @@ def spherical_taylor_residual(
     if alpha is not None:
         pref = _poch_complex(alpha, kk, params)
         for wj in wv:
-            pref *= (1 - wj) ** (-alpha)
+            pref *= _power(1 - wj, -alpha, "(1 - w)^(-alpha) of the spherical Taylor expansion")
         lhs = pref * phi_k.evaluate([wj / (1 - wj) for wj in wv])
     else:
         lhs = cmath.exp(sum(wv)) * phi_k.evaluate(wv)

@@ -9,10 +9,6 @@ class ArityMismatchError(McjError):
     """Two polynomials (or a polynomial and a point) disagree on the number of variables."""
 
 
-class WeightMismatchError(McjError):
-    """Dominance comparison requested for partitions of different weight."""
-
-
 class ParameterError(McjError):
     """Parameters violate a precondition (zero Pochhammer divisor, bad exponent, ...)."""
 
@@ -23,10 +19,6 @@ class GammaPoleError(McjError):
 
 class VandermondeZeroError(McjError):
     """Coincident evaluation points make a Vandermonde denominator vanish."""
-
-
-class SingularPointError(McjError):
-    """Evaluation requested exactly at a singular point of the weight function."""
 
 
 class InvariantError(McjError):

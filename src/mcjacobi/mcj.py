@@ -33,7 +33,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import coeffs
-from .coeffs import delta_factorial, dim_dm, gen_pochhammer
+from .coeffs import _power, delta_factorial, dim_dm, gen_pochhammer
 from .errors import ParameterError, VandermondeZeroError
 from .params import ParamSet
 from .partitions import (
@@ -440,10 +440,6 @@ class LaguerrePolynomial:
     def eval_poly(self, u: Sequence[complex]) -> complex:
         return self.body.evaluate(u)
 
-    def eval_psi(self, u: Sequence[float]) -> complex:
-        """exp(-tr u) * L(2u)."""
-        return cmath.exp(-sum(u)) * self.body.evaluate([2 * x for x in u])
-
 
 @lru_cache(maxsize=1024)
 def laguerre_build(m: tuple, params: ParamSet) -> LaguerrePolynomial:
@@ -471,16 +467,6 @@ def _psi_body(m: tuple, params: ParamSet) -> CSymPoly:
 def psi_tilde_eval(m: Sequence[int], params: ParamSet, w: Sequence[complex]) -> complex:
     """The finite sum part of Psi, as a function of w = 2 (e - i t)^{-1}."""
     return _psi_body(pad(m, params.r), params).evaluate(w)
-
-
-def _power(base: complex, expo: complex, factor: str) -> complex:
-    """base ** expo; a power past the double range is refused, naming ``factor``."""
-    try:
-        return base ** expo
-    except OverflowError:
-        raise ParameterError(
-            f"the factor {factor} is past the double range; use a smaller |nu| or alpha"
-        ) from None
 
 
 def psi_eval(m: Sequence[int], params: ParamSet, t: Sequence[float]) -> complex:
@@ -819,7 +805,8 @@ def cauchy_kernel_det(
     example in the z -> 0 limit), provided both spectral norms are below 1, the
     series is within the truncation budget (at r <= 2) and its weight-30 shell is
     |S_30 - S_29| <= 1e-8 |S_30|, for the sums S_N to weight N: the norms alone do
-    not bound the tail, which grows with beta.  Refusals name w and z as ``names``.
+    not bound the tail, which grows with beta.  Refusals, an entry past the double
+    range among them, name w and z as ``names``.
     """
     if len(w) != len(z):
         raise ParameterError("w and z must have the same length")
@@ -840,12 +827,13 @@ def cauchy_kernel_det(
             )
         return s30
     expo = complex(beta) - r + 1
+    factor = f"(1 - w_p z_q)^(-(beta - r + 1)) of the Cauchy kernel at {names[0]} and {names[1]}"
 
     def entry(p, q):
         base = 1 - w[p] * z[q]
         if base == 0:
             raise ParameterError("branch pole: 1 - w_p z_q = 0")
-        return base ** (-expo)
+        return _power(base, -expo, factor)
 
     return _det_formula(
         r, entry, dict(zip(names, (w, z))), lambda c: _div_poch_product(c, expo, r, "beta - r + 1")

@@ -108,7 +108,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import coeffs
-from .errors import ParameterError, SingularPointError
+from .errors import ParameterError
 from .mcj import _check_float_range, mcj_build
 from .params import ParamSet
 from .partitions import count_partitions, enumerate_partitions, format_partition
@@ -134,29 +134,6 @@ _KEEP = 16
 def _axis_exponent(params: ParamSet) -> float:
     """s = (alpha - n/r)/2; the per-axis factor is (2 sin(theta/2))^{2s}."""
     return 0.5 * (float(params.alpha) - float(params.n_over_r))
-
-
-def weight_eval(theta: Sequence[float], params: ParamSet) -> float:
-    """Orthogonality weight at a point of (0, 2 pi)^r.
-
-    Uses 1 - e^{i theta} = 2 sin(theta/2) e^{i (theta - pi)/2}, so the
-    squared modulus of (1 - e^{i theta})^{s + i nu} is
-    (2 sin(theta/2))^{2 s} e^{-nu (theta - pi)}.
-    """
-    if len(theta) != params.r:
-        raise ParameterError("theta must have length r")
-    s2 = 2.0 * _axis_exponent(params)
-    nu = float(params.nu)
-    d = float(params.d)
-    out = 1.0
-    for th in theta:
-        if not 0.0 < th < TWO_PI:
-            raise SingularPointError(f"theta = {th} outside (0, 2*pi)")
-        out *= (2.0 * math.sin(th / 2)) ** s2 * math.exp(-nu * (th - math.pi))
-    for p in range(params.r):
-        for q in range(p + 1, params.r):
-            out *= abs(2.0 * math.sin((theta[p] - theta[q]) / 2)) ** d
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -220,6 +197,10 @@ def _gegenbauer_axis(n: int, s: float) -> tuple:
     return theta, weights
 
 
+def _is_even_d(d: Fraction) -> bool:
+    return d.denominator == 1 and d.numerator % 2 == 0
+
+
 def resolve_rule_kind(params: ParamSet, kind: str = "auto") -> str:
     """Pick the per-axis rule.
 
@@ -230,9 +211,7 @@ def resolve_rule_kind(params: ParamSet, kind: str = "auto") -> str:
     """
     if kind != "auto":
         return kind
-    d = params.d
-    even_d = d.denominator == 1 and d.numerator % 2 == 0
-    if params.nu == 0 and (params.r == 1 or even_d):
+    if params.nu == 0 and (params.r == 1 or _is_even_d(params.d)):
         return "gauss_gegenbauer"
     return "tanh_sinh"
 
@@ -310,10 +289,6 @@ def _jacobi_base(n: int, a: float, b: float) -> tuple:
 def _sc(y):
     """2 sin(y/2) / y, smooth and positive on [0, 2 pi)."""
     return np.sinc(np.asarray(y) / TWO_PI)
-
-
-def _is_even_d(d: Fraction) -> bool:
-    return d.denominator == 1 and d.numerator % 2 == 0
 
 
 def _segment(n, e_hi, e_lo, lo, hi):
@@ -636,14 +611,7 @@ def _points_weights(params: ParamSet, rule: QuadratureRule) -> tuple:
 
 
 def _prefactor(params: ParamSet) -> float:
-    return coeffs.c0_tilde(params).value() / TWO_PI ** float(params.n)
-
-
-def inner_product(
-    m: Sequence[int], n: Sequence[int], params: ParamSet, rule: QuadratureRule
-) -> complex:
-    """Quadrature value of (c0~/(2 pi)^n) int phi_m conj(phi_n) d(weight)."""
-    return complex(_gram(params, [m, n], rule)[0, 1])
+    return coeffs.c0_tilde(params) / TWO_PI ** float(params.n)
 
 
 # ---------------------------------------------------------------------------

@@ -8,25 +8,11 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Union
 
-Rational = Union[int, Fraction]
 Number = Union[int, float, Fraction]
 
 # the largest |alpha|, |nu| and d accepted: far past any family the checks are
 # meant for; larger values overflow the float evaluations at small degrees
 PARAM_LIMIT = 10**6
-
-
-def as_fraction(x) -> Fraction:
-    """Exact coercion; floats are lifted to their exact binary value."""
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, float):
-        return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
-    raise TypeError(f"cannot coerce {x!r} to an exact rational")
 
 
 @dataclass(frozen=True)
@@ -36,9 +22,8 @@ class ParamSet:
     Derived data: the ambient dimension n = r + (d/2) r (r-1), n/r and d's
     numerator and denominator in lowest terms (attributes ``n_over_r``, ``d_num``
     and ``d_den``, computed at construction), beta = (alpha + n/r)/2 + i nu in
-    complex doubles (computed once, on first use), the half-sum vector
-    rho_j = (d/4)(2j - r - 1) and the staircase delta = (r-1, ..., 1, 0).
-    Exact rational arithmetic is used for everything derived from (r, d).
+    complex doubles (computed once, on first use).  Exact rational arithmetic
+    is used for everything derived from (r, d).
     """
 
     r: int
@@ -49,7 +34,7 @@ class ParamSet:
     def __post_init__(self):
         if self.r < 1:
             raise ValueError("rank r must be >= 1")
-        object.__setattr__(self, "d", as_fraction(self.d))
+        object.__setattr__(self, "d", Fraction(self.d))
         if self.d <= 0:
             raise ValueError("multiplicity d must be > 0")
         try:
@@ -81,14 +66,6 @@ class ParamSet:
     @property
     def n(self) -> Fraction:
         return self.r + (self.d / 2) * self.r * (self.r - 1)
-
-    @property
-    def rho(self) -> tuple:
-        return tuple((self.d / 4) * (2 * j - self.r - 1) for j in range(1, self.r + 1))
-
-    @property
-    def delta(self) -> tuple:
-        return tuple(range(self.r - 1, -1, -1))
 
     def _key(self) -> tuple:
         # an exact alpha builds an exact body where an equal float alpha does

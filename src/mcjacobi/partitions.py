@@ -10,8 +10,6 @@ from __future__ import annotations
 from itertools import accumulate, islice
 from typing import Iterator, Sequence
 
-from .errors import WeightMismatchError
-
 Partition = tuple  # weakly decreasing tuple of nonnegative ints
 
 
@@ -107,26 +105,6 @@ def contains(m: Sequence[int], k: Sequence[int]) -> bool:
     n = max(len(m), len(k))
     mm, kk = pad(m, n), pad(k, n)
     return all(kk[j] <= mm[j] for j in range(n))
-
-
-def dominance_leq(a: Sequence[int], b: Sequence[int]) -> bool:
-    """Dominance order: partial sums of a never exceed those of b.
-
-    Only defined within a fixed weight class.
-    """
-    if weight(a) != weight(b):
-        raise WeightMismatchError(
-            f"dominance undefined: |{tuple(a)}| = {weight(a)} != |{tuple(b)}| = {weight(b)}"
-        )
-    n = max(len(a), len(b))
-    aa, bb = pad(a, n), pad(b, n)
-    sa = sb = 0
-    for j in range(n):
-        sa += aa[j]
-        sb += bb[j]
-        if sa > sb:
-            return False
-    return True
 
 
 def format_partition(m: Sequence[int]) -> str:

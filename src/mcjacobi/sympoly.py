@@ -113,15 +113,15 @@ class _BasePoly:
                 out.pop(k, None)
             else:
                 out[k] = w
-        return self._make(self.arity, out)
+        return type(self)(self.arity, out)
 
     def __sub__(self, other):
         return self + other.scale(-1)
 
     def scale(self, c):
         if c == 0:
-            return self._make(self.arity, {})
-        return self._make(self.arity, {k: v * c for k, v in self.terms.items()})
+            return type(self)(self.arity, {})
+        return type(self)(self.arity, {k: v * c for k, v in self.terms.items()})
 
     def __eq__(self, other):
         return (
@@ -194,10 +194,6 @@ class _BasePoly:
 class SymPoly(_BasePoly):
     """Symmetric polynomial with exact rational coefficients."""
 
-    @classmethod
-    def _make(cls, arity, terms):
-        return cls(arity, terms)
-
     def __init__(self, arity: int, terms: dict):
         super().__init__(arity, {k: Fraction(v) for k, v in terms.items()})
 
@@ -233,16 +229,8 @@ class SymPoly(_BasePoly):
 class CSymPoly(_BasePoly):
     """Symmetric polynomial with complex double coefficients."""
 
-    @classmethod
-    def _make(cls, arity, terms):
-        return cls(arity, terms)
-
     def __init__(self, arity: int, terms: dict):
         super().__init__(arity, {k: complex(v) for k, v in terms.items()})
-
-    @classmethod
-    def zero(cls, r: int) -> "CSymPoly":
-        return cls(r, {})
 
     @staticmethod
     def _fmt_coef(c) -> str:

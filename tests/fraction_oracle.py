@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 
 from mcjacobi.errors import InvariantError
 from mcjacobi.params import ParamSet
@@ -49,6 +50,13 @@ def dim_dm(m, params: ParamSet) -> Fraction:
             out *= rising(d2 * (g + 1), k)
             out /= rising(d2 * (g - 1) + 1, k)
     return out
+
+
+def dominance_leq(a: tuple, b: tuple) -> bool:
+    """a <= b in dominance order: equal weights, and no partial sum of a
+    exceeds b's, for partitions padded to one length; the support of a
+    Jack polynomial P_m is dominated by m."""
+    return sum(a) == sum(b) and all(x <= y for x, y in zip(accumulate(a), accumulate(b)))
 
 
 def _lb_eigenvalue(lam: tuple, alpha: Fraction, r: int) -> Fraction:

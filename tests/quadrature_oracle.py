@@ -3,7 +3,8 @@ which the Gram pass never materializes, and the weights formed over all the
 nodes at once, one product per nested axis or one meshgrid product on the
 tensor branch, as the library did before each Gram leaf formed its own.
 They are the oracles of ``orthog._weights`` and of the leaf-by-leaf Gram
-pass.
+pass.  ``jack_norm_torus`` is the squared torus norm of a Jack polynomial, a
+closed-form check of the Gram diagonal at s = nu = 0.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import math
 import numpy as np
 
 from mcjacobi.orthog import _weights
+from mcjacobi.partitions import pad
 
 
 def coords(geom, lo: int, hi: int) -> np.ndarray:
@@ -45,3 +47,18 @@ def points_weights(params, rule) -> tuple:
                 wgrid = wgrid * (2.0 * np.abs(np.sin((grids[p] - grids[q]) / 2.0))) ** d
         w = wgrid.ravel()
     return coords(geom, 0, len(w)), w
+
+
+def jack_norm_torus(m, params) -> float:
+    """Squared torus norm of the Jack polynomial P_m against the |Delta|^d weight."""
+    mm = pad(m, params.r)
+    d2 = float(params.d) / 2
+    lg = math.lgamma
+    acc = 0.0
+    for p in range(params.r):
+        for q in range(p + 1, params.r):
+            k = mm[p] - mm[q]
+            g = q - p
+            acc += lg(k + d2 * (g + 1)) + lg(k + d2 * (g - 1) + 1)
+            acc -= lg(k + d2 * g) + lg(k + d2 * g + 1)
+    return math.exp(acc)

@@ -197,9 +197,13 @@ def test_verify_det_non_finite_residual_exits_2(capsys):
      "(1 - z)^(beta - alpha) of the closed form"),
     (["verify-genfun", "--r", "2", "--d", "2", "--alpha", "1e6", "--N", "1", "--z", "0.2,0.1",
       "--theta", "0.5,1.5", "--t", "0.1,0.4"], "(1 - z)^(-alpha) of the closed form"),
+    (["verify-genfun", "--r", "2", "--d", "2", "--nu", "0", "--N", "1", "--alpha", "1e6",
+      "--z=-0.3,-0.2", "--theta", "0.5,1.5", "--t", "0.1,0.4"],
+     "(1 - w_p z_q)^(-(beta - r + 1)) of the Cauchy kernel at 1 - sigma (--theta) and "
+     "-z/(1 - z) (--z)"),
 ])
 def test_power_past_double_range_names_its_factor(argv, factor, capsys):
-    # both ended in a bare "error: complex exponentiation"
+    # each ended in a bare "error: complex exponentiation"
     assert run(argv) == 2
     err = capsys.readouterr().err
     assert err == (

@@ -7,8 +7,8 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from fraction_oracle import dominance_leq  # noqa: E402
 from mcjacobi.partitions import (  # noqa: E402
-    dominance_leq,
     enumerate_partitions,
     format_partition,
     parse_partition,

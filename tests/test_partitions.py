@@ -1,12 +1,10 @@
 import pytest
 
-from mcjacobi.errors import WeightMismatchError
 from mcjacobi.partitions import (
     check_partition,
     contains,
     count_contained,
     count_partitions,
-    dominance_leq,
     enumerate_partitions,
     format_partition,
     pad,
@@ -69,30 +67,6 @@ def test_non_partition_rejected():
         check_partition((1, 2))
     with pytest.raises(ValueError):
         check_partition((2, -1))
-
-
-def test_dominance_examples():
-    assert dominance_leq((1, 1), (2, 0))
-    assert not dominance_leq((2, 0), (1, 1))
-    assert dominance_leq((2, 1), (2, 1))
-
-
-def test_dominance_weight_mismatch():
-    with pytest.raises(WeightMismatchError):
-        dominance_leq((2, 0), (1, 0))
-
-
-def test_dominance_partial_order_by_exhaustion():
-    for w in range(7):
-        klass = [p for p in enumerate_partitions(w, w or 1) if weight(p) == w]
-        for a in klass:
-            assert dominance_leq(a, a)
-            for b in klass:
-                if dominance_leq(a, b) and dominance_leq(b, a):
-                    assert a == b
-                for c in klass:
-                    if dominance_leq(a, b) and dominance_leq(b, c):
-                        assert dominance_leq(a, c)
 
 
 def test_pad_trim_roundtrip():

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 import evaluator_oracle
+from fraction_oracle import dominance_leq
 from mcjacobi.errors import ArityMismatchError
 from mcjacobi.mcj import mcj_build
 from mcjacobi.params import ParamSet
-from mcjacobi.partitions import dominance_leq, enumerate_partitions, weight
+from mcjacobi.partitions import enumerate_partitions, weight
 from mcjacobi.sympoly import (
     CSymPoly,
     SymPoly,
