@@ -22,8 +22,8 @@ from .sympoly import spherical_poly
 
 TWO_PI = 2.0 * math.pi
 
-# the one-box recursion of ``_binom_row`` is |m| levels deep, about three frames
-# each, so rows stop well short of the interpreter's 1000-frame recursion limit
+# the one-box recursions of ``_binom_row`` and ``_row_plan`` are |m| levels deep, about
+# three frames each, so rows stop well short of the interpreter's 1000-frame recursion limit
 _ROW_WEIGHT = 200
 
 
@@ -49,14 +49,13 @@ def _broadcast(s, r: int) -> list:
     return [s] * r
 
 
-def _power(base: complex, expo: complex, factor: str) -> complex:
-    """base ** expo; a power past the double range is refused, naming ``factor``."""
+def _power(base: complex, expo: complex, factor: str, remedy="use a smaller |nu| or alpha"):
+    """base ** expo; a power past the double range is refused, naming ``factor`` and
+    the caller's ``remedy``, by default for an exponent made of a ParamSet's inputs."""
     try:
         return base ** expo
     except OverflowError:
-        raise ParameterError(
-            f"the factor {factor} is past the double range; use a smaller |nu| or alpha"
-        ) from None
+        raise ParameterError(f"the factor {factor} is past the double range; {remedy}") from None
 
 
 def _poch_ratio(sv: list, mm: tuple, params: ParamSet) -> tuple:
@@ -154,29 +153,55 @@ def c0_tilde(params: ParamSet) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _first_appearance(parts) -> tuple:
+    """The keys of the key sequences ``parts`` in order of first appearance, and
+    each part's positions in them: the d-free layout of a sum over the parts."""
+    at: dict = {}
+    ats = tuple(tuple(at.setdefault(key, len(at)) for key in part) for part in parts)
+    return tuple(at), ats
+
+
+def _check_plan(tables: list, ats: tuple, key: tuple) -> None:
+    """Refuse per-d tables of ``key`` that do not fit their plan's positions ``ats``."""
+    if [*map(len, tables)] != [*map(len, ats)]:
+        raise InvariantError(f"the tables of {key} do not fit their d-free plan")
+
+
+@lru_cache(maxsize=1024)
+def _row_plan(m: tuple, r: int) -> tuple:
+    """The d-free part of ``_one_box`` and ``_binom_row``, (peels, keys, ats, divs):
+    each m - e_i, lex-largest first, with its boxes (a, l, a', l'), each a factor
+    (d_num l' + 2 d_den a') / (d_num l + 2 d_den a) of the closed form times d; the
+    row's keys after m in order of first appearance over the rows of the m - e_i
+    (at every d, as binomials are positive), each of those rows' positions in them
+    and the divisors |m| - |k|."""
+    cols, w, peels = conjugate(m), weight(m), []
+    for i in range(r - 1, -1, -1):  # the partitions m - e_i, lex-largest first
+        mi = m[i]
+        if mi > (m[i + 1] if i + 1 < r else 0):
+            boxes = [(mi - 1 - c, cols[c] - 1 - i, mi - c, cols[c] - 1 - i) for c in range(mi - 1)]
+            boxes += [(m[p] - mi, i - p, m[p] - mi, i - p + 1) for p in range(i)]  # above it
+            peels.append((m[:i] + (mi - 1,) + m[i + 1:], tuple(boxes)))
+    keys, ats = _first_appearance([(kappa, *_row_plan(kappa, r)[1]) for kappa, _ in peels])
+    return tuple(peels), keys, ats, tuple([w - weight(k) for k in keys])
+
+
 def _one_box(m: tuple, d_num: int, d_den: int, r: int) -> list:
     """The one-box binomials binom(m, m - e_i), lex-largest m - e_i first, as
     [(m - e_i, value), ...]; uncached, as ``_binom_row`` is cached per (m, d, r).
     Lassalle's closed form (C. R. Acad. Sci. Paris 1990): with alpha = 2/d and the box
     at the end of row i removed, a factor (l + alpha (a + 1)) / (l + alpha a) for
     each other box of row i and (l + 1 + alpha a) / (l + alpha a) for each box above
-    it, a and l the box's arm and leg in m; times d_num, (base + step) / base with
-    base = d_num l + 2 d_den a.  Checked: sum_i binom(m, m - e_i) = |m|.
-    """
-    cols = conjugate(m)
+    it, a and l the box's arm and leg in m, which ``_row_plan`` holds.  Checked:
+    sum_i binom(m, m - e_i) = |m|."""
     two = 2 * d_den
     peeled: list = []
-    for i in range(r - 1, -1, -1):  # the partitions m - e_i, lex-largest first
-        mi = m[i]
-        if mi == (m[i + 1] if i + 1 < r else 0):
-            continue
-        boxes = [(mi - 1 - c, cols[c] - 1 - i, two) for c in range(mi - 1)]  # row i
-        boxes += [(m[p] - mi, cols[mi - 1] - 1 - p, d_num) for p in range(i)]  # above
+    for kappa, boxes in _row_plan(m, r)[0]:
         num = den = 1
-        for a, leg, step in boxes:
-            base = d_num * leg + two * a
-            num, den = num * (base + step), den * base
-        peeled.append((m[:i] + (mi - 1,) + m[i + 1:], Fraction(num, den)))
+        for a, leg, a1, leg1 in boxes:
+            num *= d_num * leg1 + two * a1
+            den *= d_num * leg + two * a
+        peeled.append((kappa, Fraction(num, den)))
     if sum(b for _, b in peeled) != weight(m):
         raise InvariantError("one-box binomials do not sum to |m|")
     return peeled
@@ -194,26 +219,23 @@ def check_row_weight(w: int) -> None:
 @lru_cache(maxsize=1024)
 def _binom_row(m: tuple, d_num: int, d_den: int, r: int) -> dict:
     """Coefficients of Phi_k in the expansion of Phi_m(1 + x), all k, at
-    d = d_num/d_den in lowest terms.
-
-    One-box recursion (Lassalle 1990; Dumitriu, Edelman & Shuman 2007):
+    d = d_num/d_den in lowest terms, by the one-box recursion (Lassalle 1990;
+    Dumitriu, Edelman & Shuman 2007)
         (|m| - |k|) binom(m,k) = sum_i binom(m, m - e_i) binom(m - e_i, k),
-    with binom(m, m) = 1 and binom(m, m - e_i) in closed form (``_one_box``).
-    The right-hand side is summed in integer numerators over the lcm of its
-    products' denominators, keys in order of first appearance.
-    """
+    binom(m, m) = 1 and binom(m, m - e_i) in closed form (``_one_box``), the right
+    side in integer numerators over the lcm of its products' denominators, summed
+    into the slots of ``_row_plan``."""
     check_row_weight(weight(m))
+    _, keys, ats, divs = _row_plan(m, r)
     steps = [(b, _binom_row(kappa, d_num, d_den, r)) for kappa, b in _one_box(m, d_num, d_den, r)]
+    _check_plan([sub for _, sub in steps], ats, m)
     den = lcm(*(b.denominator * c.denominator for b, sub in steps for c in sub.values()))
-    acc: dict = {}
-    for b, sub in steps:
-        for k, c in sub.items():
-            scale = den // (b.denominator * c.denominator)
-            acc[k] = acc.get(k, 0) + b.numerator * c.numerator * scale
-    w = weight(m)
-    row = {m: Fraction(1)}
-    row.update((k, Fraction(v, den * (w - weight(k)))) for k, v in acc.items() if v)
-    return row
+    acc = [0] * len(keys)
+    for (b, sub), at in zip(steps, ats):
+        b_num, b_den = b.numerator, b.denominator
+        for i, c in zip(at, sub.values()):
+            acc[i] += b_num * c.numerator * (den // (b_den * c.denominator))
+    return {m: Fraction(1), **dict(zip(keys, map(Fraction, acc, [den * e for e in divs])))}
 
 
 _ZERO = Fraction(0)
@@ -352,7 +374,8 @@ def spherical_taylor_residual(
     if alpha is not None:
         pref = _poch_complex(alpha, kk, params)
         for wj in wv:
-            pref *= _power(1 - wj, -alpha, "(1 - w)^(-alpha) of the spherical Taylor expansion")
+            pref *= _power(1 - wj, -alpha, "(1 - w)^(-alpha) of the spherical Taylor expansion",
+                           "use a smaller |alpha|")
         lhs = pref * phi_k.evaluate([wj / (1 - wj) for wj in wv])
     else:
         lhs = cmath.exp(sum(wv)) * phi_k.evaluate(wv)

@@ -40,7 +40,7 @@ from .partitions import (
     Partition, count_contained, count_partitions, enumerate_partitions, format_partition, pad,
     weight,
 )
-from .sympoly import CSymPoly, SymPoly, _lowest, _spherical_cached, spherical_poly
+from .sympoly import CSymPoly, SymPoly, _jack_skeleton, _lowest, _spherical_cached, spherical_poly
 
 # work budgets, checked before any work, each ~10 s of the worst case measured on a
 # 2-core x86 machine: exact operator units, partitions a genfun truncation sums, bits
@@ -211,22 +211,42 @@ def _phi_table(k: tuple, d_num: int, d_den: int, r: int, shifted: bool, scalar: 
         den = lcm(*(c.denominator for c in phi.values()))
         return den, tuple(phi), tuple([c.numerator * (den // c.denominator) for c in phi.values()])
     # Phi_k(1 - x) = sum_j binom(k, j) Phi_j(-x) in integer numerators over D =
-    # lcm(b_j.den den_j), keys in order of first appearance, odd weights negated as
+    # lcm(b_j.den den_j), into the slots of ``_shift_plan``, odd weights negated as
     # m_lam(-x) = (-1)^{|lam|} m_lam(x); dividing by gcd(D, *nums) leaves the reduced
     # terms' lcm, since lcm_i(D / gcd(D, a_i)) = D / gcd(D, a_1, ..., a_n)
-    steps = [
-        (b, _phi_table(j, d_num, d_den, r, False, Fraction))
-        for j, b in coeffs._binom_row(k, d_num, d_den, r).items()
-    ]
+    row = coeffs._binom_row(k, d_num, d_den, r)
+    lams, ats, odd = _shift_plan(k, r)
+    steps = [(b, _phi_table(j, d_num, d_den, r, False, Fraction)) for j, b in row.items()]
+    coeffs._check_plan([nums for _, (_, _, nums) in steps], ats, k)
     den = lcm(*(b.denominator * e for b, (e, _, _) in steps))
-    acc: dict = {}
-    for b, (e, lams, nums) in steps:
+    acc = [0] * len(lams)
+    for (b, (e, _, nums)), at in zip(steps, ats):
         scale = b.numerator * (den // (b.denominator * e))
-        for lam, c in zip(lams, nums):
-            acc[lam] = acc.get(lam, 0) + c * scale
-    terms = {lam: -v if weight(lam) % 2 else v for lam, v in acc.items() if v}
-    g = gcd(den, *terms.values())
-    return den // g, tuple(terms), tuple([v // g for v in terms.values()])
+        for i, c in zip(at, nums):
+            acc[i] += c * scale
+    for i in odd:
+        acc[i] = -acc[i]
+    g = gcd(den, *acc)
+    return den // g, lams, tuple([v // g for v in acc])
+
+
+@lru_cache(maxsize=1024)
+def _shift_plan(k: tuple, r: int) -> tuple:
+    """The d-free part of the shifted ``_phi_table``, (lams, ats, odd): the monomials
+    of the Phi_j, j in the row's order (``coeffs._row_plan``), in order of first
+    appearance (no sum of positive terms cancels, so at every d), each Phi_j's
+    positions in them, and the positions of the odd-weight ones."""
+    row = (k, *coeffs._row_plan(k, r)[1])
+    lams, ats = coeffs._first_appearance(_jack_skeleton(j, r)[0] for j in row)
+    return lams, ats, tuple([i for i, lam in enumerate(lams) if weight(lam) % 2])
+
+
+@lru_cache(maxsize=1024)
+def _body_plan(m: tuple, r: int, shifted: bool) -> tuple:
+    """The d-free part of ``_family_body``, (lams, ats): the monomials of the Phi_k,
+    k in ``_row_order(m)``, in order of first appearance, and each k's positions."""
+    plan = _shift_plan if shifted else _jack_skeleton
+    return coeffs._first_appearance(plan(k, r)[0] for k in _row_order(m))
 
 
 def _family_body(
@@ -237,19 +257,15 @@ def _family_body(
         d_m (alpha)_m / (n/r)_m
             sum_{k subset m} (-1)^{|k|} binom(m,k) (beta)_k / (alpha)_k  Phi_k(X)
 
-    with beta = (alpha + n/r)/2 + i nu, or no numerator at all when ``beta``
-    is false (Laguerre), and X = 1 - sigma when ``shifted``, the variable
-    itself otherwise.  Exact rationals (``SymPoly``) when ``exact``, complex
-    doubles (``CSymPoly``) otherwise.  Every factor is read from the bounded
-    tables ``_m_table``, ``_k_table`` and ``_phi_table``; (alpha)_m is the
-    k = m entry of ``_k_table``.
-
-    An exact body is accumulated in integers: the k-th coefficient is an
-    integer numerator over an integer denominator E_k, which includes that
-    of its Phi table, and with L the lcm of the E_k each term adds
-    numerator * (L / E_k) * c; each monomial's sum becomes one Fraction over
-    L.  A partial sum is zero exactly when the rational one is, so the terms
-    keep the key order of rational sums.
+    with beta = (alpha + n/r)/2 + i nu, or no numerator when ``beta`` is false
+    (Laguerre), and X = 1 - sigma when ``shifted``, the variable itself otherwise;
+    exact (``SymPoly``) when ``exact``, complex doubles (``CSymPoly``) otherwise.
+    The factors come from the bounded tables ``_m_table``, ``_k_table`` (its k = m
+    entry is (alpha)_m) and ``_phi_table``, and each term goes to its slot of
+    ``_body_plan``.  Exact, the k-th coefficient is an integer over E_k, which holds
+    its Phi table's den, and a term adds numerator * (L / E_k) * c, L = lcm E_k.  The
+    terms keep the order of a dict of the partial sums that pops a zero one, as the
+    rational sums did: an integer sum is zero exactly when the rational one is.
     """
     r = params.r
     mm = pad(m, r)
@@ -269,10 +285,10 @@ def _family_body(
             if beta:
                 k_num *= bk_n
                 k_den *= bk_d
-            phi_den, lams, phi = _phi_table(k, d_num, d_den, r, shifted, Fraction)
-            steps.append((k_num, k_den * phi_den, lams, phi))
-        den = lcm(*(e for _, e, _, _ in steps))
-        steps = [(num * (den // e), lams, phi) for num, e, lams, phi in steps]
+            phi_den, _, phi = _phi_table(k, d_num, d_den, r, shifted, Fraction)
+            steps.append((k_num, k_den * phi_den, phi))
+        den = lcm(*(e for _, e, _ in steps))
+        steps = [(num * (den // e), phi) for num, e, phi in steps]
     else:
         dim, nr_poch, ks, bs = _m_table(mm, d_num, d_den, r, complex)
         pref = dim * _k_table(mm, params, complex)[2] / nr_poch
@@ -284,19 +300,23 @@ def _family_body(
             coef = pref * sign * b
             if beta:
                 coef = coef * beta_k
-            steps.append((coef / alpha_k, *_phi_table(k, d_num, d_den, r, shifted, complex)[1:]))
-    terms: dict = {}
-    get = terms.get
-    for coef, lams, phi in steps:
-        for lam, c in zip(lams, phi):
-            v = get(lam, 0) + c * coef
+            steps.append((coef / alpha_k, _phi_table(k, d_num, d_den, r, shifted, complex)[2]))
+    lams, ats = _body_plan(mm, r, shifted)
+    coeffs._check_plan([phi for _, phi in steps], ats, mm)
+    acc, order = [0] * len(lams), []  # order: the slots as a dict of the sums holds them
+    for (coef, phi), at in zip(steps, ats):
+        for i, c in zip(at, phi):
+            v = acc[i]
             if v:
-                terms[lam] = v
-            else:
-                terms.pop(lam, None)
+                acc[i] = v + c * coef
+            else:  # a new or popped slot: the dict inserts it at the end, from the 0
+                acc[i] = 0 + c * coef  # of dict.get, so complex signed zeros agree
+                order.append(i)
+    if len(order) > len(lams):  # a sum cancelled: each slot at its last insertion
+        order = reversed(dict.fromkeys(reversed(order)))
     if exact:
-        return SymPoly._trusted(r, {lam: Fraction(v, den) for lam, v in terms.items()})
-    return CSymPoly._trusted(r, terms)
+        return SymPoly._trusted(r, {lams[i]: Fraction(acc[i], den) for i in order if acc[i]})
+    return CSymPoly._trusted(r, {lams[i]: acc[i] for i in order if acc[i]})
 
 
 # ---------------------------------------------------------------------------
@@ -794,7 +814,8 @@ def cauchy_kernel_series(
 
 
 def cauchy_kernel_det(
-    w: Sequence[complex], z: Sequence[complex], beta: complex, names: tuple = ("w", "z")
+    w: Sequence[complex], z: Sequence[complex], beta: complex, names: tuple = ("w", "z"),
+    remedy: str = "use a smaller |beta|",
 ) -> complex:
     """Determinant form of the spherical Cauchy kernel at multiplicity 2:
 
@@ -806,7 +827,7 @@ def cauchy_kernel_det(
     series is within the truncation budget (at r <= 2) and its weight-30 shell is
     |S_30 - S_29| <= 1e-8 |S_30|, for the sums S_N to weight N: the norms alone do
     not bound the tail, which grows with beta.  Refusals, an entry past the double
-    range among them, name w and z as ``names``.
+    range among them, name w and z as ``names``; an entry past it ends in ``remedy``.
     """
     if len(w) != len(z):
         raise ParameterError("w and z must have the same length")
@@ -833,7 +854,7 @@ def cauchy_kernel_det(
         base = 1 - w[p] * z[q]
         if base == 0:
             raise ParameterError("branch pole: 1 - w_p z_q = 0")
-        return _power(base, -expo, factor)
+        return _power(base, -expo, factor, remedy)
 
     return _det_formula(
         r, entry, dict(zip(names, (w, z))), lambda c: _div_poch_product(c, expo, r, "beta - r + 1")
@@ -930,7 +951,7 @@ def genfun_residual_phi(
             return lead * _power(1 - s[0] * z[0], -beta, "(1 - sigma z)^(-beta) of the closed form")
         rhs = cauchy_kernel_det(
             [1 - x for x in s], [-x / (1 - x) for x in z], beta,
-            ("1 - sigma (--theta)", "-z/(1 - z) (--z)"),
+            ("1 - sigma (--theta)", "-z/(1 - z) (--z)"), "use a smaller |nu| or alpha",
         )
         for x in z:
             rhs *= _power(1 - x, -alpha, "(1 - z)^(-alpha) of the closed form")

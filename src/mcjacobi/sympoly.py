@@ -205,11 +205,6 @@ class SymPoly(_BasePoly):
     def one(cls, r: int) -> "SymPoly":
         return cls(r, {(0,) * r: Fraction(1)})
 
-    @classmethod
-    def msym(cls, lam: Sequence[int], r: int) -> "SymPoly":
-        """The monomial symmetric polynomial m_lambda."""
-        return cls(r, {pad(lam, r): Fraction(1)})
-
     def to_complex(self) -> "CSymPoly":
         # a coefficient whose double rounds to 0.0 is dropped, as CSymPoly() drops it
         return CSymPoly._trusted(

@@ -274,11 +274,19 @@ def _long_first_column(m):
 
 
 def test_binom_row_residual_raises(monkeypatch):
-    # a wrong leg length breaks sum_i binom(m, m - e_i) = |m|
+    # a wrong leg length breaks sum_i binom(m, m - e_i) = |m|; the plan reads the
+    # column lengths once per (m, r), so it is rebuilt under the mutant, and the
+    # plans and rows built under it are dropped after
     monkeypatch.setattr(coeffs, "conjugate", _long_first_column)
-    for m in [(2, 1, 0), (3, 1, 0), (2, 2, 1)]:
-        with pytest.raises(InvariantError):
-            coeffs._binom_row.__wrapped__(m, 5, 2, 3)
+    coeffs._row_plan.cache_clear()
+    try:
+        for m in [(2, 1, 0), (3, 1, 0), (2, 2, 1)]:
+            with pytest.raises(InvariantError):
+                coeffs._binom_row.__wrapped__(m, 5, 2, 3)
+    finally:
+        monkeypatch.undo()
+        coeffs._row_plan.cache_clear()
+        coeffs._binom_row.cache_clear()
 
 
 def test_binom_row_residual_raises_under_optimize(child_env):

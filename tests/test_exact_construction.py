@@ -109,18 +109,61 @@ def test_one_box_closed_form_matches_oracle():
 
 
 def test_one_box_oracle_catches_a_column_factor_without_its_one():
-    # the mutant drops the + 1 of the column factor, and its |m| check, so only the
-    # comparison with the oracle is left to see it
-    source = inspect.getsource(coeffs._one_box)
-    for old, new in (("d_num) for p in range(i)]", "0) for p in range(i)]"),
-                     ('raise InvariantError("one-box', 'str("one-box')):
-        assert source.count(old) == 1
-        source = source.replace(old, new)
+    # the mutant plan drops the + 1 of the column factor, and the mutant _one_box its
+    # |m| check, so only the comparison with the oracle is left to see it; both are
+    # compiled into a scope of their own, so the package's plan cache is untouched
     scope = dict(vars(coeffs))
-    exec(source, scope)
+    for kernel, old, new in ((coeffs._row_plan, "i - p + 1) for", "i - p) for"),
+                             (coeffs._one_box, 'raise InvariantError("one-box', 'str("one-box')):
+        source = inspect.getsource(kernel)
+        assert source.count(old) == 1
+        exec(source.replace(old, new), scope)
     mismatches = _one_box_mismatches(scope["_one_box"])
     # every m with a removable box below the first row
     assert len(mismatches) == sum(1 for r, d, m in ONE_BOX_GRID if m[1] > 0)
+
+
+def _swapped(ats, n):
+    """The plan positions ``ats`` with the first two of part n swapped."""
+    at = list(ats[n])
+    at[0], at[1] = at[1], at[0]
+    return ats[:n] + (tuple(at),) + ats[n + 1:]
+
+
+def test_oracle_catches_two_positions_swapped_in_a_shifted_table_plan(monkeypatch):
+    k, r, d = (3, 2, 1), 3, Fraction(1097, 997)
+    real, (lams, ats, odd) = mcj._shift_plan, mcj._shift_plan(k, r)
+    expected = oracle._phi_one_minus(k, d, r)
+
+    def shifted_terms():
+        den, keys, nums = mcj._phi_table.__wrapped__(k, d.numerator, d.denominator, r, True, Fraction)
+        return [(lam, Fraction(num, den)) for lam, num in zip(keys, nums)]
+
+    assert shifted_terms() == list(expected.items())
+    parts = [n for n, at in enumerate(ats) if len(at) > 1]
+    assert len(parts) > 5
+    for n in parts:  # each Phi_j's first two monomials trade places
+        mutant = (lams, _swapped(ats, n), odd)
+        monkeypatch.setattr(mcj, "_shift_plan", lambda key, rank: mutant if key == k else real(key, rank))
+        assert shifted_terms() != list(expected.items())
+
+
+def test_oracle_catches_two_positions_swapped_in_a_body_plan(monkeypatch):
+    m, r = (3, 2, 1), 3
+    p = ParamSet(r=r, d=Fraction(1097, 997), alpha=5, nu=0)
+    real, (lams, ats) = mcj._body_plan, mcj._body_plan(m, r, True)
+    expected = list(oracle.family_body_exact(m, p, beta=True, shifted=True).terms.items())
+
+    def body():
+        return list(mcj._family_body(m, p, beta=True, shifted=True, exact=True).terms.items())
+
+    assert body() == expected
+    parts = [n for n, at in enumerate(ats) if len(at) > 1]
+    assert len(parts) > 5
+    for n in parts:  # each Phi_k's first two monomials trade places
+        mutant = (lams, _swapped(ats, n))
+        monkeypatch.setattr(mcj, "_body_plan", lambda *key: mutant if key == (m, r, True) else real(*key))
+        assert body() != expected
 
 
 def test_to_complex_drops_a_coefficient_that_rounds_to_zero():

@@ -149,15 +149,16 @@ def test_exact_family_body_matches_oracle(case):
         assert list(new.terms.items()) == list(old.terms.items())
 
 
-@pytest.mark.parametrize(
-    "r,d,alpha,m",
-    [
-        (2, Fraction(1), Fraction(4), (2, 2)),
-        (2, Fraction(5, 2), Fraction(5, 2), (2, 1)),
-        (3, Fraction(1), Fraction(5), (2, 2, 0)),
-        (3, Fraction(1, 2), Fraction(11, 4), (2, 2, 0)),
-    ],
-)
+# in these bodies a monomial's partial sum is exactly zero before a later k adds to it
+CANCELLING = [
+    (2, Fraction(1), Fraction(4), (2, 2)),
+    (2, Fraction(5, 2), Fraction(5, 2), (2, 1)),
+    (3, Fraction(1), Fraction(5), (2, 2, 0)),
+    (3, Fraction(1, 2), Fraction(11, 4), (2, 2, 0)),
+]
+
+
+@pytest.mark.parametrize("r,d,alpha,m", CANCELLING)
 def test_exact_family_body_keeps_key_order_where_a_partial_sum_cancels(r, d, alpha, m):
     # in these bodies a monomial's partial sum is exactly zero before a later k
     # adds to it again, so it is popped and re-inserted at the end
@@ -165,3 +166,62 @@ def test_exact_family_body_keeps_key_order_where_a_partial_sum_cancels(r, d, alp
     new = mcj._family_body(m, p, beta=True, shifted=True, exact=True)
     old = oracle.family_body_exact(m, p, beta=True, shifted=True)
     assert list(new.terms.items()) == list(old.terms.items())
+
+
+# the d-free plans, and every per-d table whose build reads one
+PLANS = (coeffs._row_plan, mcj._shift_plan, mcj._body_plan)
+PER_D = (coeffs._binom_row, mcj._phi_table, mcj._m_table, sympoly._jack_terms,
+         sympoly._spherical_cached)
+
+
+def _clear(caches):
+    for cache in caches:
+        cache.cache_clear()
+
+
+def _per_d_tables(m, d, r):
+    """Every table a plan lays out at d, built afresh: the one-box binomials, the
+    row, both Phi tables and the exact and complex bodies, as (key, value) lists
+    in key order, each complex value as ``float.hex``."""
+    key = (d.numerator, d.denominator)
+    pe = ParamSet(r=r, d=d, alpha=d / 2 * (r - 1) + 1, nu=0)
+    pc = pe.with_(nu=0.3)
+    out = [coeffs._one_box(m, *key, r), list(coeffs._binom_row(m, *key, r).items())]
+    for shifted in (True, False):
+        out.append(mcj._phi_table(m, *key, r, shifted, Fraction))
+        out.append([_hex(c) for c in mcj._phi_table(m, *key, r, shifted, complex)[2]])
+    for beta, shifted in ((True, True), (False, False), (True, False)):
+        exact = mcj._family_body(m, pe, beta=beta, shifted=shifted, exact=True)
+        cplx = mcj._family_body(m, pc, beta=beta, shifted=shifted, exact=False)
+        out.append(list(exact.terms.items()))
+        out.append([(lam, _hex(c)) for lam, c in cplx.terms.items()])
+    return out
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(long_or_short_d_partition(), long_or_short_d_partition())
+def test_plans_built_at_one_d_serve_another(first, second):
+    # plans warmed at d1 give the tables of d2 that plans built at d2 give, in value,
+    # key order and bits; the per-d caches are cleared so each build is fresh
+    (d1, r, m), d2 = first, second[0]
+    _clear(PLANS + PER_D)
+    _per_d_tables(m, d1, r)
+    warm = _per_d_tables(m, d2, r)
+    _clear(PLANS + PER_D)
+    assert _per_d_tables(m, d2, r) == warm
+
+
+@pytest.mark.parametrize("r,d,alpha,m", CANCELLING)
+def test_cancelling_bodies_keep_key_order_on_plans_built_at_another_d(r, d, alpha, m):
+    # the insertions a cancelled sum makes are the same on plans warmed at another d
+    _clear(PLANS)
+    warm_at = ParamSet(r=r, d=d + Fraction(1, 7), alpha=alpha + 1, nu=0)
+    mcj._family_body(m, warm_at, beta=True, shifted=True, exact=True)
+    p = ParamSet(r=r, d=d, alpha=alpha, nu=0)
+    new = mcj._family_body(m, p, beta=True, shifted=True, exact=True)
+    old = oracle.family_body_exact(m, p, beta=True, shifted=True)
+    assert list(new.terms.items()) == list(old.terms.items())
+
+
+def test_plan_caches_are_bounded():
+    assert all(plan.cache_info().maxsize is not None for plan in PLANS)

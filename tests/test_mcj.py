@@ -553,20 +553,22 @@ def test_closed_form_power_past_double_range_names_its_factor(call, factor):
 
 
 @pytest.mark.parametrize(
-    "call, factor",
+    "call, factor, remedy",
     [
         (lambda: spherical_taylor_residual((1,), ParamSet(r=1, d=2), [0.5], 3, alpha=1e6),
-         "(1 - w)^(-alpha) of the spherical Taylor expansion"),
+         "(1 - w)^(-alpha) of the spherical Taylor expansion", "|alpha|"),
         (lambda: cauchy_kernel_det([0.5, 0.1], [0.9, 0.3], 1e6),
-         "(1 - w_p z_q)^(-(beta - r + 1)) of the Cauchy kernel at w and z"),
+         "(1 - w_p z_q)^(-(beta - r + 1)) of the Cauchy kernel at w and z", "|beta|"),
     ],
 )
-def test_kernel_power_past_double_range_names_its_factor(call, factor):
-    # each ended in a bare "OverflowError: complex exponentiation"
-    with pytest.raises(ParameterError, match=re.escape(
-        f"the factor {factor} is past the double range"
-    )):
+def test_kernel_power_past_double_range_names_its_factor(call, factor, remedy):
+    # each ended in a bare "OverflowError: complex exponentiation"; the remedy names
+    # the argument that overflowed, not a ParamSet's |nu| or alpha
+    with pytest.raises(ParameterError) as refused:
         call()
+    assert str(refused.value) == (
+        f"the factor {factor} is past the double range; use a smaller {remedy}"
+    )
 
 
 # ---------------------------------------------------------------- frozen assemblies

@@ -15,7 +15,7 @@ DELETED = [
 ]
 DELETED_MEMBERS = [
     (ParamSet, "rho"), (ParamSet, "delta"), (LaguerrePolynomial, "eval_psi"),
-    (SymPoly, "_make"), (CSymPoly, "_make"), (CSymPoly, "zero"),
+    (SymPoly, "_make"), (CSymPoly, "_make"), (CSymPoly, "zero"), (SymPoly, "msym"),
 ]
 
 

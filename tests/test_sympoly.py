@@ -10,7 +10,7 @@ from fraction_oracle import dominance_leq
 from mcjacobi.errors import ArityMismatchError
 from mcjacobi.mcj import mcj_build
 from mcjacobi.params import ParamSet
-from mcjacobi.partitions import enumerate_partitions, weight
+from mcjacobi.partitions import enumerate_partitions, pad, weight
 from mcjacobi.sympoly import (
     CSymPoly,
     SymPoly,
@@ -28,13 +28,18 @@ from mcjacobi.sympoly import (
 D_VALUES = [Fraction(1, 2), Fraction(1), Fraction(2), Fraction(3), Fraction(5, 2)]
 
 
+def msym(lam, r):
+    """The monomial symmetric polynomial m_lambda."""
+    return SymPoly(r, {pad(lam, r): 1})
+
+
 def test_msym_mul_examples():
-    m1 = SymPoly.msym((1,), 2)
+    m1 = msym((1,), 2)
     assert msym_mul(m1, m1) == SymPoly(2, {(2, 0): 1, (1, 1): 2})
     p = SymPoly(2, {(2, 0): Fraction(3, 7), (1, 1): -2})
     assert msym_mul(p, SymPoly.one(2)) == p
-    u = SymPoly.msym((1,), 1)
-    assert msym_mul(u, u) == SymPoly.msym((2,), 1)
+    u = msym((1,), 1)
+    assert msym_mul(u, u) == msym((2,), 1)
 
 
 def test_msym_mul_arity_mismatch():
@@ -44,11 +49,11 @@ def test_msym_mul_arity_mismatch():
 
 def test_affine_substitute_examples():
     # (1-x) + (1-y) = 2 - (x+y)
-    q = affine_substitute(SymPoly.msym((1,), 2), 1, -1)
+    q = affine_substitute(msym((1,), 2), 1, -1)
     assert q == SymPoly(2, {(0, 0): 2, (1, 0): -1})
     p = SymPoly(2, {(2, 1): Fraction(5, 3), (1, 0): 1})
     assert affine_substitute(p, 0, 1) == p
-    assert affine_substitute(SymPoly.msym((1,), 1), 1, 1) == SymPoly(1, {(0,): 1, (1,): 1})
+    assert affine_substitute(msym((1,), 1), 1, 1) == SymPoly(1, {(0,): 1, (1,): 1})
 
 
 def test_affine_substitute_total_degree_identity():
@@ -61,17 +66,17 @@ def test_affine_substitute_total_degree_identity():
 
 
 def test_evaluate_examples():
-    assert SymPoly.msym((1, 1), 2).evaluate([2, 3]) == 6
+    assert msym((1, 1), 2).evaluate([2, 3]) == 6
     p = jack_mono((3, 1), Fraction(3), 2)
     v1 = p.evaluate([0.3 + 0.4j, -1.2])
     v2 = p.evaluate([-1.2, 0.3 + 0.4j])
     assert v1 == pytest.approx(v2, abs=1e-14)
-    assert msym_mul(SymPoly.msym((1,), 2), SymPoly.msym((1,), 2)).evaluate([1, 1]) == 4
+    assert msym_mul(msym((1,), 2), msym((1,), 2)).evaluate([1, 1]) == 4
 
 
 def test_evaluate_length_mismatch():
     with pytest.raises(ArityMismatchError):
-        SymPoly.msym((1,), 2).evaluate([1.0])
+        msym((1,), 2).evaluate([1.0])
 
 
 def test_evaluate_points_matches_scalar():
@@ -230,7 +235,7 @@ def test_plan_checks_arity_and_holds_finite_constants_as_fills():
 
 def test_jack_degree_one_and_weight_two():
     for d in D_VALUES:
-        assert jack_mono((1, 0), d, 2) == SymPoly.msym((1,), 2)
+        assert jack_mono((1, 0), d, 2) == msym((1,), 2)
         alpha = Fraction(2) / d
         expected = SymPoly(2, {(2, 0): 1, (1, 1): Fraction(2) / (1 + alpha)})
         assert jack_mono((2, 0), d, 2) == expected
@@ -287,9 +292,9 @@ def test_jack_stability_under_restriction():
 
 
 def test_schur_examples():
-    assert schur((1,), 3) == SymPoly.msym((1,), 3)
-    assert schur((2, 1), 2) == SymPoly.msym((2, 1), 2)
-    assert schur((1, 1), 2) == SymPoly.msym((1, 1), 2)
+    assert schur((1,), 3) == msym((1,), 3)
+    assert schur((2, 1), 2) == msym((2, 1), 2)
+    assert schur((1, 1), 2) == msym((1, 1), 2)
     # bialternant cross-check at a numeric point
     s = schur((3, 1), 2)
     x, y = 1.3, -0.4
