@@ -169,7 +169,7 @@ def _cmd_eval(args) -> int:
     mcj.check_family_work(params, m=m, evaluations=1)
     if args.family == "psi":
         t = _floats(args.t)
-        value = mcj.psi_eval(m, params, t)
+        value = mcj.psi_eval(m, params, t, refuse_zero=True)
     else:
         theta = _floats(args.theta)
         sigma = [cmath.exp(1j * th) for th in theta]

@@ -12,13 +12,13 @@ import cmath
 import math
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 from typing import Optional, Sequence
 
 from .errors import GammaPoleError, InvariantError, ParameterError
 from .params import ParamSet
 from .partitions import conjugate, enumerate_partitions, pad, weight
-from .sympoly import spherical_poly
+from .sympoly import _int_sum, spherical_poly
 
 TWO_PI = 2.0 * math.pi
 
@@ -169,12 +169,12 @@ def _check_plan(tables: list, ats: tuple, key: tuple) -> None:
 
 @lru_cache(maxsize=1024)
 def _row_plan(m: tuple, r: int) -> tuple:
-    """The d-free part of ``_one_box`` and ``_binom_row``, (peels, keys, ats, divs):
+    """The d-free part of ``_one_box`` and ``_binom_row``, (peels, keys, ats, muls):
     each m - e_i, lex-largest first, with its boxes (a, l, a', l'), each a factor
     (d_num l' + 2 d_den a') / (d_num l + 2 d_den a) of the closed form times d; the
     row's keys after m in order of first appearance over the rows of the m - e_i
     (at every d, as binomials are positive), each of those rows' positions in them
-    and the divisors |m| - |k|."""
+    and, for L = lcm(1, ..., |m|), L and each L / (|m| - |k|)."""
     cols, w, peels = conjugate(m), weight(m), []
     for i in range(r - 1, -1, -1):  # the partitions m - e_i, lex-largest first
         mi = m[i]
@@ -183,12 +183,13 @@ def _row_plan(m: tuple, r: int) -> tuple:
             boxes += [(m[p] - mi, i - p, m[p] - mi, i - p + 1) for p in range(i)]  # above it
             peels.append((m[:i] + (mi - 1,) + m[i + 1:], tuple(boxes)))
     keys, ats = _first_appearance([(kappa, *_row_plan(kappa, r)[1]) for kappa, _ in peels])
-    return tuple(peels), keys, ats, tuple([w - weight(k) for k in keys])
+    L = lcm(*range(1, w + 1))
+    return tuple(peels), keys, ats, (L, *[L // (w - weight(k)) for k in keys])
 
 
 def _one_box(m: tuple, d_num: int, d_den: int, r: int) -> list:
     """The one-box binomials binom(m, m - e_i), lex-largest m - e_i first, as
-    [(m - e_i, value), ...]; uncached, as ``_binom_row`` is cached per (m, d, r).
+    [(m - e_i, num, den), ...] in integers; uncached, as ``_binom_row`` is cached.
     Lassalle's closed form (C. R. Acad. Sci. Paris 1990): with alpha = 2/d and the box
     at the end of row i removed, a factor (l + alpha (a + 1)) / (l + alpha a) for
     each other box of row i and (l + 1 + alpha a) / (l + alpha a) for each box above
@@ -201,8 +202,9 @@ def _one_box(m: tuple, d_num: int, d_den: int, r: int) -> list:
         for a, leg, a1, leg1 in boxes:
             num *= d_num * leg1 + two * a1
             den *= d_num * leg + two * a
-        peeled.append((kappa, Fraction(num, den)))
-    if sum(b for _, b in peeled) != weight(m):
+        peeled.append((kappa, num, den))
+    total, den = _int_sum([(num, den) for _, num, den in peeled])
+    if total != weight(m) * den:
         raise InvariantError("one-box binomials do not sum to |m|")
     return peeled
 
@@ -217,25 +219,35 @@ def check_row_weight(w: int) -> None:
 
 
 @lru_cache(maxsize=1024)
-def _binom_row(m: tuple, d_num: int, d_den: int, r: int) -> dict:
-    """Coefficients of Phi_k in the expansion of Phi_m(1 + x), all k, at
-    d = d_num/d_den in lowest terms, by the one-box recursion (Lassalle 1990;
+def _binom_row(m: tuple, d_num: int, d_den: int, r: int) -> tuple:
+    """Coefficients of Phi_k in the expansion of Phi_m(1 + x), all k, at d = d_num/d_den
+    in lowest terms, as (den, nums): binom(m, m) = 1, then the k in ``_row_plan``'s
+    order, as integers over one denominator, by the one-box recursion (Lassalle 1990;
     Dumitriu, Edelman & Shuman 2007)
         (|m| - |k|) binom(m,k) = sum_i binom(m, m - e_i) binom(m - e_i, k),
-    binom(m, m) = 1 and binom(m, m - e_i) in closed form (``_one_box``), the right
-    side in integer numerators over the lcm of its products' denominators, summed
-    into the slots of ``_row_plan``."""
+    binom(m, m - e_i) in closed form (``_one_box``), the right side in integer
+    numerators over D = lcm of its products' denominators, summed into the slots of
+    ``_row_plan``, and the row over D lcm(1, ..., |m|) reduced by one gcd."""
     check_row_weight(weight(m))
-    _, keys, ats, divs = _row_plan(m, r)
-    steps = [(b, _binom_row(kappa, d_num, d_den, r)) for kappa, b in _one_box(m, d_num, d_den, r)]
-    _check_plan([sub for _, sub in steps], ats, m)
-    den = lcm(*(b.denominator * c.denominator for b, sub in steps for c in sub.values()))
+    _, keys, ats, (L, *muls) = _row_plan(m, r)
+    steps = [(b, e, _binom_row(kap, d_num, d_den, r)) for kap, b, e in _one_box(m, d_num, d_den, r)]
+    _check_plan([sub for _, _, (_, sub) in steps], ats, m)
+    den = lcm(*(e * sub_den for _, e, (sub_den, _) in steps))
     acc = [0] * len(keys)
-    for (b, sub), at in zip(steps, ats):
-        b_num, b_den = b.numerator, b.denominator
-        for i, c in zip(at, sub.values()):
-            acc[i] += b_num * c.numerator * (den // (b_den * c.denominator))
-    return {m: Fraction(1), **dict(zip(keys, map(Fraction, acc, [den * e for e in divs])))}
+    for (b, e, (sub_den, sub)), at in zip(steps, ats):
+        scale = b * (den // (e * sub_den))
+        for i, c in zip(at, sub):
+            acc[i] += c * scale
+    nums = [den * L, *[v * e for v, e in zip(acc, muls)]]
+    g = gcd(*nums)
+    return nums[0] // g, tuple([v // g for v in nums])
+
+
+@lru_cache(maxsize=1024)
+def _binom_view(m: tuple, d_num: int, d_den: int, r: int) -> dict:
+    """The row of ``_binom_row`` as {k: Fraction}, made once per row for ``gen_binom``."""
+    den, nums = _binom_row(m, d_num, d_den, r)
+    return dict(zip((m, *_row_plan(m, r)[1]), [Fraction(v, den) for v in nums]))
 
 
 _ZERO = Fraction(0)
@@ -251,7 +263,7 @@ def gen_binom(m: Sequence[int], k: Sequence[int], params: ParamSet) -> Fraction:
     # padded tuples, as the grid loops pass them, skip pad
     m = m if type(m) is tuple and len(m) == r else pad(m, r)
     k = k if type(k) is tuple and len(k) == r else pad(k, r)
-    return _binom_row(m, params.d_num, params.d_den, r).get(k, _ZERO)
+    return _binom_view(m, params.d_num, params.d_den, r).get(k, _ZERO)
 
 
 def gamma_k_partition(k: Sequence[int], x: Sequence[int], params: ParamSet) -> Fraction:

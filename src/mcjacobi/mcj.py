@@ -148,32 +148,34 @@ def _param_set(r: int, d_num: int, d_den: int, alpha=0, nu=0.0) -> ParamSet:
 @lru_cache(maxsize=1024)
 def _row_order(m: tuple) -> tuple:
     """The partitions k contained in the padded m, in ``_sort_key`` order: the row
-    of ``_m_table`` at every d."""
-    return tuple(k for k in enumerate_partitions(weight(m), len(m)) if all(map(le, k, m)))
+    of ``_m_table`` at every d, and each k's position in ``coeffs._binom_row``."""
+    ks = tuple(k for k in enumerate_partitions(weight(m), len(m)) if all(map(le, k, m)))
+    at = {k: i for i, k in enumerate((m, *coeffs._row_plan(m, len(m))[1]))}
+    return ks, tuple([at[k] for k in ks])
 
 
 @lru_cache(maxsize=4096)
 def _m_table(m: tuple, d_num: int, d_den: int, r: int, scalar: type) -> tuple:
     """The factors of ``_family_body`` that depend only on m at d = d_num/d_den:
     d_m, (n/r)_m, the k contained in m (``_row_order``) and binom(m,k) of each.
-    Exact, they are integers in lowest terms, (dim_num, dim_den, poch_num,
-    poch_den, ks, b_nums, b_dens); complex, (dim, poch, ks, bs), each value the
-    correctly rounded ``num / den`` of the exact one.  The row holds exactly the
-    k contained in m, since binom(m,k) > 0 there and 0 elsewhere."""
+    Exact, they are integers, the two symbols in lowest terms and the binomials
+    over one denominator, (dim_num, dim_den, poch_num, poch_den, ks, b_den, b_nums);
+    complex, (dim, poch, ks, bs), each value the correctly rounded ``num / den`` of
+    the exact one.  The row holds exactly the k contained in m, since binom(m,k) > 0
+    there and 0 elsewhere."""
     if scalar is complex:
-        dim_n, dim_d, poch_n, poch_d, ks, b_nums, b_dens = _m_table(m, d_num, d_den, r, Fraction)
-        bs = tuple(complex(b / e) for b, e in zip(b_nums, b_dens))
+        dim_n, dim_d, poch_n, poch_d, ks, b_den, b_nums = _m_table(m, d_num, d_den, r, Fraction)
+        bs = tuple([complex(b / b_den) for b in b_nums])
         return complex(dim_n / dim_d), complex(poch_n / poch_d), ks, bs
     p = _param_set(r, d_num, d_den)
-    row = coeffs._binom_row(m, d_num, d_den, r)
-    ks = _row_order(m)
-    bs = [row[k] for k in ks]
+    b_den, row = coeffs._binom_row(m, d_num, d_den, r)
+    ks, at = _row_order(m)
     return (
         *_lowest(*coeffs._dim_ratio(m, p)),
         *_lowest(*coeffs._poch_ratio([p.n_over_r] * r, m, p)),
         ks,
-        tuple(b.numerator for b in bs),
-        tuple(b.denominator for b in bs),
+        b_den,
+        tuple([row[i] for i in at]),
     )
 
 
@@ -185,12 +187,10 @@ def _k_table(k: tuple, params: ParamSet, scalar: type) -> tuple:
     alpha_den); complex, (sign, beta_k, alpha_k)."""
     sign = (-1) ** weight(k)
     if scalar is Fraction:
-        alpha = Fraction(params.alpha)
-        beta_arg = (alpha + params.n_over_r) / 2
         return (
             sign,
-            *_lowest(*coeffs._poch_ratio([beta_arg] * params.r, k, params)),
-            *_lowest(*coeffs._poch_ratio([alpha] * params.r, k, params)),
+            *_lowest(*coeffs._poch_ratio([params.beta_exact] * params.r, k, params)),
+            *_lowest(*coeffs._poch_ratio([params.alpha] * params.r, k, params)),
         )
     alpha = complex(float(params.alpha))
     return sign, gen_pochhammer(params.beta, k, params), gen_pochhammer(alpha, k, params)
@@ -210,22 +210,24 @@ def _phi_table(k: tuple, d_num: int, d_den: int, r: int, shifted: bool, scalar: 
         phi = _spherical_cached(k, d_num, d_den, r).terms
         den = lcm(*(c.denominator for c in phi.values()))
         return den, tuple(phi), tuple([c.numerator * (den // c.denominator) for c in phi.values()])
-    # Phi_k(1 - x) = sum_j binom(k, j) Phi_j(-x) in integer numerators over D =
-    # lcm(b_j.den den_j), into the slots of ``_shift_plan``, odd weights negated as
-    # m_lam(-x) = (-1)^{|lam|} m_lam(x); dividing by gcd(D, *nums) leaves the reduced
+    # Phi_k(1 - x) = sum_j binom(k, j) Phi_j(-x) in integer numerators over D = the
+    # row's den times lcm(den_j), into the slots of ``_shift_plan``, odd weights negated
+    # as m_lam(-x) = (-1)^{|lam|} m_lam(x); dividing by gcd(D, *nums) leaves the reduced
     # terms' lcm, since lcm_i(D / gcd(D, a_i)) = D / gcd(D, a_1, ..., a_n)
-    row = coeffs._binom_row(k, d_num, d_den, r)
+    b_den, row = coeffs._binom_row(k, d_num, d_den, r)
     lams, ats, odd = _shift_plan(k, r)
-    steps = [(b, _phi_table(j, d_num, d_den, r, False, Fraction)) for j, b in row.items()]
-    coeffs._check_plan([nums for _, (_, _, nums) in steps], ats, k)
-    den = lcm(*(b.denominator * e for b, (e, _, _) in steps))
+    js = (k, *coeffs._row_plan(k, r)[1])
+    tables = [_phi_table(j, d_num, d_den, r, False, Fraction) for j in js]
+    coeffs._check_plan([nums for _, _, nums in tables], ats, k)
+    den = lcm(*(e for e, _, _ in tables))
     acc = [0] * len(lams)
-    for (b, (e, _, nums)), at in zip(steps, ats):
-        scale = b.numerator * (den // (b.denominator * e))
+    for b, (e, _, nums), at in zip(row, tables, ats):
+        scale = b * (den // e)
         for i, c in zip(at, nums):
             acc[i] += c * scale
     for i in odd:
         acc[i] = -acc[i]
+    den *= b_den
     g = gcd(den, *acc)
     return den // g, lams, tuple([v // g for v in acc])
 
@@ -246,7 +248,7 @@ def _body_plan(m: tuple, r: int, shifted: bool) -> tuple:
     """The d-free part of ``_family_body``, (lams, ats): the monomials of the Phi_k,
     k in ``_row_order(m)``, in order of first appearance, and each k's positions."""
     plan = _shift_plan if shifted else _jack_skeleton
-    return coeffs._first_appearance(plan(k, r)[0] for k in _row_order(m))
+    return coeffs._first_appearance(plan(k, r)[0] for k in _row_order(m)[0])
 
 
 def _family_body(
@@ -259,11 +261,12 @@ def _family_body(
 
     with beta = (alpha + n/r)/2 + i nu, or no numerator when ``beta`` is false
     (Laguerre), and X = 1 - sigma when ``shifted``, the variable itself otherwise;
-    exact (``SymPoly``) when ``exact``, complex doubles (``CSymPoly``) otherwise.
+    complex doubles (``CSymPoly``), or when ``exact`` the pair (its ``CSymPoly``, ``SymPoly``).
     The factors come from the bounded tables ``_m_table``, ``_k_table`` (its k = m
     entry is (alpha)_m) and ``_phi_table``, and each term goes to its slot of
     ``_body_plan``.  Exact, the k-th coefficient is an integer over E_k, which holds
-    its Phi table's den, and a term adds numerator * (L / E_k) * c, L = lcm E_k.  The
+    its Phi table's den, a term adds numerator * (L / E_k) * c, L = lcm E_k, and the
+    m-only prefactor multiplies each slot's sum at the end.  The
     terms keep the order of a dict of the partial sums that pops a zero one, as the
     rational sums did: an integer sum is zero exactly when the rational one is.
     """
@@ -273,15 +276,15 @@ def _family_body(
     d_num, d_den = params.d_num, params.d_den
     steps = []
     if exact:
-        dim_n, dim_d, poch_n, poch_d, ks, b_nums, b_dens = _m_table(mm, d_num, d_den, r, Fraction)
+        dim_n, dim_d, poch_n, poch_d, ks, b_den, b_nums = _m_table(mm, d_num, d_den, r, Fraction)
         am_n, am_d = _k_table(mm, params, Fraction)[3:]
-        # pref = d_m (alpha)_m / (n/r)_m = pref_num / pref_den
+        # pref = d_m (alpha)_m / (n/r)_m / b_den = pref_num / pref_den, once per slot
         pref_num = dim_n * am_n * poch_d
-        pref_den = dim_d * am_d * poch_n
-        for k, b_n, b_d in zip(ks, b_nums, b_dens):
+        pref_den = dim_d * am_d * poch_n * b_den
+        for k, b_n in zip(ks, b_nums):
             sign, bk_n, bk_d, ak_n, ak_d = _k_table(k, params, Fraction)
-            k_num = sign * pref_num * b_n * ak_d
-            k_den = pref_den * b_d * ak_n
+            k_num = sign * b_n * ak_d
+            k_den = ak_n
             if beta:
                 k_num *= bk_n
                 k_den *= bk_d
@@ -314,9 +317,13 @@ def _family_body(
                 order.append(i)
     if len(order) > len(lams):  # a sum cancelled: each slot at its last insertion
         order = reversed(dict.fromkeys(reversed(order)))
-    if exact:
-        return SymPoly._trusted(r, {lams[i]: Fraction(acc[i], den) for i in order if acc[i]})
-    return CSymPoly._trusted(r, {lams[i]: acc[i] for i in order if acc[i]})
+    if not exact:
+        return CSymPoly._trusted(r, {lams[i]: acc[i] for i in order if acc[i]})
+    # the complex twin from the same sums: int true division rounds correctly, as the
+    # reduced Fraction's double does, and a value that rounds to 0.0 is dropped
+    den, terms = den * pref_den, [(lams[i], pref_num * acc[i]) for i in order if acc[i]]
+    body = SymPoly._trusted(r, {lam: Fraction(v, den) for lam, v in terms})
+    return CSymPoly._trusted(r, {lam: c for lam, v in terms if (c := complex(v / den))}), body
 
 
 # ---------------------------------------------------------------------------
@@ -356,9 +363,7 @@ def mcj_build(m: tuple, params: ParamSet) -> MCJPolynomial:
     mm = pad(m, params.r)
     exact = params.nu_is_zero and params.alpha_is_exact
     body = _family_body(mm, params, beta=True, shifted=True, exact=exact)
-    if exact:
-        return MCJPolynomial(mm, params, body.to_complex(), body)
-    return MCJPolynomial(mm, params, body, None)
+    return MCJPolynomial(mm, params, *body) if exact else MCJPolynomial(mm, params, body)
 
 
 def _check_series_den(m: int, c) -> None:
@@ -489,10 +494,11 @@ def psi_tilde_eval(m: Sequence[int], params: ParamSet, w: Sequence[complex]) -> 
     return _psi_body(pad(m, params.r), params).evaluate(w)
 
 
-def psi_eval(m: Sequence[int], params: ParamSet, t: Sequence[float]) -> complex:
+def psi_eval(m: Sequence[int], params: ParamSet, t: Sequence[float], refuse_zero=False) -> complex:
     """Psi_m(t) = prod_j (1 - i t_j)^{-beta} * psi_tilde(2/(1 - i t)).
 
-    Principal powers throughout; the prefactor equals 1 at t = 0.
+    Principal powers throughout; the prefactor equals 1 at t = 0.  With ``refuse_zero``
+    a prefactor that underflows to 0, which would read as a value of 0, is refused.
     """
     if len(t) != params.r:
         raise ParameterError("t must have length r")
@@ -502,6 +508,9 @@ def psi_eval(m: Sequence[int], params: ParamSet, t: Sequence[float]) -> complex:
         base = 1 - 1j * tj
         pref *= _power(base, -params.beta, "(1 - i t)^(-beta) of Psi")
         w.append(2.0 / base)
+    if refuse_zero and not pref:
+        raise ParameterError("the factor (1 - i t)^(-beta) of Psi underflows to 0 in doubles; "
+                             "use a smaller |nu| (--nu), |t| (--t) or alpha (--alpha)")
     return pref * psi_tilde_eval(m, params, w)
 
 
@@ -990,7 +999,9 @@ def genfun_residual_psi(
             ),
         )
 
-    return _genfun_residual(params, z, N, lambda m: psi_eval(m, params, t), closed)
+    residual = _genfun_residual(params, z, N, lambda m: psi_eval(m, params, t), closed)
+    psi_eval((0,) * params.r, params, t, refuse_zero=True)  # Psi_0(t) is the prefactor
+    return residual
 
 
 def laguerre_genfun_residual(

@@ -19,11 +19,11 @@ PARAM_LIMIT = 10**6
 class ParamSet:
     """Rank r, multiplicity d > 0 and the deformation parameters (alpha, nu).
 
-    Derived data: the ambient dimension n = r + (d/2) r (r-1), n/r and d's
-    numerator and denominator in lowest terms (attributes ``n_over_r``, ``d_num``
-    and ``d_den``, computed at construction), beta = (alpha + n/r)/2 + i nu in
-    complex doubles (computed once, on first use).  Exact rational arithmetic
-    is used for everything derived from (r, d).
+    Derived data: the ambient dimension n = r + (d/2) r (r-1), n/r, d's numerator and
+    denominator in lowest terms and (alpha + n/r)/2 of an exact alpha, else None
+    (``n_over_r``, ``d_num``, ``d_den``, ``beta_exact``, computed at construction), and
+    beta = (alpha + n/r)/2 + i nu in complex doubles (computed once, on first use).
+    Exact rational arithmetic is used for everything derived from (r, d).
     """
 
     r: int
@@ -56,6 +56,8 @@ class ParamSet:
         object.__setattr__(self, "d_den", self.d.denominator)
         object.__setattr__(self, "_hash", hash(self._key()))
         object.__setattr__(self, "n_over_r", 1 + (self.d / 2) * (self.r - 1))
+        beta = (self.alpha + self.n_over_r) / 2 if self.alpha_is_exact else None
+        object.__setattr__(self, "beta_exact", beta)
 
     @cached_property
     def beta(self) -> complex:

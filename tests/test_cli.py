@@ -244,6 +244,31 @@ def test_eval_psi_vanishing_pochhammer_exits_2(child_env):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("argv", [
+    ["eval", "--family", "psi", "--r", "1", "--alpha", "3", "--nu", "900", "--m", "1", "--t", "5"],
+    ["verify-genfun", "--r", "1", "--alpha", "2", "--nu", "1000", "--N", "3", "--t", "50"],
+])
+def test_psi_prefactor_underflowing_to_zero_exits_2(argv, capsys):
+    # |(1 - i t)^(-beta)| = e^(nu arg(1 - i t)) ~ e^(-1236) and e^(-1550): a Psi of 0, or
+    # a generating-function residual of 0 with both sides 0, would mean nothing
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert "(1 - i t)^(-beta) of Psi underflows to 0" in err
+    assert "(--nu)" in err and "(--t)" in err
+
+
+def test_psi_prefactor_underflow_is_refused_only_where_it_is_read(capsys):
+    # the determinant check's psi side keeps its value, and a nearby finite eval prints
+    p = ParamSet(r=1, d=2, alpha=3, nu=900)
+    assert mcj.psi_eval((1,), p, [5.0]) == 0
+    with pytest.raises(ParameterError, match=r"\(--nu\), \|t\| \(--t\)"):
+        mcj.psi_eval((1,), p, [5.0], refuse_zero=True)
+    assert run(["eval", "--family", "psi", "--r", "1", "--alpha", "3", "--nu", "0.5", "--m", "1",
+                "--t", "5"]) == 0
+    expected = format_complex(mcj.psi_eval((1,), p.with_(nu=0.5), [5.0]))
+    assert capsys.readouterr().out.strip() == expected
+
+
 @pytest.mark.parametrize(
     "argv,message",
     [

@@ -218,7 +218,8 @@ def _row_from_substitution(m, d, r):
 def test_binom_row_and_phi_one_plus_match_substitution(r, max_w, d):
     # the one-box recursion against the direct substitution x -> 1 + x, exactly
     for m in enumerate_partitions(max_w, r):
-        assert coeffs._binom_row(m, d.numerator, d.denominator, r) == _row_from_substitution(m, d, r)
+        row = coeffs._binom_view(m, d.numerator, d.denominator, r)
+        assert row == _row_from_substitution(m, d, r)
         oracle = affine_substitute(spherical_poly(m, d, r), 1, 1)
         # Phi_m(1 + x) is Phi_m(1 - x) with its odd-weight terms negated
         one_plus = {lam: -c if weight(lam) % 2 else c for lam, c in _shifted_terms(m, d, r).items()}
@@ -241,14 +242,15 @@ def test_exact_caches_bounded_and_rebuild_equal():
     # past the bound the first (m, d, r) entry of every exact cache, and the
     # first (m, r) entry of every d-free one, is evicted and rebuilds to an
     # equal value
-    caches = (coeffs._binom_row, sympoly._jack_terms, sympoly._spherical_cached,
-              sympoly._jack_skeleton, mcj._row_order, mcj._schur_at_ones)
+    caches = (coeffs._binom_row, coeffs._binom_view, sympoly._jack_terms,
+              sympoly._spherical_cached, sympoly._jack_skeleton, mcj._row_order,
+              mcj._schur_at_ones)
     assert all(f.cache_info().maxsize is not None for f in caches)
     bound = max(f.cache_info().maxsize for f in caches)
     m, r = (2, 1, 0), 3
 
     def build():
-        return (coeffs._binom_row(m, 7, 5, r),
+        return (coeffs._binom_row(m, 7, 5, r), coeffs._binom_view(m, 7, 5, r),
                 mcj._phi_table.__wrapped__(m, 7, 5, r, True, Fraction),
                 sympoly._jack_terms(m, 7, 5, r), sympoly._spherical_cached(m, 7, 5, r),
                 sympoly._jack_skeleton(m, r), mcj._row_order(m), mcj._schur_at_ones(m, r))

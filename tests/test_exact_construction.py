@@ -54,7 +54,7 @@ def test_kernel_built_polynomials_equal_validated_copies(r, d, alpha, w):
             mcj._psi_body(m, pc),
         ]
         for beta, shifted in ((True, True), (False, False), (True, False)):
-            built.append(mcj._family_body(m, pe, beta=beta, shifted=shifted, exact=True))
+            built += mcj._family_body(m, pe, beta=beta, shifted=shifted, exact=True)
         for poly in built:
             _assert_as_validated(poly)
         for shifted in (True, False):
@@ -96,11 +96,12 @@ ONE_BOX_GRID = [
 
 
 def _one_box_mismatches(one_box):
-    """The (r, d, m) of ``ONE_BOX_GRID`` where ``one_box`` differs from the
-    oracle's E-operator peel, in value or in order."""
+    """The (r, d, m) of ``ONE_BOX_GRID`` where ``one_box``'s integer pairs differ
+    from the oracle's E-operator peel, in value or in order."""
     return [
         (r, d, m) for r, d, m in ONE_BOX_GRID
-        if one_box(m, d.numerator, d.denominator, r) != oracle._one_box(m, d, r)
+        if [(k, Fraction(num, den)) for k, num, den in one_box(m, d.numerator, d.denominator, r)]
+        != oracle._one_box(m, d, r)
     ]
 
 
@@ -155,7 +156,7 @@ def test_oracle_catches_two_positions_swapped_in_a_body_plan(monkeypatch):
     expected = list(oracle.family_body_exact(m, p, beta=True, shifted=True).terms.items())
 
     def body():
-        return list(mcj._family_body(m, p, beta=True, shifted=True, exact=True).terms.items())
+        return list(mcj._family_body(m, p, beta=True, shifted=True, exact=True)[1].terms.items())
 
     assert body() == expected
     parts = [n for n, at in enumerate(ats) if len(at) > 1]
@@ -294,6 +295,9 @@ def test_internal_exact_tables_hold_only_ints_and_tuples():
         tables = [
             sympoly._jack_skeleton(m, r),
             sympoly._jack_terms(m, d.numerator, d.denominator, r),
+            coeffs._row_plan(m, r),
+            tuple(coeffs._one_box(m, d.numerator, d.denominator, r)),
+            coeffs._binom_row(m, d.numerator, d.denominator, r),
             mcj._row_order(m),
             m_table,
             mcj._k_table(m, p, Fraction),
@@ -320,11 +324,11 @@ def test_exact_to_complex_is_complex_of_fraction():
         parts = enumerate_partitions(8, 3)
         values = []
         for m in parts:
-            dim_n, dim_d, poch_n, poch_d, ks, b_nums, b_dens = mcj._m_table(
+            dim_n, dim_d, poch_n, poch_d, ks, b_den, b_nums = mcj._m_table(
                 m, d.numerator, d.denominator, 3, Fraction
             )
             dim, nr_poch = Fraction(dim_n, dim_d), Fraction(poch_n, poch_d)
-            row = [Fraction(b, e) for b, e in zip(b_nums, b_dens)]
+            row = [Fraction(b, b_den) for b in b_nums]
             values += [dim, nr_poch] + row
             values += list(sympoly.spherical_poly(m, d, 3).terms.values())
             den, _, nums = mcj._phi_table(m, d.numerator, d.denominator, 3, True, Fraction)
@@ -347,6 +351,18 @@ def test_exact_to_complex_is_complex_of_fraction():
         with pytest.raises(OverflowError) as old:
             complex(c)
         assert str(new.value) == str(old.value)
+
+
+def test_exact_body_past_the_double_range_raises_as_to_complex_did():
+    # (10^6)_100 / 100! ~ 1e442: the complex twin of the exact body cannot be made,
+    # and the error is the one complex(Fraction) and to_complex() raise
+    p = ParamSet(r=1, d=2, alpha=10**6, nu=0)
+    with pytest.raises(OverflowError) as new:
+        mcj.mcj_build.__wrapped__((100,), p)
+    exact = oracle.family_body_exact((100,), p, beta=True, shifted=True)
+    with pytest.raises(OverflowError) as old:
+        exact.to_complex()
+    assert str(new.value) == str(old.value) == "integer division result too large for a float"
 
 
 def test_complex_phi_table_is_complex_of_fraction(monkeypatch):

@@ -75,14 +75,25 @@ def test_jack_rows_and_phi_one_plus_match_oracle(case):
     d, r = p.d, p.r
     key = (d.numerator, d.denominator)
     assert _jack_fractions(m, *key, r) == oracle._jack_terms(m, 2 / d, r)
-    new_row, old_row = coeffs._binom_row(m, *key, r), oracle._binom_row(m, d, r)
-    assert list(new_row.items()) == list(old_row.items())
+    assert _row_items(m, *key, r) == list(oracle._binom_row(m, d, r).items())
     # Phi_m(1 + x) is Phi_m(1 - x) with its odd-weight terms negated
     den, lams, nums = mcj._phi_table(m, *key, r, True, Fraction)
     new_phi = [
         (lam, Fraction(-num if weight(lam) % 2 else num, den)) for lam, num in zip(lams, nums)
     ]
     assert new_phi == list(oracle._phi_one_plus(m, d, r).terms.items())
+
+
+def _row_items(m, d_num, d_den, r):
+    """The integer row of ``coeffs._binom_row`` as the oracle's [(k, Fraction), ...],
+    after checking that it is reduced: positive integers over the lcm of the reduced
+    values' denominators, binom(m, m) = 1 first."""
+    den, nums = coeffs._binom_row(m, d_num, d_den, r)
+    assert type(den) is int and nums[0] == den and math.gcd(*nums) == 1
+    assert all(type(v) is int and v > 0 for v in nums)
+    values = [Fraction(v, den) for v in nums]
+    assert den == math.lcm(*(b.denominator for b in values))
+    return list(zip((m, *coeffs._row_plan(m, r)[1]), values))
 
 
 def _hex(z):
@@ -144,7 +155,7 @@ def test_jack_terms_from_skeleton_match_oracle(case):
 def test_exact_family_body_matches_oracle(case):
     p, m = case
     for beta, shifted in ((True, True), (False, False), (True, False)):
-        new = mcj._family_body(m, p, beta=beta, shifted=shifted, exact=True)
+        new = mcj._family_body(m, p, beta=beta, shifted=shifted, exact=True)[1]
         old = oracle.family_body_exact(m, p, beta=beta, shifted=shifted)
         assert list(new.terms.items()) == list(old.terms.items())
 
@@ -163,14 +174,14 @@ def test_exact_family_body_keeps_key_order_where_a_partial_sum_cancels(r, d, alp
     # in these bodies a monomial's partial sum is exactly zero before a later k
     # adds to it again, so it is popped and re-inserted at the end
     p = ParamSet(r=r, d=d, alpha=alpha, nu=0)
-    new = mcj._family_body(m, p, beta=True, shifted=True, exact=True)
+    new = mcj._family_body(m, p, beta=True, shifted=True, exact=True)[1]
     old = oracle.family_body_exact(m, p, beta=True, shifted=True)
     assert list(new.terms.items()) == list(old.terms.items())
 
 
 # the d-free plans, and every per-d table whose build reads one
 PLANS = (coeffs._row_plan, mcj._shift_plan, mcj._body_plan)
-PER_D = (coeffs._binom_row, mcj._phi_table, mcj._m_table, sympoly._jack_terms,
+PER_D = (coeffs._binom_row, coeffs._binom_view, mcj._phi_table, mcj._m_table, sympoly._jack_terms,
          sympoly._spherical_cached)
 
 
@@ -186,15 +197,15 @@ def _per_d_tables(m, d, r):
     key = (d.numerator, d.denominator)
     pe = ParamSet(r=r, d=d, alpha=d / 2 * (r - 1) + 1, nu=0)
     pc = pe.with_(nu=0.3)
-    out = [coeffs._one_box(m, *key, r), list(coeffs._binom_row(m, *key, r).items())]
+    out = [coeffs._one_box(m, *key, r), coeffs._binom_row(m, *key, r)]
     for shifted in (True, False):
         out.append(mcj._phi_table(m, *key, r, shifted, Fraction))
         out.append([_hex(c) for c in mcj._phi_table(m, *key, r, shifted, complex)[2]])
     for beta, shifted in ((True, True), (False, False), (True, False)):
-        exact = mcj._family_body(m, pe, beta=beta, shifted=shifted, exact=True)
+        twin, exact = mcj._family_body(m, pe, beta=beta, shifted=shifted, exact=True)
         cplx = mcj._family_body(m, pc, beta=beta, shifted=shifted, exact=False)
         out.append(list(exact.terms.items()))
-        out.append([(lam, _hex(c)) for lam, c in cplx.terms.items()])
+        out += [[(lam, _hex(c)) for lam, c in body.terms.items()] for body in (twin, cplx)]
     return out
 
 
@@ -218,10 +229,69 @@ def test_cancelling_bodies_keep_key_order_on_plans_built_at_another_d(r, d, alph
     warm_at = ParamSet(r=r, d=d + Fraction(1, 7), alpha=alpha + 1, nu=0)
     mcj._family_body(m, warm_at, beta=True, shifted=True, exact=True)
     p = ParamSet(r=r, d=d, alpha=alpha, nu=0)
-    new = mcj._family_body(m, p, beta=True, shifted=True, exact=True)
+    new = mcj._family_body(m, p, beta=True, shifted=True, exact=True)[1]
     old = oracle.family_body_exact(m, p, beta=True, shifted=True)
     assert list(new.terms.items()) == list(old.terms.items())
 
 
 def test_plan_caches_are_bounded():
     assert all(plan.cache_info().maxsize is not None for plan in PLANS)
+
+
+@st.composite
+def wide_d_partition(draw):
+    """(d, r, a partition): r in 1..6, weight <= 6 (<= 5 from r = 5 on), d = p/q in
+    (0, 8] with q <= 12 or with a numerator and denominator of 20 to 41 digits."""
+    r = draw(st.integers(min_value=1, max_value=6))
+    long_q = st.integers(min_value=10**19, max_value=10**41 - 1)
+    q = draw(st.integers(min_value=1, max_value=12) | long_q)
+    if q <= 12:
+        p = draw(st.integers(min_value=1, max_value=8 * q))
+    else:  # the next numerator prime to q, so both parts keep their digits in lowest terms
+        p = draw(st.integers(min_value=10**19, max_value=min(8 * q, 10**41 - 2)))
+        while math.gcd(p, q) != 1:
+            p += 1
+    m = draw(st.sampled_from(enumerate_partitions(MAX_WEIGHT if r <= 4 else 5, r)))
+    return Fraction(p, q), r, m
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(wide_d_partition(), wide_d_partition())
+def test_integer_rows_on_plans_warmed_at_another_d_match_oracle(case, other):
+    # the row's numerators over one reduced denominator, in the plan's key order, are
+    # the oracle's Fraction row, whatever d the plans were built at
+    (d, r, m), warm = case, other[0]
+    _clear(PLANS + PER_D)
+    coeffs._binom_row(m, warm.numerator, warm.denominator, r)
+    coeffs._binom_row.cache_clear()
+    assert _row_items(m, d.numerator, d.denominator, r) == list(oracle._binom_row(m, d, r).items())
+
+
+def _hex_items(poly):
+    return [(lam, _hex(c)) for lam, c in poly.terms.items()]
+
+
+# the exact-build pool: every non-integer d = p/q, q <= 9, d < 6
+POOL = sorted({Fraction(p, q) for q in range(2, 10) for p in range(1, 6 * q) if p % q})
+
+
+def test_complex_mcj_bodies_are_their_exact_bodies_to_complex():
+    # the complex body is emitted from the exact body's integer sums: it is what
+    # to_complex() makes of the exact body, in values, key order and bits
+    parts = enumerate_partitions(8, 3)
+    assert len(POOL) == 162 and len(parts) == 41
+    for d in POOL:
+        p = ParamSet(r=3, d=d, alpha=math.floor(1 + d) + 2, nu=0)
+        for m in parts:
+            poly = mcj.mcj_build(m, p)
+            assert _hex_items(poly.body) == _hex_items(poly.body_exact.to_complex())
+
+
+@pytest.mark.parametrize("r,d,alpha,m", CANCELLING)
+def test_complex_twin_keeps_key_order_where_a_partial_sum_cancels(r, d, alpha, m):
+    p = ParamSet(r=r, d=d, alpha=alpha, nu=0)
+    for beta, shifted in ((True, True), (False, False), (True, False)):
+        twin, exact = mcj._family_body(m, p, beta=beta, shifted=shifted, exact=True)
+        assert _hex_items(twin) == _hex_items(exact.to_complex())
+    poly = mcj.mcj_build.__wrapped__(m, p)
+    assert _hex_items(poly.body) == _hex_items(poly.body_exact.to_complex())

@@ -190,7 +190,9 @@ def _family_body_loop(m, params, *, beta, shifted, exact):
                 terms.pop(lam, None)
             else:
                 terms[lam] = v
-    return (SymPoly if exact else CSymPoly)(r, terms)
+    if exact:  # the complex twin and the exact body, as the kernel returns them
+        return SymPoly(r, terms).to_complex(), SymPoly(r, terms)
+    return CSymPoly(r, terms)
 
 
 KERNEL_WEIGHT = {1: 8, 2: 5, 3: 4}
@@ -200,13 +202,15 @@ KERNEL_ALPHA_NU = [(a, nu) for a in (3, Fraction(7, 2), 4.25) for nu in (0, 0.3,
 
 def _kernel_bodies(kernel, params):
     """Reprs of the complex MCJ, Laguerre and Psi bodies, and of the exact MCJ
-    body where alpha is exact and nu = 0, for every m up to KERNEL_WEIGHT."""
+    body and its complex twin where alpha is exact and nu = 0, for every m up to
+    KERNEL_WEIGHT."""
     out = []
     for m in enumerate_partitions(KERNEL_WEIGHT[params.r], params.r):
         for beta, shifted in ((True, True), (False, False), (True, False)):
             out.append(repr(kernel(m, params, beta=beta, shifted=shifted, exact=False).terms))
         if params.nu == 0 and params.alpha_is_exact:
-            out.append(repr(kernel(m, params, beta=True, shifted=True, exact=True).terms))
+            twin, exact = kernel(m, params, beta=True, shifted=True, exact=True)
+            out += [repr(exact.terms), repr(twin.terms)]
     return out
 
 
