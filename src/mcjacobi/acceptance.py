@@ -5,11 +5,14 @@ Each criterion is a function returning a :class:`CriterionResult`; the CLI
 tolerances are fixed here and nowhere else.
 
 With two CPUs and ``os.fork``, :func:`run_all` runs the quadrature criteria
-1-4, the only ones that need ``scipy.special``, in a forked child while the
-parent runs the exact and scalar criteria 5-10; the child inherits the
-parent's state, monkeypatches included, and sends its results back pickled
-through a pipe.  The results, and so the output, do not depend on the CPU
-count.
+1-4 in a forked child while the parent runs the exact and scalar criteria
+5-10; the child inherits the parent's state, monkeypatches included, and
+sends its results back pickled through a pipe.  The results, and so the
+output, do not depend on the CPU count.  The fork was made when the child
+also paid ``scipy.special``'s import; the package no longer imports scipy,
+and the fork still pays: on a 2-core x86 machine a cold ``selftest`` took
+0.433 s (median of 16) against 0.454 s in one process, faster in 11 of 16
+alternating starts.
 """
 
 from __future__ import annotations

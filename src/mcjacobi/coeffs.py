@@ -84,21 +84,104 @@ def gen_pochhammer(s, m: Sequence[int], params: ParamSet):
     return _poch_complex(sv, m, params)
 
 
+# B_2k / (2k (2k - 1)), k = 1..8: the Stirling series of log Gamma
+_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 / 156, -3617 / 122400)
+_HALF_LOG_2PI_OVER_E = 0.5 * math.log(TWO_PI) - 0.5  # log(2 pi / e) / 2
+# zeta(k) - 1, k = 2..46
+_ZETA_1 = (
+    0.64493406684822644, 0.20205690315959429, 0.082323233711138192, 0.036927755143369926,
+    0.01734306198444914, 0.0083492773819228268, 0.0040773561979443394,
+    0.0020083928260822144, 0.00099457512781808534, 0.00049418860411946456,
+    0.0002460865533080483, 0.00012271334757848915, 6.1248135058704829e-5,
+    3.0588236307020494e-5, 1.5282259408651872e-5, 7.6371976378997623e-6,
+    3.8172932649998399e-6, 1.9082127165539389e-6, 9.5396203387279611e-7,
+    4.7693298678780646e-7, 2.3845050272773299e-7, 1.1921992596531107e-7,
+    5.960818905125948e-8, 2.980350351465228e-8, 1.4901554828365041e-8,
+    7.4507117898354295e-9, 3.7253340247884571e-9, 1.862659723513049e-9,
+    9.3132743241966818e-10, 4.6566290650337841e-10, 2.3283118336765055e-10,
+    1.164155017270052e-10, 5.8207720879027009e-11, 2.9103850444970997e-11,
+    1.4551921891041984e-11, 7.275959835057481e-12, 3.6379795473786512e-12,
+    1.8189896503070659e-12, 9.0949478402638893e-13, 4.547473783042154e-13,
+    2.2737368458246525e-13, 1.1368684076802278e-13, 5.6843419876275856e-14,
+    2.8421709768893019e-14, 1.4210854828031607e-14,
+)
+# log Gamma(2 + w) = (1 - Euler's gamma) w + sum_k (-1)^k (zeta(k) - 1) w^k / k
+# (Abramowitz & Stegun 6.1.33), to double precision for |w| <= 0.9
+_AT_TWO = (1 - 0.57721566490153286061, *[(-1) ** k * c / k for k, c in enumerate(_ZETA_1, 2)])
+
+
+def _poly(coefs: tuple, w: complex) -> complex:
+    out = 0j
+    for c in reversed(coefs):
+        out = out * w + c
+    return out
+
+
+def _sinpi(z: complex) -> complex:
+    """sin(pi z), with the real part reduced exactly to [-1/2, 1/2] first."""
+    x = math.fmod(z.real, 2.0)  # exact; sin(pi (x + 2k)) = sin(pi x)
+    if abs(x) > 0.5:  # sin(pi x) = sin(pi (1 - x)), cos(pi x) = -cos(pi (1 - x))
+        x, sign = math.copysign(1.0, x) - x, -1.0
+    else:
+        sign = 1.0
+    y = math.pi * z.imag
+    return complex(math.sin(math.pi * x) * math.cosh(y), sign * math.cos(math.pi * x) * math.sinh(y))
+
+
+def _loggamma(z: complex) -> complex:
+    """log Gamma(z) on the branch that is continuous off the negative real
+    axis and real on the positive one: a sum of logs, not the principal log
+    of Gamma (Hare, "Computing the principal branch of log-Gamma", J.
+    Algorithms 25, 1997).  On the positive real axis it is libm's lgamma;
+    below it, the conjugate of the value above.  Within 0.9 of the zeros at 2
+    and 1, the series of log Gamma(2 + w), with log Gamma(z) = log Gamma(z + 1)
+    - log z about 1; for Re z < 1/2 the reflection formula with its branch
+    term (while sin(pi z) stays in the double range); else the Stirling
+    series, after the recurrence log Gamma(z) = log Gamma(z + k) - log(z (z +
+    1) ... (z + k - 1)) has carried z past |z| = 7, the log of the product
+    taken once and moved onto the branch by 2 pi i per turn of the product's
+    argument past pi."""
+    if math.copysign(1.0, z.imag) < 0:
+        return _loggamma(z.conjugate()).conjugate()
+    if z.imag == 0 and z.real > 0:
+        return complex(math.lgamma(z.real))
+    if abs(z - 2) <= 0.9:
+        return _poly(_AT_TWO, z - 2) * (z - 2)
+    if abs(z - 1) <= 0.9:
+        return _poly(_AT_TWO, z - 1) * (z - 1) - cmath.log(z)
+    if z.real < 0.5 and z.imag <= 200:
+        # log Gamma(z) + log Gamma(1 - z) = log pi - log sin(pi z) + 2 pi i k,
+        # with k jumping where sin(pi z) crosses the negative real axis
+        branch = complex(math.log(math.pi), TWO_PI * math.floor(0.5 * z.real + 0.25))
+        return branch - cmath.log(_sinpi(z)) - _loggamma(1 - z)
+    prod, turns = 1 + 0j, 0
+    while abs(z) < 7 and z.real < 7:
+        # each factor's argument is in [0, pi), so the product's passes pi
+        # exactly when its imaginary part turns negative
+        nxt = prod * z
+        turns += prod.imag >= 0 > nxt.imag
+        prod, z = nxt, z + 1
+    zr = 1 / z
+    # (z - 1/2) log z - z + log(2 pi) / 2, with the z and the 1/2 folded in
+    return (
+        (z - 0.5) * (cmath.log(z) - 1) + _HALF_LOG_2PI_OVER_E + zr * _poly(_STIRLING, zr * zr)
+        - cmath.log(prod) - complex(0, TWO_PI * turns)
+    )
+
+
 def gamma_omega_log(s, params: ParamSet) -> complex:
-    """Principal log of the cone gamma function.
+    """Log of the cone gamma function, on the branch of ``_loggamma``.
 
     Gamma_Omega(s) = (2 pi)^{(n-r)/2} prod_j Gamma(s_j - (d/2)(j-1)); the
     squared modulus |Gamma_Omega(x+iy)|^2 is exp(2 Re log Gamma_Omega).
     """
-    from scipy.special import loggamma  # imported on first use: most commands never need it
-
     sv = _broadcast(s, params.r)
     total = float((params.n - params.r) / 2) * math.log(TWO_PI) + 0j
     for j in range(params.r):
         a = complex(sv[j]) - float(params.d) / 2 * j
         if a.imag == 0.0 and a.real <= 0.0 and a.real == round(a.real):
             raise GammaPoleError(f"gamma pole at argument {a.real} (axis {j + 1})")
-        total += loggamma(a)
+        total += _loggamma(a)
     return total
 
 

@@ -494,11 +494,17 @@ def psi_tilde_eval(m: Sequence[int], params: ParamSet, w: Sequence[complex]) -> 
     return _psi_body(pad(m, params.r), params).evaluate(w)
 
 
-def psi_eval(m: Sequence[int], params: ParamSet, t: Sequence[float], refuse_zero=False) -> complex:
+# the remedies of a Psi prefactor that underflows, for commands with and without --t
+PSI_REMEDY = "use a smaller |nu| (--nu), |t| (--t) or alpha (--alpha)"
+PSI_REMEDY_NO_T = "use a smaller |nu| (--nu) or alpha (--alpha)"
+
+
+def psi_eval(m: Sequence[int], params: ParamSet, t: Sequence[float], remedy: str = "") -> complex:
     """Psi_m(t) = prod_j (1 - i t_j)^{-beta} * psi_tilde(2/(1 - i t)).
 
-    Principal powers throughout; the prefactor equals 1 at t = 0.  With ``refuse_zero``
-    a prefactor that underflows to 0, which would read as a value of 0, is refused.
+    Principal powers throughout; the prefactor equals 1 at t = 0.  Given a ``remedy``,
+    a prefactor that underflows to 0, which would read as a value of 0, is refused,
+    the message ending in the remedy.
     """
     if len(t) != params.r:
         raise ParameterError("t must have length r")
@@ -508,9 +514,8 @@ def psi_eval(m: Sequence[int], params: ParamSet, t: Sequence[float], refuse_zero
         base = 1 - 1j * tj
         pref *= _power(base, -params.beta, "(1 - i t)^(-beta) of Psi")
         w.append(2.0 / base)
-    if refuse_zero and not pref:
-        raise ParameterError("the factor (1 - i t)^(-beta) of Psi underflows to 0 in doubles; "
-                             "use a smaller |nu| (--nu), |t| (--t) or alpha (--alpha)")
+    if remedy and not pref:
+        raise ParameterError(f"the factor (1 - i t)^(-beta) of Psi underflows to 0 in doubles; {remedy}")
     return pref * psi_tilde_eval(m, params, w)
 
 
@@ -782,12 +787,13 @@ def worst_det_residual(m: Sequence[int], params: ParamSet, sigmas, ts) -> float:
     """The largest |det - direct| / (1 + |direct|): ``det_eval_phi`` against the member
     m, built once, at each point of ``sigmas``, then ``det_eval_psi`` against
     ``psi_eval`` at each point of ``ts``.  A non-finite residual, which max() would
-    drop, is refused, naming m and the point."""
+    drop, is refused, naming m and the point; so is a Psi prefactor that underflows
+    to 0, where both sides would read 0 and the residual pass vacuously."""
     poly = mcj_build(m, params)
     worst = 0.0
     for name, points, det, direct in (
         ("sigma", sigmas, det_eval_phi, poly.evaluate),
-        ("t", ts, det_eval_psi, lambda t: psi_eval(m, params, t)),
+        ("t", ts, det_eval_psi, lambda t: psi_eval(m, params, t, PSI_REMEDY_NO_T)),
     ):
         for x in points:
             v_det, v_dir = det(m, params, x), direct(x)
@@ -1000,7 +1006,7 @@ def genfun_residual_psi(
         )
 
     residual = _genfun_residual(params, z, N, lambda m: psi_eval(m, params, t), closed)
-    psi_eval((0,) * params.r, params, t, refuse_zero=True)  # Psi_0(t) is the prefactor
+    psi_eval((0,) * params.r, params, t, PSI_REMEDY)  # Psi_0(t) is the prefactor
     return residual
 
 

@@ -161,13 +161,22 @@ def test_import_neither_forks_nor_loads_multiprocessing(child_env):
         "from mcjacobi import acceptance, orthog\n"
         "print(len(forks), 'multiprocessing' in sys.modules)\n"
         "orthog._cpu_count = lambda: 2\n"
-        "assert all(r.passed for r in acceptance.run_all(quick=True))\n"
-        "print(len(forks), 'multiprocessing' in sys.modules, 'scipy.special' in sys.modules)\n"
+        "last = acceptance.ALL_CRITERIA[3]\n"
+        "def criterion_4(quick):\n"
+        "    res = last(quick=quick)\n"
+        "    res.detail += f' scipy={\"scipy\" in sys.modules}'\n"
+        "    return res\n"
+        "acceptance.ALL_CRITERIA[3] = criterion_4\n"
+        "results = acceptance.run_all(quick=True)\n"
+        "assert all(r.passed for r in results)\n"
+        "print(len(forks), 'multiprocessing' in sys.modules, 'scipy' in sys.modules,\n"
+        "      results[3].detail.rsplit(' ', 1)[1])\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=child_env,
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    # one fork per battery; only the child imports scipy.special
-    assert proc.stdout.split("\n") == ["0 False", "1 False False", ""]
+    # one fork per battery; neither the parent nor the child running criteria
+    # 1-4 imports scipy
+    assert proc.stdout.split("\n") == ["0 False", "1 False False scipy=False", ""]

@@ -262,7 +262,7 @@ def test_psi_prefactor_underflow_is_refused_only_where_it_is_read(capsys):
     p = ParamSet(r=1, d=2, alpha=3, nu=900)
     assert mcj.psi_eval((1,), p, [5.0]) == 0
     with pytest.raises(ParameterError, match=r"\(--nu\), \|t\| \(--t\)"):
-        mcj.psi_eval((1,), p, [5.0], refuse_zero=True)
+        mcj.psi_eval((1,), p, [5.0], mcj.PSI_REMEDY)
     assert run(["eval", "--family", "psi", "--r", "1", "--alpha", "3", "--nu", "0.5", "--m", "1",
                 "--t", "5"]) == 0
     expected = format_complex(mcj.psi_eval((1,), p.with_(nu=0.5), [5.0]))
@@ -328,17 +328,20 @@ def test_non_finite_input_exits_2(child_env, argv, message):
 
 
 def test_verify_orth_json_independent_of_blas_threads(child_env):
-    argv = [sys.executable, "-m", "mcjacobi.cli", "verify-orth", "--r", "3", "--d", "1",
-            "--alpha", "3", "--nu", "0.3", "--max-weight", "2", "--points", "16",
-            "--tol", "1", "--format", "json"]
-    outputs = []
-    for threads in ("1", "2"):
-        env = dict(child_env, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
-        proc = subprocess.run(argv, capture_output=True, env=env, timeout=300)
-        assert proc.returncode == 0, proc.stderr
-        outputs.append(proc.stdout.split(b"\n", 1)[1])  # drop the timed summary line
-    assert outputs[0] == outputs[1]
-    assert json.loads(outputs[0])["schema"] == "mcjacobi-orth-report-v1"
+    # nested at odd d, and at even d a 200-point Gauss-Jacobi rule, whose
+    # eigenvalue step is LAPACK's
+    for params in (["--r", "3", "--d", "1", "--alpha", "3", "--nu", "0.3", "--points", "16"],
+                   ["--r", "2", "--d", "2", "--alpha", "3", "--nu", "0", "--points", "200"]):
+        argv = [sys.executable, "-m", "mcjacobi.cli", "verify-orth", *params, "--max-weight", "2",
+                "--tol", "1", "--format", "json"]
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(child_env, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            proc = subprocess.run(argv, capture_output=True, env=env, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout.split(b"\n", 1)[1])  # drop the timed summary line
+        assert outputs[0] == outputs[1]
+        assert json.loads(outputs[0])["schema"] == "mcjacobi-orth-report-v1"
 
 
 def test_selftest_quick(capsys):
@@ -608,10 +611,14 @@ def test_conjecture_sweep_checks_whole_grid_first(argv, message, capsys, monkeyp
 
 
 def test_light_commands_never_import_scipy(child_env):
-    # scipy.special is imported on first use, and these commands never use it
+    # the Gauss-Jacobi rules and log-gamma are the package's own: no command
+    # imports scipy, the quadrature ones on either branch included, and one CPU
+    # runs the whole selftest in this process
     script = """
 import sys
+from mcjacobi import orthog
 from mcjacobi.cli import run
+orthog._cpu_count = lambda: 1
 for argv in (
     ["print-poly", "--r", "2", "--alpha", "3", "--nu", "0.5", "--m", "2,1"],
     ["eval", "--r", "2", "--alpha", "3", "--nu", "0.5", "--m", "2,1", "--theta", "0.9,2.7"],
@@ -619,6 +626,12 @@ for argv in (
     ["verify-det", "--r", "2", "--max-weight", "2", "--trials", "3"],
     ["verify-genfun"],
     ["verify-ode", "--m-max", "3"],
+    ["verify-orth", "--r", "2", "--d", "2", "--alpha", "3", "--nu", "0", "--max-weight", "2"],
+    ["verify-orth", "--r", "2", "--d", "5/2", "--alpha", "3", "--nu", "0", "--max-weight", "2",
+     "--points", "24", "--tol", "1"],
+    ["conjecture-sweep", "--r", "2", "--d", "5/2", "--alpha", "3", "--nu", "0.3",
+     "--max-weight", "1", "--points", "16"],
+    ["selftest", "--quick"],
 ):
     if run(argv) != 0:
         sys.exit(f"{argv} failed")

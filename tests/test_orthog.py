@@ -13,7 +13,6 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy.special import roots_jacobi
 
 import mcjacobi.coeffs as coeffs_mod
 import mcjacobi.orthog as orthog
@@ -137,7 +136,7 @@ def _nested_reference(params, rule):
         last = len(cuts)
         for i in range(last + 1):
             (lo, e_lo), (hi, e_hi) = ends[i], ends[i + 1]
-            x, wj = roots_jacobi(n, float(e_hi), float(e_lo))
+            x, wj = orthog.roots_jacobi(n, float(e_hi), float(e_lo))
             half = 0.5 * (hi - lo)
             t = lo + half * (1.0 + x)
             w = half ** (e_hi + e_lo + 1.0) * wj
@@ -484,8 +483,7 @@ def test_leaf_error_stops_both_pull_loop_tasks(monkeypatch):
 
 
 def test_import_and_single_leaf_pass_start_no_threads(child_env):
-    # scipy.special imports concurrent.futures itself, so the single-leaf
-    # command is checked for the pool and its threads instead
+    # the pool is made on first use, and it is what imports concurrent.futures
     script = """
 import sys, threading
 import mcjacobi
@@ -500,6 +498,7 @@ orthog._gram(p, enumerate_partitions(2, 2), orthog.build_rule(64, "tanh_sinh", p
 assert "concurrent.futures" not in sys.modules, "single-leaf Gram pass"
 assert run(["verify-orth", "--r", "2", "--d", "2", "--alpha", "3", "--nu", "0.5",
             "--max-weight", "2"]) == 0
+assert "concurrent.futures" not in sys.modules, "single-leaf verify-orth"
 assert orthog._pool.cache_info().currsize == 0, "single-leaf verify-orth"
 assert not [t for t in threading.enumerate() if t.name.startswith("mcjacobi-gram")]
 p = ParamSet(r=3, d=2, alpha=5, nu=0.1)  # two leaves
@@ -598,6 +597,17 @@ def test_node_budget_refused_before_the_axis_rule(argv, monkeypatch, capsys):
         build_rule(2048, "gauss_gegenbauer", p)
     with pytest.raises(ParameterError, match="budget"):
         build_rule(2049, "gauss_gegenbauer", p)
+
+
+def test_largest_gauss_jacobi_rule_builds():
+    # 2,048 points per axis, the most within the budget, at s = 1: the weight
+    # (2 sin(theta/2))^2 integrates to 4 pi
+    p = ParamSet(r=1, d=2, alpha=3, nu=0)
+    rule = build_rule(2048, "gauss_gegenbauer", p)
+    assert rule.s == 1 and len(rule.nodes) == 2048
+    assert np.all(np.diff(rule.nodes) > 0) and 0 < rule.nodes[0] and rule.nodes[-1] < TWO_PI
+    assert np.all(rule.weights > 0)
+    assert math.fsum(rule.weights.tolist()) == pytest.approx(4 * math.pi, rel=1e-13)
 
 
 @pytest.mark.parametrize("n", [1, 5, 32_768, 32_769, 32_775, 65_536, 100_001, 651_456, 1_545_088])
@@ -702,6 +712,24 @@ def test_gram_scratch_kept_for_warm_passes_only(monkeypatch):
     _gram(*warm)
     assert set(sets) <= set(orthog._SCRATCH)
     assert 1 <= len(orthog._SCRATCH) <= orthog._IN_FLIGHT
+
+
+def test_pool_pass_on_one_set_leaves_a_warm_set_per_leaf_in_flight(monkeypatch):
+    # a cold pass whose leaves all ran on one set is topped up, so a warm pass
+    # running two leaves at once finds two full sets and makes none
+    monkeypatch.setattr(orthog, "_cpu_count", lambda: 2)
+    orthog._geometry.cache_clear()
+    p = ParamSet(r=2, d=Fraction(5, 2), alpha=3, nu=0.3)
+    args = (p, enumerate_partitions(2, 2), build_rule(160, "auto", p))
+    real = orthog._map_leaves
+    monkeypatch.setattr(orthog, "_map_leaves", lambda leaf, spans: [leaf(*s) for s in spans])
+    cold = _gram(*args)
+    sets = list(orthog._SCRATCH)
+    assert len(sets) == len(orthog._MADE) == orthog._IN_FLIGHT
+    assert [[a.shape for a in s.arrays] for s in sets[1:]] == [[a.shape for a in sets[0].arrays]]
+    monkeypatch.setattr(orthog, "_map_leaves", real)
+    assert np.array_equal(_gram(*args), cold)
+    assert len(orthog._MADE) == orthog._IN_FLIGHT and set(orthog._SCRATCH) == set(sets)
 
 
 def test_scratch_sets_never_shared_under_thread_stress(monkeypatch):
