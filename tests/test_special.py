@@ -54,6 +54,8 @@ def test_chebyshev_first_kind_closed_form(n):
     (30, 2.5, 0.25),
     (12, -0.9, 3.7),
     (9, 40.0, 0.0),
+    (15, 2.5, 2.5),  # a = b: the half-size problem, odd n with a node at 0
+    (16, -0.9, -0.9),
 ])
 def test_rule_exact_to_degree_2n_minus_1(n, a, b):
     # int ((1+x)/2)^k (1-x)^a (1+x)^b dx = 2^(a+b+1) B(a+1, b+k+1), k < 2n: the
